@@ -6,23 +6,26 @@
 //! and hence longer delays. The sweep measures how gracefully delay decays
 //! as i.i.d. frame loss rises, at the Fig. 4 operating point.
 
-use pas_bench::{paper_field, paper_scenario, results_dir, FIG4_ALERT_S, REPLICATES, SEED_BASE};
+use pas_bench::results_dir;
 use pas_core::{run, AdaptiveParams, ChannelKind, Policy, RunConfig};
 use pas_metrics::{Csv, Table};
+use pas_scenario::registry;
 use pas_sweep::{parallel_map, summarize, with_seeds};
 
 fn main() {
-    let field = paper_field();
+    let workload = registry::builtin("paper-default").expect("paper-default is built in");
+    let field = workload.build_field();
     let losses = [0.0, 0.05, 0.10, 0.20, 0.40];
     let policy = Policy::Pas(AdaptiveParams {
         max_sleep_s: 12.0,
-        alert_threshold_s: FIG4_ALERT_S,
+        // PAS's alert threshold in Fig. 4 (and paper-default).
+        alert_threshold_s: 15.0,
         ..AdaptiveParams::default()
     });
 
-    let jobs = with_seeds(&losses, SEED_BASE, REPLICATES);
+    let jobs = with_seeds(&losses, workload.run.base_seed, workload.run.replicates);
     let results: Vec<(f64, (f64, f64, f64))> = parallel_map(&jobs, |(loss, seed)| {
-        let scenario = paper_scenario(*seed);
+        let scenario = workload.scenario(*seed);
         let channel = if *loss == 0.0 {
             ChannelKind::Perfect
         } else {
@@ -30,7 +33,7 @@ fn main() {
         };
         let r = run(
             &scenario,
-            &field,
+            &*field,
             &RunConfig::new(policy).with_channel(channel),
         );
         (

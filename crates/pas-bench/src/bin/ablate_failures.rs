@@ -5,24 +5,27 @@
 //! nodes reached by the stimulus count as misses; surviving nodes' delay
 //! degrades because the prediction fabric thins (fewer repliers per probe).
 
-use pas_bench::{paper_field, paper_scenario, results_dir, FIG4_ALERT_S, REPLICATES, SEED_BASE};
+use pas_bench::results_dir;
 use pas_core::{run, AdaptiveParams, FailurePlan, Policy, RunConfig};
 use pas_metrics::{Csv, Table};
+use pas_scenario::registry;
 use pas_sim::Rng;
 use pas_sweep::{parallel_map, summarize, with_seeds};
 
 fn main() {
-    let field = paper_field();
+    let workload = registry::builtin("paper-default").expect("paper-default is built in");
+    let field = workload.build_field();
     let rates = [0.0, 0.1, 0.2, 0.3, 0.5];
     let policy = Policy::Pas(AdaptiveParams {
         max_sleep_s: 12.0,
-        alert_threshold_s: FIG4_ALERT_S,
+        // PAS's alert threshold in Fig. 4 (and paper-default).
+        alert_threshold_s: 15.0,
         ..AdaptiveParams::default()
     });
 
-    let jobs = with_seeds(&rates, SEED_BASE, REPLICATES);
+    let jobs = with_seeds(&rates, workload.run.base_seed, workload.run.replicates);
     let results: Vec<(u64, (f64, f64, f64))> = parallel_map(&jobs, |(rate, seed)| {
-        let scenario = paper_scenario(*seed);
+        let scenario = workload.scenario(*seed);
         // Failure times from a seed-derived stream (label 0xFA11) so the
         // plan is deterministic per (rate, seed) but independent of the
         // channel/deploy streams.
@@ -30,7 +33,7 @@ fn main() {
         let failures = FailurePlan::random(scenario.node_count, *rate, 60.0, &mut rng);
         let r = run(
             &scenario,
-            &field,
+            &*field,
             &RunConfig::new(policy).with_failures(failures),
         );
         (

@@ -5,24 +5,23 @@
 //! run with timeline recording: an ASCII map of the deployment at three
 //! instants, `C` = covered, `A` = alert, `s` = safe-awake, `.` = sleeping.
 
-use pas_bench::paper_scenario;
 use pas_core::{run, AdaptiveParams, NodeState, Policy, RunConfig};
-use pas_diffusion::RadialFront;
-use pas_geom::Vec2;
+use pas_scenario::registry;
 use pas_sim::SimTime;
 
 const GRID_W: usize = 40;
 const GRID_H: usize = 20;
 
 fn main() {
-    let scenario = paper_scenario(20_070_910);
-    let field = RadialFront::constant(Vec2::new(0.0, 0.0), 0.5);
+    let workload = registry::builtin("paper-default").expect("paper-default is built in");
+    let scenario = workload.scenario(workload.run.base_seed);
+    let field = workload.build_field();
     let policy = Policy::Pas(AdaptiveParams {
         max_sleep_s: 12.0,
         alert_threshold_s: 20.0,
         ..AdaptiveParams::default()
     });
-    let r = run(&scenario, &field, &RunConfig::new(policy).with_timeline());
+    let r = run(&scenario, &*field, &RunConfig::new(policy).with_timeline());
     let tl = r.timeline.as_ref().expect("timeline requested");
     let positions = scenario.positions();
 

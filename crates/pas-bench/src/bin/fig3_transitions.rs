@@ -3,10 +3,8 @@
 //! can_transition_to`), plus the transition census of a real run showing
 //! which edges actually fire and how often.
 
-use pas_bench::paper_scenario;
 use pas_core::{run, NodeState, Policy, RunConfig};
-use pas_diffusion::RadialFront;
-use pas_geom::Vec2;
+use pas_scenario::registry;
 use std::collections::BTreeMap;
 
 fn main() {
@@ -33,11 +31,12 @@ fn main() {
     }
 
     // Census over a real run: which edges fire, and how often.
-    let scenario = paper_scenario(20_070_910);
-    let field = RadialFront::constant(Vec2::new(0.0, 0.0), 0.5);
+    let workload = registry::builtin("paper-default").expect("paper-default is built in");
+    let scenario = workload.scenario(workload.run.base_seed);
+    let field = workload.build_field();
     let r = run(
         &scenario,
-        &field,
+        &*field,
         &RunConfig::new(Policy::pas_default()).with_timeline(),
     );
     let tl = r.timeline.expect("timeline requested");

@@ -150,7 +150,8 @@ fn scan_all_f64(json: &str, key: &str) -> Vec<f64> {
 }
 
 /// `s` starts at `{`: index just past the matching `}` (string- and
-/// escape-aware).
+/// escape-aware), or `None` when it is unterminated or a `}` comes first
+/// (a non-object value such as `null`).
 fn object_end(s: &str) -> Option<usize> {
     let mut depth = 0usize;
     let mut in_string = false;
@@ -170,7 +171,7 @@ fn object_end(s: &str) -> Option<usize> {
             '"' => in_string = true,
             '{' => depth += 1,
             '}' => {
-                depth -= 1;
+                depth = depth.checked_sub(1)?;
                 if depth == 0 {
                     return Some(i + 1);
                 }
@@ -581,6 +582,16 @@ mod tests {
              \"scenario\": \"s\",\n  \"history\": []\n}\n";
         match BenchHistory::parse(future) {
             Err(HistoryError::Schema { found: 99, .. }) => {}
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_object_payload_is_malformed_not_a_panic() {
+        let null_payload = "{\n  \"schema_version\": 1,\n  \"bench\": \"batch\",\n  \
+             \"scenario\": \"s\",\n  \"history\": [\n    { \"payload\": null }\n  ]\n}\n";
+        match BenchHistory::parse(null_payload) {
+            Err(HistoryError::Malformed(_)) => {}
             other => panic!("unexpected: {other:?}"),
         }
     }

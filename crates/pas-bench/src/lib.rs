@@ -1,18 +1,23 @@
-//! # pas-bench — experiment harness for the PAS evaluation
+//! # pas-bench — bench history and the figures manifests cannot express
 //!
-//! One binary per table/figure of the paper (see DESIGN.md's experiment
-//! index), all built on the shared [`harness`] module: the paper's §4
-//! workload (30 nodes, 10 m range, corner-released radial front), seed
-//! fan-out through `pas-sweep`, and table/CSV reporting through
-//! `pas-metrics`.
+//! [`history`] is the versioned `BENCH_*.json` writer, loader and
+//! regression gate behind `pas bench`.
 //!
-//! Run e.g. `cargo run --release -p pas-bench --bin fig4`; every binary
-//! prints the paper-style series and writes `results/<name>.csv`.
+//! The paper's Figs. 4–7 and the estimator ablation are registry
+//! manifests (`pas run paper-default`, `pas run paper-alert`,
+//! `pas run ablate-estimator`). The binaries here cover what a manifest
+//! cannot: Table 1's platform constants, the Fig. 1–3 schematics, and
+//! the channel-loss and failure-rate ablations, whose swept variables
+//! are not sweep axes. The ones that simulate (Figs. 2/3 and the
+//! ablations) take the §4 workload from the registry's `paper-default`
+//! manifest.
+//!
+//! Run e.g. `cargo run --release -p pas-bench --bin table1`; `table1`,
+//! `fig1_front` and the two ablations also write `results/<name>.csv`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod harness;
 pub mod history;
 
 pub use history::{
@@ -20,7 +25,10 @@ pub use history::{
     HistoryEntry, HistoryError, BENCH_SCHEMA_VERSION, DEFAULT_MAX_DROP_PCT,
 };
 
-pub use harness::{
-    delay_energy, paper_field, paper_scenario, report, results_dir, ExperimentPoint, ALERT_AXIS,
-    FIG4_ALERT_S, FIG5_MAX_SLEEP_S, FRONT_SPEED_MPS, MAX_SLEEP_AXIS, REPLICATES, SEED_BASE,
-};
+/// Results directory (`results/` at the workspace root).
+pub fn results_dir() -> std::path::PathBuf {
+    // CARGO_MANIFEST_DIR = crates/pas-bench; results live two levels up.
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join("results")
+}

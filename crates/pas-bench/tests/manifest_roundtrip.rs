@@ -1,130 +1,53 @@
-//! The registry's `paper-default` manifest IS the `pas-bench` Fig. 4
-//! harness, re-expressed as data. These tests pin that equivalence: the
-//! manifest declares the same workload constants, and executing it
-//! reproduces the hard-coded harness sweep bit for bit.
+//! The registry's `paper-default` manifest is the §4 workload that the
+//! Fig. 2/3 and ablation binaries here load. This test pins what it
+//! declares, so the binaries' workload cannot drift unnoticed.
 
-use pas_bench::{
-    delay_energy, paper_field, paper_scenario, FIG4_ALERT_S, MAX_SLEEP_AXIS, REPLICATES, SEED_BASE,
-};
-use pas_core::{AdaptiveParams, Policy};
-use pas_scenario::{execute, registry, ExecOptions, StimulusSpec};
+use pas_core::Scenario;
+use pas_scenario::{registry, AxisValues, ProfileSpec, StimulusSpec};
 
-/// The manifest's constants match the harness's §4 workload constants.
+/// The manifest declares the §4 workload: `Scenario::paper_default`, a
+/// 0.5 m/s radial front from the corner, 20 replicates from the ICPP'07
+/// seed, the Fig. 4 max-sleep axis, and the NS / SAS / PAS policy grid.
 #[test]
 fn paper_default_manifest_declares_the_harness_workload() {
     let m = registry::builtin("paper-default").unwrap();
 
-    let scenario = m.scenario(77);
-    assert_eq!(scenario, paper_scenario(77), "Scenario differs");
+    for seed in [m.run.base_seed, 77] {
+        assert_eq!(
+            m.scenario(seed),
+            Scenario::paper_default(seed),
+            "Scenario differs"
+        );
+    }
 
     match &m.stimulus {
         StimulusSpec::Radial { source, profile } => {
             assert_eq!(*source, (0.0, 0.0));
-            assert_eq!(
-                *profile,
-                pas_scenario::ProfileSpec::Constant {
-                    speed: pas_bench::FRONT_SPEED_MPS
-                }
-            );
+            assert_eq!(*profile, ProfileSpec::Constant { speed: 0.5 });
         }
         other => panic!("expected radial stimulus, got {other:?}"),
     }
 
-    assert_eq!(m.run.base_seed, SEED_BASE);
-    assert_eq!(m.run.replicates, REPLICATES);
+    assert_eq!(m.run.base_seed, 20070910);
+    assert_eq!(m.run.replicates, 20);
     assert_eq!(m.sweep.len(), 1);
     assert_eq!(m.sweep[0].field, "max_sleep_s");
     assert_eq!(
         m.sweep[0].values,
-        pas_scenario::AxisValues::Numeric(MAX_SLEEP_AXIS.to_vec())
+        AxisValues::Numeric(vec![1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0])
     );
 
     // Policy grid: NS, degenerate-alert SAS, PAS at the Fig. 4 threshold.
     assert_eq!(m.policies.len(), 3);
+    assert!(m.adaptive_params(&m.policies[0], &[]).unwrap().is_none());
     let pas = m
         .adaptive_params(&m.policies[2], &[])
         .unwrap()
         .expect("pas params");
-    assert_eq!(pas.alert_threshold_s, FIG4_ALERT_S);
+    assert_eq!(pas.alert_threshold_s, 15.0);
     let sas = m
         .adaptive_params(&m.policies[1], &[])
         .unwrap()
         .expect("sas params");
     assert_eq!(sas.alert_threshold_s, 2.0);
-}
-
-/// Executing the manifest reproduces the harness's Fig. 4 numbers bit for
-/// bit, on a 3-point slice of the axis (full replicate count per point).
-#[test]
-fn manifest_execution_matches_harness_fig4_sweep() {
-    let axis_slice = [1.0, 8.0, 20.0];
-
-    // Harness path: the hard-coded point list fed to `delay_energy`.
-    let field = paper_field();
-    let mut points: Vec<(f64, Policy)> = Vec::new();
-    for &max_sleep in &axis_slice {
-        points.push((max_sleep, Policy::Ns));
-        points.push((
-            max_sleep,
-            Policy::Sas(AdaptiveParams {
-                max_sleep_s: max_sleep,
-                alert_threshold_s: 2.0,
-                ..AdaptiveParams::default()
-            }),
-        ));
-        points.push((
-            max_sleep,
-            Policy::Pas(AdaptiveParams {
-                max_sleep_s: max_sleep,
-                alert_threshold_s: FIG4_ALERT_S,
-                ..AdaptiveParams::default()
-            }),
-        ));
-    }
-    let harness = delay_energy(&points, &field);
-
-    // Manifest path: the same slice of the registry manifest.
-    let mut m = registry::builtin("paper-default").unwrap();
-    m.sweep[0].values = axis_slice.to_vec().into();
-    let batch = execute(&m, ExecOptions::default()).unwrap();
-
-    assert_eq!(harness.len(), batch.summaries.len());
-    for h in &harness {
-        let s = batch
-            .summaries
-            .iter()
-            .find(|s| s.x == h.x && s.policy_label == h.policy)
-            .unwrap_or_else(|| panic!("manifest batch missing point {}/{}", h.x, h.policy));
-        assert_eq!(s.n, h.n);
-        assert_eq!(
-            s.delay_mean_s.to_bits(),
-            h.delay_mean_s.to_bits(),
-            "delay mean differs at {}/{}: {} vs {}",
-            h.x,
-            h.policy,
-            s.delay_mean_s,
-            h.delay_mean_s
-        );
-        assert_eq!(
-            s.delay_std_s.to_bits(),
-            h.delay_std_s.to_bits(),
-            "delay stddev differs at {}/{}",
-            h.x,
-            h.policy
-        );
-        assert_eq!(
-            s.energy_mean_j.to_bits(),
-            h.energy_mean_j.to_bits(),
-            "energy mean differs at {}/{}",
-            h.x,
-            h.policy
-        );
-        assert_eq!(
-            s.energy_std_j.to_bits(),
-            h.energy_std_j.to_bits(),
-            "energy stddev differs at {}/{}",
-            h.x,
-            h.policy
-        );
-    }
 }

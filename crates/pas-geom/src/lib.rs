@@ -11,8 +11,6 @@
 //!   regions, transmission disks and front sampling.
 //! * [`Polyline`] / [`Polygon`] — open and closed chains used to represent
 //!   extracted stimulus boundaries (contours).
-//! * [`hull::convex_hull`] — monotone-chain convex hull, used to build front
-//!   envelopes from velocity samples (Fig. 1 of the paper).
 //! * [`SpatialGrid`] — a uniform spatial hash over node positions so
 //!   neighbour queries are O(1) amortised instead of O(n) scans.
 //!
@@ -39,7 +37,6 @@ pub mod aabb;
 pub mod angle;
 pub mod float;
 pub mod grid;
-pub mod hull;
 pub mod polyline;
 pub mod shapes;
 pub mod vec2;
@@ -56,7 +53,6 @@ pub mod prelude {
     pub use crate::angle::{included_angle, normalize_angle};
     pub use crate::float::{approx_eq, approx_eq_eps};
     pub use crate::grid::SpatialGrid;
-    pub use crate::hull::convex_hull;
     pub use crate::polyline::{Polygon, Polyline};
     pub use crate::shapes::{Circle, Segment};
     pub use crate::vec2::Vec2;

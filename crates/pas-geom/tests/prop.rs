@@ -2,7 +2,6 @@
 
 use pas_geom::angle::{included_cos, normalize_angle};
 use pas_geom::float::approx_eq_eps;
-use pas_geom::hull::convex_hull_polygon;
 use pas_geom::{Polygon, Polyline, SpatialGrid, Vec2};
 use proptest::prelude::*;
 
@@ -84,22 +83,6 @@ proptest! {
         let c = included_cos(a, b);
         prop_assert!((-1.0..=1.0).contains(&c));
         prop_assert_eq!(c.to_bits(), included_cos(b, a).to_bits());
-    }
-
-    // --- hull ----------------------------------------------------------------
-
-    #[test]
-    fn hull_contains_every_input(pts in prop::collection::vec(vec2(), 3..40)) {
-        if let Some(hull) = convex_hull_polygon(&pts) {
-            for &p in &pts {
-                prop_assert!(
-                    hull.contains(p) || hull.distance_to_boundary(p) < 1e-6,
-                    "hull must contain {}", p
-                );
-            }
-            // Hull is convex: every vertex turn is CCW.
-            prop_assert!(hull.signed_area() > 0.0);
-        }
     }
 
     // --- polygon / polyline ---------------------------------------------------

@@ -15,7 +15,6 @@
 //!   distributions behind the averages.
 //! * [`DelayTracker`] — pairs ground-truth arrival with detection per node
 //!   and produces the paper's delay statistics, including miss accounting.
-//! * [`TimeSeries`] — sampled `(t, value)` traces for time-resolved plots.
 //! * [`table`] — aligned ASCII tables (the stdout "figures") and CSV export
 //!   for downstream plotting.
 
@@ -26,13 +25,11 @@ pub mod delay;
 pub mod histogram;
 pub mod online;
 pub mod table;
-pub mod timeseries;
 
 pub use delay::{DelayStats, DelayTracker};
 pub use histogram::Histogram;
 pub use online::OnlineStats;
 pub use table::{Csv, Table};
-pub use timeseries::TimeSeries;
 
 /// Commonly used items, for glob import.
 pub mod prelude {
@@ -40,5 +37,4 @@ pub mod prelude {
     pub use crate::histogram::Histogram;
     pub use crate::online::OnlineStats;
     pub use crate::table::{Csv, Table};
-    pub use crate::timeseries::TimeSeries;
 }

@@ -15,13 +15,14 @@
 //!   Policies mount arrival predictors (`predictor = "kalman"` plus
 //!   per-predictor parameter tables), and sweep axes cover the adaptive
 //!   parameters, predictor names, and deployment density (`nodes`).
-//! * [`exec`] — [`expand`] (manifest → cartesian run matrix via the
-//!   `pas-sweep` combinators) and [`execute`] (parallel, bit-deterministic
-//!   batch execution with replicate aggregation).
-//! * [`sink`] — summary CSV (same columns as the `pas-bench` figure
-//!   CSVs), per-run JSONL, and stdout tables.
+//! * [`exec`] — [`expand`] (manifest → cartesian run matrix) and
+//!   [`execute`] (parallel, bit-deterministic batch execution with
+//!   replicate aggregation).
+//! * [`sink`] — summary CSV (the figure series: x, policy, delay and
+//!   energy mean ± stddev, n), per-run JSONL, and stdout tables.
 //! * [`registry`] — built-in named manifests: the paper-default workload,
-//!   the alert-threshold sweep, and the three example scenarios.
+//!   the alert-threshold sweep, the three example scenarios, the
+//!   predictor shootout and the estimator ablation.
 //!
 //! ## Quick start
 //!

@@ -1,16 +1,17 @@
 //! Built-in named scenario manifests.
 //!
-//! The registry ships the paper-default workload (the Fig. 4 grid), the
-//! Fig. 5/7 alert sweep, the three example scenarios, and the
+//! The registry ships the paper-default workload (the Fig. 4/6 grid), the
+//! Fig. 5/7 alert sweep, the three example scenarios, the
 //! predictor-shootout grid (every arrival-estimator variant × deployment
-//! density) as compiled-in TOML. `pas list` enumerates them;
+//! density), and the estimator ablation (Oracle vs PAS vs SAS vs NS) as
+//! compiled-in TOML. `pas list` enumerates them;
 //! `pas run <name>` executes one; `pas show <name>` prints the TOML as a
 //! starting point for custom manifests.
 
 use crate::manifest::{Manifest, ManifestError};
 
 /// `(name, TOML source)` for every built-in scenario.
-pub const BUILTINS: [(&str, &str); 6] = [
+pub const BUILTINS: [(&str, &str); 7] = [
     (
         "paper-default",
         include_str!("../manifests/paper-default.toml"),
@@ -31,6 +32,10 @@ pub const BUILTINS: [(&str, &str); 6] = [
     (
         "predictor-shootout",
         include_str!("../manifests/predictor-shootout.toml"),
+    ),
+    (
+        "ablate-estimator",
+        include_str!("../manifests/ablate-estimator.toml"),
     ),
 ];
 
@@ -81,6 +86,7 @@ mod tests {
             "gas-leak-city",
             "plume-monitoring",
             "predictor-shootout",
+            "ablate-estimator",
         ] {
             assert!(names.contains(&required), "missing {required}");
         }

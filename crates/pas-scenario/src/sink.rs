@@ -1,8 +1,9 @@
 //! Output sinks: summary CSV, per-run JSONL, and stdout tables.
 //!
-//! The CSV column layout matches `pas-bench`'s figure CSVs so downstream
-//! plotting scripts work on either producer. JSONL carries the full
-//! per-run records (one JSON object per line) for raw-data analysis.
+//! The summary CSV is the figure series: one row per (x, policy) point
+//! with delay and energy mean ± stddev and the replicate count. JSONL
+//! carries the full per-run records (one JSON object per line) for
+//! raw-data analysis.
 //!
 //! Both file sinks stamp [`SCHEMA_VERSION`] — a trailing
 //! `schema_version` CSV column and a leading `"schema_version"` JSONL
@@ -19,8 +20,8 @@ use std::path::Path;
 /// or field change.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// Build the per-point summary CSV (same columns as the figure CSVs,
-/// plus the trailing `schema_version` stamp).
+/// Build the per-point summary CSV (the figure series plus the trailing
+/// `schema_version` stamp).
 pub fn summary_csv(batch: &BatchResult) -> Csv {
     let mut csv = Csv::new(&[
         &batch.x_label,

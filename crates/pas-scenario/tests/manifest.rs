@@ -2,7 +2,7 @@
 //! rejection across sections, matrix expansion counts, and semantic
 //! validation errors.
 
-use pas_core::Policy;
+use pas_core::{Policy, Scenario};
 use pas_scenario::{expand, registry, Manifest};
 
 #[test]
@@ -219,6 +219,12 @@ fn expansion_counts_axes_times_policies_times_seeds() {
     assert_eq!(points[19].seed, 20_070_910 + 19);
     assert_eq!(points[20].policy_label, "SAS");
     assert_eq!(points[60].x, 2.0);
+
+    // The manifest deploys exactly `Scenario::paper_default`, which the
+    // paper-claims and cross-crate tests run on directly.
+    for seed in [points[0].seed, 77] {
+        assert_eq!(m.scenario(seed), Scenario::paper_default(seed));
+    }
 
     // The swept value lands in the instantiated policy.
     let pas_at_16: Vec<_> = points

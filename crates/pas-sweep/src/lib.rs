@@ -37,30 +37,6 @@ pub mod prelude {
     pub use crate::pool::{parallel_map, parallel_map_progress, parallel_map_with, SweepOptions};
 }
 
-/// Cartesian product of two axes (row-major: `a` outer, `b` inner).
-pub fn cartesian2<A: Clone, B: Clone>(a: &[A], b: &[B]) -> Vec<(A, B)> {
-    let mut out = Vec::with_capacity(a.len() * b.len());
-    for x in a {
-        for y in b {
-            out.push((x.clone(), y.clone()));
-        }
-    }
-    out
-}
-
-/// Cartesian product of three axes (row-major).
-pub fn cartesian3<A: Clone, B: Clone, C: Clone>(a: &[A], b: &[B], c: &[C]) -> Vec<(A, B, C)> {
-    let mut out = Vec::with_capacity(a.len() * b.len() * c.len());
-    for x in a {
-        for y in b {
-            for z in c {
-                out.push((x.clone(), y.clone(), z.clone()));
-            }
-        }
-    }
-    out
-}
-
 /// Replicate each parameter point over `n_seeds` deterministic seeds
 /// (`base_seed + k`): the standard replicate fan-out for mean ± stddev.
 pub fn with_seeds<P: Clone>(params: &[P], base_seed: u64, n_seeds: u64) -> Vec<(P, u64)> {
@@ -78,22 +54,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cartesian2_row_major() {
-        let got = cartesian2(&[1, 2], &["a", "b", "c"]);
-        assert_eq!(got.len(), 6);
-        assert_eq!(got[0], (1, "a"));
-        assert_eq!(got[2], (1, "c"));
-        assert_eq!(got[3], (2, "a"));
-    }
-
-    #[test]
-    fn cartesian3_counts() {
-        let got = cartesian3(&[1, 2], &[10, 20], &[100]);
-        assert_eq!(got.len(), 4);
-        assert_eq!(got[3], (2, 20, 100));
-    }
-
-    #[test]
     fn seeds_fan_out() {
         let got = with_seeds(&["x", "y"], 1000, 3);
         assert_eq!(got.len(), 6);
@@ -104,7 +64,6 @@ mod tests {
 
     #[test]
     fn empty_axes() {
-        assert!(cartesian2::<i32, i32>(&[], &[1]).is_empty());
         assert!(with_seeds::<i32>(&[], 0, 5).is_empty());
         assert!(with_seeds(&[1], 0, 0).is_empty());
     }

@@ -8,7 +8,7 @@
 //!
 //! | Crate | What it provides |
 //! |-------|------------------|
-//! | [`geom`] | 2-D vectors, shapes, polylines, hulls, spatial hashing |
+//! | [`geom`] | 2-D vectors, shapes, polylines, spatial hashing |
 //! | [`sim`] | deterministic discrete-event engine + seedable PRNG |
 //! | [`diffusion`] | stimulus ground truth: fronts, plumes, eikonal/FMM |
 //! | [`platform`] | Telos power model, energy metering, frame sizing |
@@ -50,8 +50,11 @@
 //! assert_eq!(batch.summaries.len(), manifest.policies.len());
 //! ```
 //!
-//! See `examples/` for full scenarios and `crates/pas-bench` for the
-//! binaries that regenerate every table and figure of the paper.
+//! See `examples/` for full scenarios. Figs. 4–7 and the estimator
+//! ablation are registry manifests (`pas run paper-default`,
+//! `pas run paper-alert`, `pas run ablate-estimator`); `crates/pas-bench`
+//! holds the binaries for Table 1, the Fig. 1–3 schematics and the
+//! channel-loss and failure-rate ablations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

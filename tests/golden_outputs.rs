@@ -9,7 +9,9 @@
 //! was appended). Executing the same manifests through today's code
 //! must reproduce them byte for byte — the refactor's central
 //! no-regression promise (CI double-checks the same equality through
-//! the real CLI binary).
+//! the real CLI binary). `ablate-estimator.csv` is the CSV the
+//! estimator ablation wrote when it was a hard-coded binary, with the
+//! stamp column appended.
 
 use pas_scenario::{execute, registry, summary_csv, ExecOptions};
 
@@ -59,4 +61,9 @@ golden!(
     plume_monitoring_is_byte_identical,
     "plume-monitoring",
     "golden/plume-monitoring.csv"
+);
+golden!(
+    ablate_estimator_is_byte_identical,
+    "ablate-estimator",
+    "golden/ablate-estimator.csv"
 );
