@@ -13,6 +13,9 @@
 //!   its actual velocity and announces it.
 //! * `Deliver { to, frame }` — a frame reaches node `to`'s antenna. Heard
 //!   only if the node is awake and not mid-transmission (half-duplex).
+//!   Never scheduled for a receiver that is asleep at send time and whose
+//!   one pending `Wake` fires strictly after the arrival: that frame is
+//!   unheard by construction (see "Asleep receivers" below).
 //! * `AlertReview(i)` — periodic re-examination of an alert node: fall back
 //!   to safe on misprediction (overdue) or receded threat.
 //! * `CoveredCheck(i)` — periodic re-sense of a covered node: if the
@@ -35,6 +38,25 @@
 //!   collecting a `Vec<Delivery>` per send.
 //! * **Report scratch** — estimator calls copy a node's stored reports into
 //!   one reusable `Vec<Report>` owned by the world.
+//!
+//! ## Asleep receivers
+//!
+//! A sleeping radio hears nothing, and a sleeping node only wakes on its
+//! own `Wake` event. The runner keeps the invariant *asleep ⇒ exactly one
+//! pending `Wake`, at `wake_at[i]`*: every sleep path goes through
+//! `World::fall_asleep`, which puts the node to sleep, schedules its wake
+//! and records the time, and `on_wake` asserts (debug) that each popped
+//! `Wake` matches the record. `broadcast` uses it to skip the `Deliver`
+//! of any frame whose receiver is asleep now and wakes strictly after the
+//! arrival. At an equal time the earlier-scheduled `Wake` pops first and
+//! the node hears the frame, so that delivery is still scheduled.
+//!
+//! Skipping changes no result. The channel's `delivers` and jitter draws
+//! happen exactly as before, and the relative order of the remaining
+//! events is unchanged (ties break on insertion order). Each skipped
+//! delivery due at or before the horizon is what the engine would have
+//! dispatched as an unheard no-op, so it still counts once in
+//! `frames_unheard` and once in `events_processed`.
 //!
 //! ## Transmission metering
 //!
@@ -147,7 +169,9 @@ pub struct RunResult {
     /// Frames that physically arrived at a sleeping / dead / transmitting
     /// receiver and were lost.
     pub frames_unheard: u64,
-    /// Total events dispatched.
+    /// Total events dispatched, counting each skipped delivery to an
+    /// asleep receiver as the unheard `Deliver` it stands for (see the
+    /// module docs).
     pub events_processed: u64,
     /// Nodes in the Covered state at the end of the run.
     pub covered_final: usize,
@@ -225,6 +249,15 @@ struct World<'f> {
     frames_delivered: u64,
     frames_unheard: u64,
     timeline: Option<Timeline>,
+    /// Time of node `i`'s one pending `Wake` while it sleeps
+    /// ([`SimTime::NEVER`] until one is scheduled).
+    wake_at: Vec<SimTime>,
+    /// Skip deliveries to receivers asleep through the arrival (always on
+    /// outside the reference-equivalence test).
+    elide_asleep: bool,
+    /// Deliveries skipped that were due at or before the horizon.
+    elided: u64,
+    horizon: SimTime,
 }
 
 /// Run one simulation.
@@ -232,6 +265,18 @@ struct World<'f> {
 /// Deterministic: identical `(scenario, field, config)` triples produce
 /// identical results, bit for bit.
 pub fn run(scenario: &Scenario, field: &dyn StimulusField, config: &RunConfig) -> RunResult {
+    simulate(scenario, field, config, true)
+}
+
+/// [`run`], with delivery skipping for asleep receivers switchable so the
+/// equivalence test can compare against a reference that schedules every
+/// delivery.
+fn simulate(
+    scenario: &Scenario,
+    field: &dyn StimulusField,
+    config: &RunConfig,
+    elide_asleep: bool,
+) -> RunResult {
     // Coarse profile region over the whole simulation (one per matrix
     // point, µs-scale); the per-event regions below it are detail-level
     // and inert unless `pas_obs::profile::set_detail(true)`.
@@ -265,54 +310,13 @@ pub fn run(scenario: &Scenario, field: &dyn StimulusField, config: &RunConfig) -
         }
     }
 
-    // Node construction + initial schedule.
-    let mut engine: Engine<Ev> = Engine::with_capacity(4 * n);
-    let mut node_rng = Rng::substream(scenario.seed, STREAM_NODES);
     let starts_awake = matches!(config.policy, Policy::Ns);
     let base_sleep = config
         .policy
         .params()
         .map(|p| p.base_sleep_s)
         .unwrap_or(1.0);
-
     let nodes = Nodes::new(topology.positions(), profile, starts_awake, base_sleep);
-
-    match config.policy {
-        Policy::Ns => { /* always awake: Arrival events do the detecting */ }
-        Policy::Oracle => {
-            // The §3.1 ideal: wake exactly at the ground-truth arrival.
-            for (i, arr) in arrivals.iter().enumerate() {
-                if let Some(t) = arr {
-                    if *t <= horizon {
-                        engine.schedule_at(*t, Ev::Wake(i as u32));
-                    }
-                }
-            }
-        }
-        Policy::Sas(_) | Policy::Pas(_) => {
-            // Desynchronised first wake: uniform phase in [0, base interval).
-            for i in 0..n {
-                let phase = node_rng.range_f64(0.0, base_sleep);
-                engine.schedule_at(SimTime::from_secs(phase), Ev::Wake(i as u32));
-            }
-        }
-    }
-
-    // Arrival events (awake-detection path) for every policy.
-    for (i, arr) in arrivals.iter().enumerate() {
-        if let Some(t) = arr {
-            if *t <= horizon {
-                engine.schedule_at(*t, Ev::Arrival(i as u32));
-            }
-        }
-    }
-
-    // Failure injection.
-    for (i, t) in config.failures.iter() {
-        if t <= horizon {
-            engine.schedule_at(t, Ev::Fail(i as u32));
-        }
-    }
 
     // Flatten the topology's neighbour lists into one CSR table with
     // precomputed link distances (same distance expression the radio layer
@@ -352,7 +356,51 @@ pub fn run(scenario: &Scenario, field: &dyn StimulusField, config: &RunConfig) -
         frames_delivered: 0,
         frames_unheard: 0,
         timeline: config.record_timeline.then(Timeline::new),
+        wake_at: vec![SimTime::NEVER; n],
+        elide_asleep,
+        elided: 0,
+        horizon,
     };
+
+    // Initial schedule.
+    let mut engine: Engine<Ev> = Engine::with_capacity(4 * n);
+    let mut node_rng = Rng::substream(scenario.seed, STREAM_NODES);
+    match config.policy {
+        Policy::Ns => { /* always awake: Arrival events do the detecting */ }
+        Policy::Oracle => {
+            // The §3.1 ideal: wake exactly at the ground-truth arrival.
+            for (i, arr) in arrivals.iter().enumerate() {
+                if let Some(t) = arr {
+                    if *t <= horizon {
+                        world.schedule_wake(&mut engine, i, *t);
+                    }
+                }
+            }
+        }
+        Policy::Sas(_) | Policy::Pas(_) => {
+            // Desynchronised first wake: uniform phase in [0, base interval).
+            for i in 0..n {
+                let phase = node_rng.range_f64(0.0, base_sleep);
+                world.schedule_wake(&mut engine, i, SimTime::from_secs(phase));
+            }
+        }
+    }
+
+    // Arrival events (awake-detection path) for every policy.
+    for (i, arr) in arrivals.iter().enumerate() {
+        if let Some(t) = arr {
+            if *t <= horizon {
+                engine.schedule_at(*t, Ev::Arrival(i as u32));
+            }
+        }
+    }
+
+    // Failure injection.
+    for (i, t) in config.failures.iter() {
+        if t <= horizon {
+            engine.schedule_at(t, Ev::Fail(i as u32));
+        }
+    }
 
     engine.run_until(horizon, |eng, ev| world.handle(eng, ev));
 
@@ -374,8 +422,8 @@ pub fn run(scenario: &Scenario, field: &dyn StimulusField, config: &RunConfig) -
         requests_sent: world.requests_sent,
         responses_sent: world.responses_sent,
         frames_delivered: world.frames_delivered,
-        frames_unheard: world.frames_unheard,
-        events_processed: engine.processed(),
+        frames_unheard: world.frames_unheard + world.elided,
+        events_processed: engine.processed() + world.elided,
         covered_final: world
             .nodes
             .state
@@ -479,6 +527,7 @@ impl<'f> World<'f> {
     fn on_wake(&mut self, eng: &mut Engine<Ev>, i: usize) {
         let _prof = pas_obs::profile::scope_detail("sim.wake_decision");
         let now = eng.now();
+        debug_assert_eq!(self.wake_at[i], now, "node {i}: Wake off its recorded time");
         if !self.nodes.alive[i] || self.nodes.awake[i] {
             return;
         }
@@ -542,11 +591,7 @@ impl<'f> World<'f> {
                     // Uneventful probe: grow the interval and go back to sleep.
                     self.nodes.sleep_interval_s[i] =
                         p.grown_interval(self.nodes.sleep_interval_s[i]);
-                    let interval = self.nodes.sleep_interval_s[i];
-                    let t_sleep = now.max(self.nodes.last_tx_end[i]);
-                    self.nodes.sleep(i, t_sleep);
-                    self.record_power(i, now, false);
-                    eng.schedule_at(t_sleep + interval, Ev::Wake(i as u32));
+                    self.fall_asleep(eng, i);
                 }
             }
             Purpose::CoveredEstimate => {
@@ -698,11 +743,7 @@ impl<'f> World<'f> {
             // node returns to safe (and our detect-time record remains).
             self.set_state(i, NodeState::Safe, now);
             self.nodes.sleep_interval_s[i] = p.base_sleep_s;
-            let interval = self.nodes.sleep_interval_s[i];
-            let t_sleep = now.max(self.nodes.last_tx_end[i]);
-            self.nodes.sleep(i, t_sleep);
-            self.record_power(i, now, false);
-            eng.schedule_at(t_sleep + interval, Ev::Wake(i as u32));
+            self.fall_asleep(eng, i);
         }
     }
 
@@ -766,11 +807,25 @@ impl<'f> World<'f> {
         if reset_interval {
             self.nodes.sleep_interval_s[i] = p.base_sleep_s;
         }
-        let interval = self.nodes.sleep_interval_s[i];
+        self.fall_asleep(eng, i);
+    }
+
+    /// Put awake node `i` to sleep for its current interval, starting once
+    /// its own transmission ends, and schedule its wake. Every sleep path
+    /// goes through here, so a sleeping node always has exactly one
+    /// pending `Wake`, at `wake_at[i]`.
+    fn fall_asleep(&mut self, eng: &mut Engine<Ev>, i: usize) {
+        let now = eng.now();
         let t_sleep = now.max(self.nodes.last_tx_end[i]);
         self.nodes.sleep(i, t_sleep);
         self.record_power(i, now, false);
-        eng.schedule_at(t_sleep + interval, Ev::Wake(i as u32));
+        self.schedule_wake(eng, i, t_sleep + self.nodes.sleep_interval_s[i]);
+    }
+
+    /// Schedule sleeping node `i`'s wake at `at` and record the time.
+    fn schedule_wake(&mut self, eng: &mut Engine<Ev>, i: usize, at: SimTime) {
+        self.wake_at[i] = at;
+        eng.schedule_at(at, Ev::Wake(i as u32));
     }
 
     /// Apply a state transition, recording it when the timeline is on.
@@ -796,7 +851,8 @@ impl<'f> World<'f> {
     /// scheduled straight off the flat neighbour table — no allocation.
     /// The RNG draw order matches the old radio layer exactly: one
     /// `delivers` draw per neighbour in ascending id order, one jitter draw
-    /// per delivered frame.
+    /// per delivered frame, whether or not its `Deliver` is then skipped
+    /// for an asleep receiver.
     fn broadcast(&mut self, eng: &mut Engine<Ev>, i: usize, msg: Msg, forced: bool) {
         let _prof = pas_obs::profile::scope_detail("sim.channel");
         let now = eng.now();
@@ -837,7 +893,14 @@ impl<'f> World<'f> {
         for &(to, dist) in &self.nbr[lo..hi] {
             if self.channel.delivers(dist, self.range, &mut self.rng) {
                 let jitter = self.channel.extra_delay_s(&mut self.rng);
-                eng.schedule_at(now + airtime + jitter, Ev::Deliver { to, frame });
+                let at = now + airtime + jitter;
+                let r = to as usize;
+                if self.elide_asleep && !self.nodes.awake[r] && self.wake_at[r] > at {
+                    // Asleep through the arrival (see module docs).
+                    self.elided += u64::from(at <= self.horizon);
+                    continue;
+                }
+                eng.schedule_at(at, Ev::Deliver { to, frame });
                 scheduled += 1;
             }
         }
@@ -1179,6 +1242,121 @@ mod tests {
         assert!(significant_change(t(12.0), t(10.0), t(5.0), 0.2));
         // 2 s shift with 500 s remaining: insignificant.
         assert!(!significant_change(t(502.0), t(500.0), t(0.0), 0.2));
+    }
+
+    /// Require `got` to equal `want` in every field, the timeline
+    /// included. The destructuring is exhaustive, so a new `RunResult`
+    /// field fails to compile here until it is compared too.
+    fn assert_same_result(got: &RunResult, want: &RunResult, ctx: &str) {
+        let RunResult {
+            policy_label,
+            node_count,
+            duration_s,
+            delay,
+            per_node_energy,
+            requests_sent,
+            responses_sent,
+            frames_delivered,
+            frames_unheard,
+            events_processed,
+            covered_final,
+            alerted_ever,
+            timeline,
+        } = want;
+        assert_eq!(&got.policy_label, policy_label, "{ctx}: policy_label");
+        assert_eq!(got.node_count, *node_count, "{ctx}: node_count");
+        assert_eq!(got.duration_s.to_bits(), duration_s.to_bits(), "{ctx}");
+        assert_eq!(&got.delay, delay, "{ctx}: delay");
+        assert_eq!(&got.per_node_energy, per_node_energy, "{ctx}: energy");
+        assert_eq!(got.requests_sent, *requests_sent, "{ctx}: requests");
+        assert_eq!(got.responses_sent, *responses_sent, "{ctx}: responses");
+        assert_eq!(got.frames_delivered, *frames_delivered, "{ctx}: heard");
+        assert_eq!(got.frames_unheard, *frames_unheard, "{ctx}: unheard");
+        assert_eq!(got.events_processed, *events_processed, "{ctx}: events");
+        assert_eq!(got.covered_final, *covered_final, "{ctx}: covered");
+        assert_eq!(got.alerted_ever, *alerted_ever, "{ctx}: alerted");
+        assert_eq!(&got.timeline, timeline, "{ctx}: timeline");
+    }
+
+    /// Skipping deliveries to receivers asleep through the arrival is
+    /// exact: over seeded scenarios, every run matches a reference that
+    /// schedules every delivery. The grid crosses SAS and PAS (planar and
+    /// kalman predictors) with perfect, iid-loss and distance-loss
+    /// channels and with no, random and targeted failures. The stimulus
+    /// is an advancing front, run to its default horizon or cut short
+    /// while a wake-up REQUEST is in flight (so skipped deliveries land
+    /// past the horizon), or a receding plume, whose covered nodes fall
+    /// back asleep through the covered-check path.
+    #[test]
+    fn skipping_asleep_deliveries_changes_no_result() {
+        use crate::failure::FailurePlan;
+        use crate::predictor::KalmanParams;
+        use pas_diffusion::GaussianPlume;
+
+        let policies = [
+            Policy::sas_default(),
+            Policy::pas_with(PredictorSpec::PlanarFront),
+            Policy::pas_with(PredictorSpec::Kalman(KalmanParams::default())),
+        ];
+        let channels = [
+            ChannelKind::Perfect,
+            ChannelKind::IidLoss(0.3),
+            ChannelKind::DistanceLoss(0.5, 0.6),
+        ];
+        let plume = GaussianPlume::new(Vec2::new(20.0, 20.0), 3000.0, 1.5, Vec2::ZERO, 1.0);
+        let plume_horizon = plume.extinction_time().as_secs() + 10.0;
+        let front = corner_front();
+        let mut gen = Rng::new(0x5eed_e11d);
+        for case in 0..6 {
+            let s = small_scenario(gen.next_u64());
+            let n = s.node_count;
+            let field: &dyn StimulusField = if case % 3 == 2 { &plume } else { &front };
+            let kills: Vec<(usize, SimTime)> = (0..4)
+                .map(|_| (gen.index(n), SimTime::from_secs(gen.range_f64(0.0, 50.0))))
+                .collect();
+            let failure_plans = [
+                FailurePlan::none(n),
+                FailurePlan::random(n, 0.2, 60.0, &mut gen),
+                FailurePlan::targeted(n, &kills),
+            ];
+            for policy in policies {
+                for channel in channels {
+                    for failures in &failure_plans {
+                        let mut cfg = RunConfig::new(policy)
+                            .with_channel(channel)
+                            .with_failures(failures.clone())
+                            .with_timeline();
+                        match case % 3 {
+                            0 => {}
+                            1 => {
+                                // A wake sends its REQUEST at once; end the
+                                // run 0.1 ms later, mid-flight.
+                                let probe = simulate(&s, field, &cfg, false).timeline.unwrap();
+                                let wakes: Vec<SimTime> = probe
+                                    .power
+                                    .iter()
+                                    .filter(|p| p.awake)
+                                    .map(|p| p.t)
+                                    .collect();
+                                let cut = wakes[gen.index(wakes.len())];
+                                cfg = cfg.with_horizon(cut.as_secs() + 1e-4);
+                            }
+                            _ => cfg = cfg.with_horizon(plume_horizon),
+                        }
+                        let ctx = format!(
+                            "case {case} seed {} {} {channel:?} {} failures, horizon {:?}",
+                            s.seed,
+                            policy.label(),
+                            failures.failing_count(),
+                            cfg.horizon_override_s
+                        );
+                        let want = simulate(&s, field, &cfg, false);
+                        let got = simulate(&s, field, &cfg, true);
+                        assert_same_result(&got, &want, &ctx);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub struct PowerRecord {
 }
 
 /// The chronological event log of one run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Timeline {
     /// State transitions in chronological order.
     pub transitions: Vec<TransitionRecord>,

@@ -1354,6 +1354,23 @@ impl Manifest {
                 return Err(err("failure horizon_s must be > 0"));
             }
         }
+        // The runner turns these into `SimTime`s, which cannot be negative
+        // (a front-kill time is arrival + delay_s, the default horizon is
+        // last arrival + grace_s), and `RunConfig::with_horizon` rejects a
+        // non-positive horizon. A non-finite horizon would never end.
+        if let FailureSpec::FrontKill { delay_s } = self.failures {
+            if !(delay_s.is_finite() && delay_s >= 0.0) {
+                return Err(err("failure delay_s must be finite and >= 0"));
+            }
+        }
+        if !(self.run.grace_s.is_finite() && self.run.grace_s >= 0.0) {
+            return Err(err("run.grace_s must be finite and >= 0"));
+        }
+        if let Some(h) = self.run.horizon_s {
+            if !(h.is_finite() && h > 0.0) {
+                return Err(err("run.horizon_s must be finite and > 0"));
+            }
+        }
         // Axis-level constraints.
         let mut seen_fields: Vec<&str> = Vec::new();
         for axis in &self.sweep {

@@ -168,6 +168,24 @@ fn validation_mirrors_runtime_constructor_panics() {
     let e = Manifest::parse(&bad).unwrap_err();
     assert!(e.msg.contains("good_fraction"), "{e}");
 
+    // Time fields the runner turns into `SimTime`s: a negative grace
+    // (default horizon = last arrival + grace_s), a non-positive horizon
+    // (`RunConfig::with_horizon`) and a negative front-kill delay
+    // (death = arrival + delay_s) all abort `pas run`.
+    let bad = paper_src().replace("grace_s = 15.0", "grace_s = -1000.0");
+    let e = Manifest::parse(&bad).unwrap_err();
+    assert!(e.msg.contains("grace_s"), "{e}");
+    // An overflowing literal reads as +inf: the run would never end.
+    let bad = paper_src().replace("grace_s = 15.0", "grace_s = 1e999");
+    let e = Manifest::parse(&bad).unwrap_err();
+    assert!(e.msg.contains("grace_s"), "{e}");
+    let bad = paper_src().replace("grace_s = 15.0", "grace_s = 15.0\nhorizon_s = -3.0");
+    let e = Manifest::parse(&bad).unwrap_err();
+    assert!(e.msg.contains("horizon_s"), "{e}");
+    let bad = src.replace("delay_s = 30.0", "delay_s = -1000.0");
+    let e = Manifest::parse(&bad).unwrap_err();
+    assert!(e.msg.contains("delay_s"), "{e}");
+
     // Poisson-disk separation must be positive.
     let src = registry::raw("plume-monitoring").unwrap();
     let bad = src.replace("min_dist = 6.0", "min_dist = 0.0");

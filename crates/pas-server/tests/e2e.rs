@@ -97,6 +97,15 @@ fn api_rejects_bad_input_and_unknown_jobs() {
         other => panic!("expected 400, got {other}"),
     }
 
+    // A time field the runner cannot turn into a `SimTime` is refused at
+    // submission, before it can reach (and kill) a queue worker.
+    let mut negative = registry::builtin("paper-default").unwrap();
+    negative.run.grace_s = -1000.0;
+    match client.submit(&negative.to_toml()).unwrap_err() {
+        pas_server::ClientError::Api(400, msg) => assert!(msg.contains("grace_s"), "{msg}"),
+        other => panic!("expected 400, got {other}"),
+    }
+
     // Unknown jobs are 404; results of unfinished jobs are 409.
     match client.status(999).unwrap_err() {
         pas_server::ClientError::Api(404, _) => {}

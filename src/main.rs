@@ -1814,14 +1814,18 @@ fn cmd_bench(args: &[String]) -> ExitCode {
     }
     let expand_ns = t0.elapsed().as_nanos() as u64 / u64::from(expand_iters);
 
-    // Execution: a fixed sub-grid, sequential for machine-independence.
-    // Timed three ways — the shipping configuration (metrics + span
-    // tracing collecting, under an ambient trace context so `exec.point`
-    // spans actually record; `execute_us_sequential` keeps the gate's
-    // trend line continuous), tracing disabled (`execute_us_trace_off`,
-    // isolating the span recorder's overhead), and the whole registry
-    // disabled (`execute_us_obs_off`). The derived `trace_overhead_pct`
-    // and `obs_overhead_pct` ride the same gated history.
+    // Execution: a fixed sub-grid, sequential for machine-independence,
+    // timed in up to five configurations. The shipping one has metrics,
+    // span tracing (under an ambient trace context so `exec.point` spans
+    // record), region profiling and the history sampler (at an aggressive
+    // 100 ms interval, so its pair is a worst-case bound) all on. The
+    // others turn off tracing, profiling (`--profile` only), the whole
+    // registry, or the sampler. One sample is one batch. The
+    // configurations run interleaved over `BENCH_ROUNDS` rounds, each
+    // round in an order rotated by one, so drift in machine speed falls
+    // on all of them alike. A configuration's time is the median of its
+    // samples; an overhead is the median over rounds of that round's
+    // shipping/off ratio.
     let mut small = manifest.clone();
     small.sweep[0].values = vec![4.0, 12.0].into();
     small.run.replicates = 4;
@@ -1829,84 +1833,87 @@ fn cmd_bench(args: &[String]) -> ExitCode {
         Ok(p) => p.len(),
         Err(e) => return fail(e),
     };
-    let timed = |obs: bool,
-                 tracing: bool,
-                 profiling: bool|
-     -> Result<(u64, pas_scenario::BatchResult), String> {
+    // (metrics, tracing, profiling, history sampler)
+    type Config = (bool, bool, bool, bool);
+    const SHIPPING: Config = (true, true, true, true);
+    let mut configs: Vec<Config> = vec![
+        SHIPPING,
+        (true, false, true, true),
+        (false, false, false, true),
+        (true, true, true, false),
+    ];
+    let (trace_off, obs_off, history_off, profile_off) = (1, 2, 3, 4);
+    if profile {
+        configs.push((true, true, false, true));
+    }
+    let run_once = |(obs, tracing, profiling, _): Config| {
         pas_obs::set_enabled(obs);
         pas_obs::trace::set_tracing(tracing);
         pas_obs::profile::set_profiling(profiling);
-        let mut best: Option<(u64, pas_scenario::BatchResult)> = None;
-        for _ in 0..3 {
-            // Fresh trace per iteration; threads=1 executes inline on
-            // this thread, so the ambient context reaches every point.
-            let trace = pas_obs::trace::mint_id();
-            let _ctx = pas_obs::trace::enter(trace, pas_obs::trace::mint_id());
-            let t = std::time::Instant::now();
-            let batch = execute(&small, ExecOptions { threads: 1 }).map_err(|e| e.to_string())?;
-            let us = t.elapsed().as_micros() as u64;
-            if best.as_ref().is_none_or(|(b, _)| us < *b) {
-                best = Some((us, batch));
+        // Fresh trace per sample; threads=1 executes inline on this
+        // thread, so the ambient context reaches every point.
+        let trace = pas_obs::trace::mint_id();
+        let _ctx = pas_obs::trace::enter(trace, pas_obs::trace::mint_id());
+        let t = std::time::Instant::now();
+        let batch = execute(&small, ExecOptions { threads: 1 }).map_err(|e| e.to_string())?;
+        Ok::<_, String>((t.elapsed().as_micros() as u64, batch))
+    };
+    let start_sampler = || {
+        pas_obs::history::start_sampler(pas_obs::history::HistoryConfig {
+            interval: Duration::from_millis(100),
+            retention: 64,
+        })
+    };
+    // Zero the profile table, then run one untimed shipping batch: it
+    // warms up, and it is the batch `events_total` and the per-region
+    // breakdown describe.
+    pas_obs::profile::reset();
+    let mut sampler = Some(start_sampler());
+    let batch = match run_once(SHIPPING) {
+        Ok((_, batch)) => batch,
+        Err(e) => return fail(e),
+    };
+    let regions = profile.then(profile_region_json);
+    let mut samples = vec![Vec::with_capacity(BENCH_ROUNDS); configs.len()];
+    for round in 0..BENCH_ROUNDS {
+        for k in 0..configs.len() {
+            let c = (round + k) % configs.len();
+            if configs[c].3 != sampler.is_some() {
+                // Dropping the sampler stops and joins its thread. A start
+                // (with its immediate first snapshot) or a join slows the
+                // batch right after it, so that batch runs untimed.
+                sampler = configs[c].3.then(start_sampler);
+                if let Err(e) = run_once(configs[c]) {
+                    return fail(e);
+                }
+            }
+            match run_once(configs[c]) {
+                Ok((us, _)) => samples[c].push(us),
+                Err(e) => return fail(e),
             }
         }
-        Ok(best.expect("three timed iterations"))
-    };
-    // Region profiling rides the shipping configuration (the coarse
-    // scopes are always on), so `execute_us_sequential` stays continuous
-    // with pre-profiler history. Zero the table first so the breakdown
-    // below attributes only this bench's own runs.
-    pas_obs::profile::reset();
-    // The history sampler also rides the shipping configuration, at an
-    // aggressive interval so the pair is a worst-case bound: it stays
-    // running through every on-variant and is dropped only for the
-    // `execute_us_history_off` re-measurement below.
-    let history_sampler = pas_obs::history::start_sampler(pas_obs::history::HistoryConfig {
-        interval: Duration::from_millis(100),
-        retention: 64,
-    });
-    let (exec_us, batch) = match timed(true, true, true) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    // Snapshot now: the later off-variant runs would dilute the calls.
-    let regions = profile.then(profile_region_json);
-    let exec_us_trace_off = match timed(true, false, true) {
-        Ok((us, _)) => us,
-        Err(e) => return fail(e),
-    };
-    let exec_us_profile_off = if profile {
-        match timed(true, true, false) {
-            Ok((us, _)) => Some(us),
-            Err(e) => return fail(e),
-        }
-    } else {
-        None
-    };
-    let exec_us_off = match timed(false, false, false) {
-        Ok((us, _)) => us,
-        Err(e) => return fail(e),
-    };
-    // Sampler-off pair: stop (and join) the history thread, re-run the
-    // shipping configuration. The delta is what background sampling
-    // costs the hot path — budgeted under 2% like the other pairs.
-    drop(history_sampler);
-    let exec_us_history_off = match timed(true, true, true) {
-        Ok((us, _)) => us,
-        Err(e) => return fail(e),
-    };
+    }
+    drop(sampler);
     pas_obs::set_enabled(true);
     pas_obs::trace::set_tracing(true);
     pas_obs::profile::set_profiling(true);
-    let overhead = |on: u64, off: u64| {
-        if off > 0 {
-            (on as f64 / off as f64 - 1.0) * 100.0
-        } else {
-            0.0
-        }
+    let median_us = |c: usize| median(samples[c].iter().map(|&us| us as f64).collect()) as u64;
+    let overhead = |off: usize| {
+        let ratios = samples[0]
+            .iter()
+            .zip(&samples[off])
+            .map(|(&on, &off)| on as f64 / off.max(1) as f64)
+            .collect();
+        (median(ratios) - 1.0) * 100.0
     };
-    let overhead_pct = overhead(exec_us, exec_us_off);
-    let trace_overhead_pct = overhead(exec_us, exec_us_trace_off);
-    let history_overhead_pct = overhead(exec_us, exec_us_history_off);
+    let exec_us = median_us(0);
+    let exec_us_trace_off = median_us(trace_off);
+    let exec_us_off = median_us(obs_off);
+    let exec_us_history_off = median_us(history_off);
+    let exec_us_profile_off = profile.then(|| median_us(profile_off));
+    let overhead_pct = overhead(obs_off);
+    let trace_overhead_pct = overhead(trace_off);
+    let history_overhead_pct = overhead(history_off);
     // `--profile` contributes three extra fields; without it the payload
     // is byte-identical to the pre-profiler shape.
     let profile_fields = match (exec_us_profile_off, regions) {
@@ -1914,14 +1921,15 @@ fn cmd_bench(args: &[String]) -> ExitCode {
             "  \"execute_us_profile_off\": {off_us},\n  \
              \"profile_overhead_pct\": {:.2},\n  \
              \"profile_regions\": {regions},\n",
-            overhead(exec_us, off_us)
+            overhead(profile_off)
         ),
         _ => String::new(),
     };
     let json = format!(
         "{{\n  \"bench\": \"batch\",\n  \"scenario\": \"paper-default\",\n  \
          \"expand_runs\": {},\n  \"expand_ns_per_iter\": {expand_ns},\n  \
-         \"execute_runs\": {n_runs},\n  \"execute_us_sequential\": {exec_us},\n  \
+         \"execute_runs\": {n_runs},\n  \"execute_rounds\": {BENCH_ROUNDS},\n  \
+         \"execute_us_sequential\": {exec_us},\n  \
          \"execute_us_trace_off\": {exec_us_trace_off},\n  \
          \"trace_overhead_pct\": {trace_overhead_pct:.2},\n  \
          \"execute_us_obs_off\": {exec_us_off},\n  \"obs_overhead_pct\": {overhead_pct:.2},\n  \
@@ -1938,6 +1946,17 @@ fn cmd_bench(args: &[String]) -> ExitCode {
             .sum::<u64>(),
     );
     record_bench(&out, &json)
+}
+
+/// Interleaved rounds per `pas bench` execute configuration; odd, so
+/// every median is one sample.
+const BENCH_ROUNDS: usize = 41;
+const _: () = assert!(BENCH_ROUNDS % 2 == 1);
+
+/// Median of an odd-length sample.
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
 }
 
 /// The global profile table folded down to a per-region JSON array:

@@ -12,13 +12,28 @@
 //! the real CLI binary). `ablate-estimator.csv` is the CSV the
 //! estimator ablation wrote when it was a hard-coded binary, with the
 //! stamp column appended.
+//!
+//! The summary CSVs average per-run counters such as `events_processed`
+//! and `requests_sent`, or leave them out. `golden/records.sha256` pins
+//! every run record: it lists, in `sha256sum` format, the digest of
+//! `pas run <scenario> --raw` for every registry scenario, written on the
+//! commit before the engine stopped queueing deliveries to receivers
+//! asleep through the arrival (CI checks the same files with
+//! `sha256sum -c`).
 
-use pas_scenario::{execute, registry, summary_csv, ExecOptions};
+use pas_scenario::{execute, registry, summary_csv, BatchResult, ExecOptions};
+use pas_server::hash::{hex, sha256};
+
+/// The pinned record digests, in `sha256sum` format.
+const RECORD_DIGESTS: &str = include_str!("golden/records.sha256");
+
+fn batch_of(name: &str) -> BatchResult {
+    let m = registry::builtin(name).unwrap_or_else(|| panic!("`{name}` registered"));
+    execute(&m, ExecOptions::default()).unwrap()
+}
 
 fn csv_of(name: &str) -> String {
-    let m = registry::builtin(name).unwrap_or_else(|| panic!("`{name}` registered"));
-    let batch = execute(&m, ExecOptions::default()).unwrap();
-    summary_csv(&batch).render()
+    summary_csv(&batch_of(name)).render()
 }
 
 macro_rules! golden {
@@ -67,3 +82,22 @@ golden!(
     "ablate-estimator",
     "golden/ablate-estimator.csv"
 );
+
+/// Every registry scenario's per-run records match their pinned digest,
+/// and every registry scenario has one.
+#[test]
+fn run_records_match_their_digests() {
+    let mut pinned = Vec::new();
+    for line in RECORD_DIGESTS.lines() {
+        let (want, file) = line.split_once("  ").expect("`sha256sum` line");
+        let name = file.strip_suffix(".jsonl").expect("a .jsonl file");
+        let jsonl = pas_scenario::sink::records_jsonl(&batch_of(name));
+        let got = hex(&sha256(jsonl.as_bytes()));
+        assert_eq!(got, want, "`{name}` per-run records drifted");
+        pinned.push(name);
+    }
+    let mut registered = registry::names();
+    pinned.sort_unstable();
+    registered.sort_unstable();
+    assert_eq!(pinned, registered);
+}
