@@ -35,7 +35,7 @@
 //! * **Flat neighbour table** — the per-node neighbour lists are packed at
 //!   setup into one CSR array of `(id, distance)` pairs, so `broadcast()`
 //!   walks a contiguous slice and schedules deliveries directly instead of
-//!   collecting a `Vec<Delivery>` per send.
+//!   collecting a delivery list per send.
 //! * **Report scratch** — estimator calls copy a node's stored reports into
 //!   one reusable `Vec<Report>` owned by the world.
 //!

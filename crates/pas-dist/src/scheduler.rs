@@ -320,9 +320,10 @@ impl Scheduler {
     /// reports. `Err` carries a message for a `400` (key mismatch — a
     /// worker executing a different matrix than the server expanded).
     pub fn report(&self, report: &ShardReport) -> Result<ReportAck, String> {
-        let _prof = pas_obs::profile::scope("sched.report");
+        // Covers the whole report; the cache writes record as its
+        // `cache.store` children.
+        let mut span = pas_obs::span("sched.report");
         let now = Instant::now();
-        let arrived_us = pas_obs::trace::now_us();
         let mut s = self.lock();
         if let Some(w) = s.workers.get_mut(&report.worker) {
             w.last_seen = now;
@@ -387,37 +388,19 @@ impl Scheduler {
         let done = job.filled;
         let total = job.total;
         let finished = job.filled == job.total;
-        // Close the grant-to-report lease span and file the worker's
-        // piggybacked spans under the same trace.
+        // Close the grant-to-report lease span, nest this report under
+        // it, and file the worker's piggybacked spans under the same
+        // trace.
         if let (Some(tr), Some(lease)) = (trace, &retired) {
-            let wname = worker_label(&s.workers, report.worker);
-            let shard = report.shard.to_string();
             let outcome = if report.points.is_empty() {
                 "empty"
             } else {
                 "reported"
             };
-            pas_obs::trace::record_id(
-                tr.id,
-                lease.span,
-                tr.root,
-                "sched.lease",
-                &[
-                    ("worker", wname.as_str()),
-                    ("shard", shard.as_str()),
-                    ("outcome", outcome),
-                ],
-                lease.granted_us,
-                arrived_us.saturating_sub(lease.granted_us),
-            );
-            pas_obs::trace::record(
-                tr.id,
-                lease.span,
-                "sched.report",
-                &[("shard", shard.as_str())],
-                arrived_us,
-                pas_obs::trace::now_us().saturating_sub(arrived_us),
-            );
+            close_lease(tr, &s.workers, report.shard, lease, outcome);
+            span = span
+                .parent(tr.id, lease.span)
+                .labels(&[("shard", &report.shard.to_string())]);
         }
         if trace.is_some() && !report.spans.is_empty() {
             pas_obs::trace::ingest(report.spans.clone());
@@ -447,56 +430,36 @@ impl Scheduler {
                 w.points_done as i64,
             );
         }
-        if finished {
+        let assembled = finished.then(|| {
             let job = s.jobs.remove(&job_id).expect("job present");
             // Any lease still open (a racing worker whose points a zombie
             // replay filled first) closes as `unresolved` now, so every
             // already-ingested worker span keeps an existing parent.
+            let mut assemble_span = pas_obs::span("sched.assemble");
             if let Some(tr) = trace {
                 for (&shard, l) in &job.leases {
-                    let wname = worker_label(&s.workers, l.worker);
-                    let shard = shard.to_string();
-                    pas_obs::trace::record_id(
-                        tr.id,
-                        l.span,
-                        tr.root,
-                        "sched.lease",
-                        &[
-                            ("worker", wname.as_str()),
-                            ("shard", shard.as_str()),
-                            ("outcome", "unresolved"),
-                        ],
-                        l.granted_us,
-                        pas_obs::trace::now_us().saturating_sub(l.granted_us),
-                    );
+                    close_lease(tr, &s.workers, shard, l, "unresolved");
                 }
+                assemble_span = assemble_span.parent(tr.id, tr.root);
             }
-            let t0 = pas_obs::trace::now_us();
-            let prof_assemble = pas_obs::profile::scope("sched.assemble");
-            let (batch, stats) = assemble(job);
-            drop(prof_assemble);
-            if let Some(tr) = trace {
-                pas_obs::trace::record(
-                    tr.id,
-                    tr.root,
-                    "sched.assemble",
-                    &[],
-                    t0,
-                    pas_obs::trace::now_us().saturating_sub(t0),
-                );
-            }
-            drop(s);
+            let assembled = assemble(job);
+            assemble_span.finish();
+            assembled
+        });
+        drop(s);
+        {
+            let _ctx = span.ctx().map(|(t, p)| pas_obs::trace::enter(t, p));
             for (key, record) in &to_store {
                 // A failed store only costs a future recomputation.
                 let _ = self.cache.store(key, record);
             }
-            self.queue.complete(job_id, batch, stats);
-        } else {
-            drop(s);
-            for (key, record) in &to_store {
-                let _ = self.cache.store(key, record);
-            }
-            self.queue.set_progress(job_id, done, total);
+        }
+        // Closed before the job publishes, so a finished job's trace is
+        // complete.
+        span.finish();
+        match assembled {
+            Some((batch, stats)) => self.queue.complete(job_id, batch, stats),
+            None => self.queue.set_progress(job_id, done, total),
         }
         Ok(ack)
     }
@@ -791,13 +754,29 @@ fn active_leases(s: &State, worker: u64) -> usize {
         .sum()
 }
 
-/// Short worker label for lease spans: the registered name, or the bare
-/// id once the registry has forgotten a long-dead worker.
-fn worker_label(workers: &BTreeMap<u64, WorkerEntry>, id: u64) -> String {
-    workers
-        .get(&id)
+/// Close a lease's `sched.lease` span, grant to now, with `outcome`.
+/// The worker label is the registered name, or the bare id once the
+/// registry has forgotten a long-dead worker.
+fn close_lease(
+    tr: JobTrace,
+    workers: &BTreeMap<u64, WorkerEntry>,
+    shard: u64,
+    lease: &Lease,
+    outcome: &str,
+) {
+    let worker = workers
+        .get(&lease.worker)
         .map(|w| w.name.clone())
-        .unwrap_or_else(|| id.to_string())
+        .unwrap_or_else(|| lease.worker.to_string());
+    pas_obs::span_since("sched.lease", lease.granted_us)
+        .with_id(lease.span)
+        .parent(tr.id, tr.root)
+        .labels(&[
+            ("worker", worker.as_str()),
+            ("shard", &shard.to_string()),
+            ("outcome", outcome),
+        ])
+        .finish();
 }
 
 /// Return expired leases' unfilled indices to pending and forget workers
@@ -817,21 +796,7 @@ fn expire(s: &mut State, now: Instant, lease: Duration) {
             // The lease span still closes — with outcome=expired — so a
             // worker death is visible in the trace, not just a gap.
             if let Some(tr) = job.trace {
-                let wname = worker_label(workers, l.worker);
-                let shard = shard.to_string();
-                pas_obs::trace::record_id(
-                    tr.id,
-                    l.span,
-                    tr.root,
-                    "sched.lease",
-                    &[
-                        ("worker", wname.as_str()),
-                        ("shard", shard.as_str()),
-                        ("outcome", "expired"),
-                    ],
-                    l.granted_us,
-                    pas_obs::trace::now_us().saturating_sub(l.granted_us),
-                );
+                close_lease(tr, workers, shard, &l, "expired");
             }
             let unfilled: Vec<usize> = l
                 .indices
@@ -996,6 +961,28 @@ mod tests {
         assert_eq!(job.phase, JobPhase::Completed);
         assert_eq!(job.stats.hits, 0);
         assert_eq!(job.stats.misses, n as u64);
+
+        // Every accepted point's cache write is traced under the report
+        // that stored it, and each report span covers its writes.
+        let spans = pas_obs::trace::spans_for(job.trace.id);
+        let stores: Vec<_> = spans.iter().filter(|s| s.name == "cache.store").collect();
+        assert_eq!(stores.len(), n, "one cache.store span per accepted point");
+        let reports: Vec<_> = spans.iter().filter(|s| s.name == "sched.report").collect();
+        assert!(stores
+            .iter()
+            .all(|s| reports.iter().any(|r| r.span == s.parent)));
+        for r in reports {
+            let writes: u64 = stores
+                .iter()
+                .filter(|s| s.parent == r.span)
+                .map(|s| s.dur_us)
+                .sum();
+            assert!(
+                r.dur_us >= writes,
+                "report {}us < its writes {writes}us",
+                r.dur_us
+            );
+        }
 
         // Distributed result == direct local execution, bit for bit.
         let direct = pas_scenario::execute(&m, ExecOptions { threads: 1 }).unwrap();

@@ -19,7 +19,7 @@ use pas_sweep::WorkerPool;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Worker configuration.
 #[derive(Debug, Clone)]
@@ -187,30 +187,28 @@ pub fn run(addr: &str, opts: WorkerOptions) -> Result<WorkerSummary, ClientError
             break Ok(());
         }
         let body = format!("{{\"worker\":{}}}", worker_id.load(Ordering::Relaxed));
-        let lease_t0 = pas_obs::trace::now_us();
-        let lease_prof = pas_obs::profile::scope("worker.lease.rtt");
+        // The worker-observed cost of obtaining a shard, grant decode
+        // included — the network half of the lease the scheduler can't
+        // see from its side.
+        let mut rtt = pas_obs::span("worker.lease.rtt").labels(&[("worker", &opts.name)]);
         let leased = call(addr, "POST", "/dist/lease", body.as_bytes());
-        drop(lease_prof);
+        let grant = match &leased {
+            Ok((200, resp)) if json::find_bool(resp, "drain") != Some(true) => {
+                ShardGrant::from_json(resp)
+            }
+            _ => None,
+        };
+        if let Some(g) = &grant {
+            rtt = rtt.parent(g.trace, g.span);
+        }
+        rtt.finish();
         match leased {
             Ok((200, resp)) if json::find_bool(&resp, "drain") == Some(true) => break Ok(()),
             Ok((200, resp)) => {
                 io_failures = 0;
-                let Some(grant) = ShardGrant::from_json(&resp) else {
+                let Some(grant) = grant else {
                     break Err(ClientError::Protocol(format!("bad lease response {resp}")));
                 };
-                if grant.trace != 0 {
-                    // The worker-observed cost of obtaining this shard —
-                    // the network half of the lease the scheduler can't
-                    // see from its side.
-                    pas_obs::trace::record(
-                        grant.trace,
-                        grant.span,
-                        "worker.lease.rtt",
-                        &[("worker", &opts.name)],
-                        lease_t0,
-                        pas_obs::trace::now_us().saturating_sub(lease_t0),
-                    );
-                }
                 if opts.verbose {
                     eprintln!(
                         "worker {}: leased job {} shard {} ({} points)",
@@ -315,19 +313,20 @@ fn execute_shard(
             .map_err(|e| ClientError::Protocol(format!("bad shard indices: {e}")))?,
     );
 
-    // Pre-mint the shard-execute span id so per-point spans can parent
-    // under it while it is still open; recorded after execution.
-    let exec_span = if grant.trace != 0 {
-        pas_obs::trace::mint_id()
-    } else {
-        0
-    };
-    let start_us = pas_obs::trace::now_us();
-    let t0 = Instant::now();
-    let exec_prof = pas_obs::profile::scope("worker.shard.execute");
+    // Per-point spans parent under the shard-execute span while it is
+    // open.
+    let shard_label = grant.shard.to_string();
+    let exec = pas_obs::span("worker.shard.execute")
+        .parent(grant.trace, grant.span)
+        .labels(&[("worker", &opts.name), ("shard", &shard_label)])
+        .histogram(
+            "pas.worker.shard.execute.microseconds",
+            &[("worker", &opts.name)],
+        );
+    let exec_ctx = exec.ctx();
     let records = if let Some(budget) = opts.fail_after_points {
         // Fault injection: simulate a crash partway through the shard.
-        let _trace_ctx = (grant.trace != 0).then(|| pas_obs::trace::enter(grant.trace, exec_span));
+        let _trace_ctx = exec_ctx.map(|(t, p)| pas_obs::trace::enter(t, p));
         let mut records = Vec::new();
         for pt in points.iter() {
             if summary.points >= budget {
@@ -344,41 +343,22 @@ fn execute_shard(
     } else {
         let c = Arc::clone(&job_ctx);
         let p = Arc::clone(&points);
-        let trace = grant.trace;
         let records = pool.map_indexed(points.len(), move |i| {
             // Ambient context inside the pool closure: thread-locals do
             // not cross pool threads, so each point re-enters it.
-            let _trace_ctx = (trace != 0).then(|| pas_obs::trace::enter(trace, exec_span));
+            let _trace_ctx = exec_ctx.map(|(t, p)| pas_obs::trace::enter(t, p));
             pas_scenario::execute_point(&c.manifest, c.field.as_ref(), &p[i])
         });
         summary.points += records.len() as u64;
         records
     };
-    drop(exec_prof);
-    let shard_us = t0.elapsed().as_secs_f64() * 1e6;
-    if grant.trace != 0 {
-        let shard_label = grant.shard.to_string();
-        pas_obs::trace::record_id(
-            grant.trace,
-            exec_span,
-            grant.span,
-            "worker.shard.execute",
-            &[("worker", &opts.name), ("shard", &shard_label)],
-            start_us,
-            shard_us as u64,
-        );
-    }
+    let shard_us = exec.finish();
     telemetry
         .points
         .fetch_add(records.len() as u64, Ordering::Relaxed);
     telemetry
         .busy_us
         .fetch_add(shard_us as u64, Ordering::Relaxed);
-    pas_obs::observe_us(
-        "pas.worker.shard.execute.microseconds",
-        &[("worker", &opts.name)],
-        shard_us,
-    );
 
     // Drain this trace's worker-side spans into the report, piggybacking
     // them on the result upload — no extra round trip, and a worker that

@@ -11,28 +11,20 @@
 //! * [`channel`] — per-link delivery models: perfect, i.i.d. loss, and
 //!   distance-dependent loss (the paper's future-work "imperfect
 //!   communication channel", built now as an ablation).
-//! * [`radio`] — broadcast planning: who receives a frame and when, given
-//!   the channel, the frame airtime at 250 kbps, and the topology. Which
-//!   receivers are *awake* is the caller's concern (`pas-core`): the radio
-//!   layer reports physical deliveries, the node layer filters by power
-//!   state.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod channel;
 pub mod deploy;
-pub mod radio;
 pub mod topology;
 
 pub use channel::{ChannelModel, DistanceLossChannel, IidLossChannel, PerfectChannel};
-pub use radio::{Delivery, Radio};
 pub use topology::Topology;
 
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::channel::{ChannelModel, DistanceLossChannel, IidLossChannel, PerfectChannel};
     pub use crate::deploy;
-    pub use crate::radio::{Delivery, Radio};
     pub use crate::topology::Topology;
 }

@@ -16,6 +16,11 @@
 //! length-prefixed encoding of `(name, k1, v1, k2, v2, ...)` with labels
 //! sorted by key — injective, so distinct label sets can never collide,
 //! and canonical, so exposition output is deterministic bytes.
+//!
+//! A timed seam is instrumented with one guard, [`span`]: it reads the
+//! monotonic clock at open and at close, and from that one measurement
+//! feeds the seam's [`profile`] region, an optional histogram here, and
+//! a [`trace`] span.
 
 pub mod history;
 pub mod profile;
@@ -25,7 +30,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Number of registry lock shards. Contention is per-shard and updates
 /// hold the lock only for a map lookup, so a small power of two is ample.
@@ -507,13 +512,6 @@ pub fn gauge_set(name: &str, labels: &[(&str, &str)], v: i64) {
     }
 }
 
-/// Adjust a global gauge.
-pub fn gauge_add(name: &str, labels: &[(&str, &str)], delta: i64) {
-    if enabled() {
-        global().gauge(name, labels).add(delta);
-    }
-}
-
 /// Record into a global histogram with [`US_BUCKETS`].
 pub fn observe_us(name: &str, labels: &[(&str, &str)], us: f64) {
     if enabled() {
@@ -533,35 +531,166 @@ pub fn render_global() -> String {
     global().render_prometheus()
 }
 
-/// A lightweight span timer: measures wall time from construction and
-/// records it (in µs) into a global histogram on drop. The clock read
-/// is unconditional but the record respects [`enabled`], so a disabled
-/// registry still costs only two `Instant::now` calls.
-pub struct Span<'a> {
-    name: &'a str,
-    labels: &'a [(&'a str, &'a str)],
-    start: Instant,
+// --- the instrument guard ---------------------------------------------------
+
+/// Open the timed seam `name`: one monotonic clock read now and one at
+/// close, fed to every sink that is switched on. See [`SpanGuard`].
+#[inline]
+pub fn span(name: &'static str) -> SpanGuard {
+    let start = Instant::now();
+    SpanGuard::open(name, start, None, profile::scope_at(name, start))
 }
 
-/// Start a span over `name` (a `.microseconds` histogram).
-pub fn span<'a>(name: &'a str, labels: &'a [(&'a str, &'a str)]) -> Span<'a> {
-    Span {
-        name,
-        labels,
-        start: Instant::now(),
+/// A seam that began in an earlier call, at wall-clock `start_us` (µs
+/// since the Unix epoch): the `job`, `job.queued` and `sched.lease`
+/// spans, stamped when the job is submitted or the lease granted. It
+/// feeds the histogram and the trace like [`span`] but no profile
+/// region, since a region is a scope on this thread's stack.
+pub fn span_since(name: &'static str, start_us: u64) -> SpanGuard {
+    let now = Instant::now();
+    let ago = Duration::from_micros(trace::now_us().saturating_sub(start_us));
+    let start = now.checked_sub(ago).unwrap_or(now);
+    SpanGuard::open(name, start, Some(start_us), profile::Scope::INERT)
+}
+
+/// One timed seam. It times its scope once on the monotonic clock and,
+/// when it closes (on drop, panic unwind included, or at
+/// [`SpanGuard::finish`]), feeds each sink exactly once:
+///
+/// * the profile region `name`, if [`profile::profiling`] was on at open;
+/// * the registry histogram set by [`SpanGuard::histogram`], if
+///   [`enabled`] was on when it was set;
+/// * a trace span, if [`trace::tracing`] was on at open and the guard
+///   has a context: an explicit [`SpanGuard::parent`], else the
+///   thread's ambient [`trace::current`] at open. `start_us` is
+///   wall-clock so spans from different processes line up.
+#[must_use = "a span measures until it is dropped"]
+pub struct SpanGuard {
+    name: &'static str,
+    /// `None` once closed.
+    start: Option<Instant>,
+    region: profile::Scope,
+    histogram: Option<Histogram>,
+    /// `Some` when span collection was on at open.
+    trace: Option<OpenSpan>,
+}
+
+struct OpenSpan {
+    ctx: Option<(u64, u64)>,
+    id: u64,
+    start_us: u64,
+    labels: Vec<(String, String)>,
+}
+
+impl SpanGuard {
+    fn open(
+        name: &'static str,
+        start: Instant,
+        start_us: Option<u64>,
+        region: profile::Scope,
+    ) -> SpanGuard {
+        let trace = trace::tracing().then(|| OpenSpan {
+            ctx: trace::current(),
+            id: trace::mint_id(),
+            start_us: start_us.unwrap_or_else(trace::now_us),
+            labels: Vec::new(),
+        });
+        SpanGuard {
+            name,
+            start: Some(start),
+            region,
+            histogram: None,
+            trace,
+        }
+    }
+
+    /// Parent the span under `(trace, parent)` instead of the ambient
+    /// context (`parent == 0` makes it a root). `trace == 0`, an
+    /// untraced grant, records no span.
+    pub fn parent(mut self, trace: u64, parent: u64) -> SpanGuard {
+        if let Some(t) = &mut self.trace {
+            t.ctx = (trace != 0).then_some((trace, parent));
+        }
+        self
+    }
+
+    /// Record under `id`, minted earlier and handed out as a parent.
+    pub fn with_id(mut self, id: u64) -> SpanGuard {
+        if let Some(t) = &mut self.trace {
+            t.id = id;
+        }
+        self
+    }
+
+    /// Append span labels.
+    pub fn labels(mut self, labels: &[(&str, &str)]) -> SpanGuard {
+        if let Some(t) = &mut self.trace {
+            // Exact capacity: a full span store holds 64Ki label lists.
+            t.labels.reserve_exact(labels.len());
+            t.labels
+                .extend(labels.iter().map(|(k, v)| (k.to_string(), v.to_string())));
+        }
+        self
+    }
+
+    /// Also observe the elapsed µs into the global histogram `name` +
+    /// `labels` ([`US_BUCKETS`]).
+    pub fn histogram(mut self, name: &str, labels: &[(&str, &str)]) -> SpanGuard {
+        if enabled() {
+            self.histogram = Some(global().histogram(name, labels, US_BUCKETS));
+        }
+        self
+    }
+
+    /// The `(trace, span)` context children enter to nest under this
+    /// span while it is open; `None` when it records no span.
+    pub fn ctx(&self) -> Option<(u64, u64)> {
+        let t = self.trace.as_ref()?;
+        t.ctx.map(|(trace, _)| (trace, t.id))
+    }
+
+    /// Close now and return the elapsed µs (measured whatever the
+    /// switches say, for callers that also report it elsewhere).
+    pub fn finish(mut self) -> f64 {
+        self.close()
+    }
+
+    fn close(&mut self) -> f64 {
+        let Some(start) = self.start.take() else {
+            return 0.0;
+        };
+        let end = Instant::now();
+        self.region.exit_at(end);
+        let elapsed = end.saturating_duration_since(start);
+        let us = elapsed.as_secs_f64() * 1e6;
+        if let Some(h) = self.histogram.take() {
+            h.observe(us);
+        }
+        if let Some(OpenSpan {
+            ctx: Some((trace, parent)),
+            id,
+            start_us,
+            labels,
+        }) = self.trace.take()
+        {
+            trace::global().push(trace::SpanRecord {
+                trace,
+                span: id,
+                parent,
+                name: self.name.to_string(),
+                labels,
+                proc: trace::proc_tag().to_string(),
+                start_us,
+                dur_us: elapsed.as_micros() as u64,
+            });
+        }
+        us
     }
 }
 
-impl Span<'_> {
-    /// Microseconds elapsed so far.
-    pub fn elapsed_us(&self) -> f64 {
-        self.start.elapsed().as_secs_f64() * 1e6
-    }
-}
-
-impl Drop for Span<'_> {
+impl Drop for SpanGuard {
     fn drop(&mut self) {
-        observe_us(self.name, self.labels, self.elapsed_us());
+        self.close();
     }
 }
 

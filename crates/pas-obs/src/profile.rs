@@ -517,7 +517,7 @@ pub struct Scope {
 }
 
 impl Scope {
-    const INERT: Scope = Scope { depth: 0 };
+    pub(crate) const INERT: Scope = Scope { depth: 0 };
 }
 
 /// Enter region `name` on the global table. One relaxed atomic load
@@ -528,6 +528,16 @@ pub fn scope(name: &str) -> Scope {
         return Scope::INERT;
     }
     global().scope(name)
+}
+
+/// [`scope`] starting at `start`, a clock read the caller shares with
+/// its other sinks (the [`span`](crate::span) guard).
+#[inline]
+pub(crate) fn scope_at(name: &str, start: Instant) -> Scope {
+    if !profiling() {
+        return Scope::INERT;
+    }
+    global().enter_at(name, start)
 }
 
 /// Enter a detail-level region (per-event sim-loop granularity) on the
@@ -549,6 +559,10 @@ impl ProfileTable {
     /// remembers its table, parents resolve per table, and exits
     /// attribute child time to the nearest same-table ancestor.
     pub fn scope(&'static self, name: &str) -> Scope {
+        self.enter_at(name, Instant::now())
+    }
+
+    fn enter_at(&'static self, name: &str, start: Instant) -> Scope {
         let Some(region) = self.region(name) else {
             return Scope::INERT;
         };
@@ -567,7 +581,7 @@ impl ProfileTable {
             ctx.frames.push(Frame {
                 table: self,
                 path,
-                start: Instant::now(),
+                start,
                 child_ns: 0,
             });
             if std::ptr::eq(self, global()) && ctx.published_depth < MAX_PUBLISHED_DEPTH {
@@ -583,11 +597,13 @@ impl ProfileTable {
     }
 }
 
-impl Drop for Scope {
-    fn drop(&mut self) {
+impl Scope {
+    /// Close the region at `end` (idempotent: the scope goes inert).
+    pub(crate) fn exit_at(&mut self, end: Instant) {
         if self.depth == 0 {
             return;
         }
+        let depth = std::mem::replace(&mut self.depth, 0);
         // `try_with`: a scope dropped during thread teardown (after the
         // thread-local was destroyed) simply records nothing.
         let _ = CTX.try_with(|ctx| {
@@ -595,9 +611,9 @@ impl Drop for Scope {
             // Finalise our frame and any leaked frames above it (an
             // inner scope that was `mem::forget`-ten); each pops and
             // records exactly once, so unwinds cannot double-count.
-            while ctx.frames.len() >= self.depth {
+            while ctx.frames.len() >= depth {
                 let frame = ctx.frames.pop().expect("len checked");
-                let elapsed = frame.start.elapsed().as_nanos() as u64;
+                let elapsed = end.saturating_duration_since(frame.start).as_nanos() as u64;
                 frame.table.record(frame.path, elapsed, frame.child_ns);
                 if std::ptr::eq(frame.table, global()) && ctx.published_depth > 0 {
                     let d = ctx.published_depth - 1;
@@ -614,6 +630,16 @@ impl Drop for Scope {
                 }
             }
         });
+    }
+}
+
+impl Drop for Scope {
+    fn drop(&mut self) {
+        // Inert scopes (the hot loop's detail regions when off) must not
+        // read the clock.
+        if self.depth != 0 {
+            self.exit_at(Instant::now());
+        }
     }
 }
 

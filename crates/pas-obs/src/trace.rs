@@ -10,6 +10,8 @@
 //! processes: the server records queue/scheduler spans, workers record
 //! lease/execute spans and ship them back piggybacked on their shard
 //! reports, and `GET /jobs/:id/trace` renders the assembled tree.
+//! Spans are recorded by the [`span`](crate::span) guard, which feeds
+//! the profile region and histogram of the same seam from one timing.
 //!
 //! The store follows the registry's discipline: collection is cheap
 //! (one id mint + one sharded lock push), always-on-able behind the
@@ -30,7 +32,7 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::SHARDS;
 
@@ -225,67 +227,6 @@ pub fn set_tracing(on: bool) {
     TRACING.store(on, Ordering::Relaxed);
 }
 
-/// Record a completed span into the global store and return its id
-/// (minted even when collection is off, so callers can still hand out
-/// parent ids unconditionally).
-pub fn record(
-    trace: u64,
-    parent: u64,
-    name: &str,
-    labels: &[(&str, &str)],
-    start_us: u64,
-    dur_us: u64,
-) -> u64 {
-    let span = mint_id();
-    if tracing() {
-        global().push(SpanRecord {
-            trace,
-            span,
-            parent,
-            name: name.to_string(),
-            labels: labels
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
-            proc: proc_tag().to_string(),
-            start_us,
-            dur_us,
-        });
-    }
-    span
-}
-
-/// Record a completed span under a pre-minted id — for spans whose id
-/// was handed out earlier as a parent (a job's root span is minted at
-/// submit so queue/scheduler children can reference it, but its
-/// duration is only known at completion).
-#[allow(clippy::too_many_arguments)]
-pub fn record_id(
-    trace: u64,
-    span: u64,
-    parent: u64,
-    name: &str,
-    labels: &[(&str, &str)],
-    start_us: u64,
-    dur_us: u64,
-) {
-    if tracing() {
-        global().push(SpanRecord {
-            trace,
-            span,
-            parent,
-            name: name.to_string(),
-            labels: labels
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
-            proc: proc_tag().to_string(),
-            start_us,
-            dur_us,
-        });
-    }
-}
-
 /// Ingest spans recorded by another process (a worker's report
 /// piggyback), verbatim — they keep their own `proc` tags and ids.
 pub fn ingest(spans: Vec<SpanRecord>) {
@@ -311,65 +252,6 @@ pub fn take(trace: u64) -> Vec<SpanRecord> {
 /// Spans evicted from the global store so far.
 pub fn dropped() -> u64 {
     global().dropped()
-}
-
-// --- scoped timer -----------------------------------------------------------
-
-/// A live span: times from construction and records on drop. Obtain
-/// via [`start`]; hand [`SpanTimer::id`] to children as their parent.
-pub struct SpanTimer {
-    trace: u64,
-    parent: u64,
-    span: u64,
-    name: String,
-    labels: Vec<(String, String)>,
-    start_us: u64,
-    started: Instant,
-}
-
-/// Start a span under `parent` (0 = trace root).
-pub fn start(trace: u64, parent: u64, name: &str, labels: &[(&str, &str)]) -> SpanTimer {
-    SpanTimer {
-        trace,
-        parent,
-        span: mint_id(),
-        name: name.to_string(),
-        labels: labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect(),
-        start_us: now_us(),
-        started: Instant::now(),
-    }
-}
-
-impl SpanTimer {
-    /// This span's id (a valid parent for child spans).
-    pub fn id(&self) -> u64 {
-        self.span
-    }
-
-    /// Append a label decided after the span began (e.g. an outcome).
-    pub fn push_label(&mut self, k: &str, v: &str) {
-        self.labels.push((k.to_string(), v.to_string()));
-    }
-}
-
-impl Drop for SpanTimer {
-    fn drop(&mut self) {
-        if tracing() {
-            global().push(SpanRecord {
-                trace: self.trace,
-                span: self.span,
-                parent: self.parent,
-                name: std::mem::take(&mut self.name),
-                labels: std::mem::take(&mut self.labels),
-                proc: proc_tag().to_string(),
-                start_us: self.start_us,
-                dur_us: (self.started.elapsed().as_secs_f64() * 1e6) as u64,
-            });
-        }
-    }
 }
 
 // --- ambient context --------------------------------------------------------

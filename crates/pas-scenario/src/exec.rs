@@ -298,9 +298,19 @@ pub fn failure_plan(
 /// `field` is the stimulus ground truth built once per batch with
 /// [`Manifest::build_field`] (it is seed-independent and read-only).
 pub fn execute_point(manifest: &Manifest, field: &dyn StimulusField, pt: &RunPoint) -> RunRecord {
-    let _prof = pas_obs::profile::scope("exec.point");
-    let start_us = pas_obs::trace::now_us();
-    let t0 = std::time::Instant::now();
+    // Observational only: the record below is built from the run alone,
+    // so the instruments can be on or off without touching a result
+    // byte. Under an ambient trace context (set per closure by the
+    // traced executors) the point also records a span.
+    let predictor = pt.policy.predictor().map(|p| p.name()).unwrap_or("none");
+    let labels = [
+        ("scenario", manifest.name.as_str()),
+        ("policy", pt.policy_label.as_str()),
+        ("predictor", predictor),
+    ];
+    let _span = pas_obs::span("exec.point")
+        .labels(&labels)
+        .histogram("pas.exec.point.microseconds", &labels);
     let scenario = manifest.scenario_for(pt.seed, &pt.assignments);
     let mut cfg = RunConfig::new(pt.policy)
         .with_channel(manifest.channel.kind())
@@ -310,22 +320,7 @@ pub fn execute_point(manifest: &Manifest, field: &dyn StimulusField, pt: &RunPoi
         cfg = cfg.with_horizon(h);
     }
     let r = run(&scenario, field, &cfg);
-    // Observational only: the record below is built from `r` alone, so
-    // the registry can be on or off without touching a result byte.
-    let predictor = pt.policy.predictor().map(|p| p.name()).unwrap_or("none");
-    let labels = [
-        ("scenario", manifest.name.as_str()),
-        ("policy", pt.policy_label.as_str()),
-        ("predictor", predictor),
-    ];
-    let el_us = t0.elapsed().as_secs_f64() * 1e6;
     pas_obs::inc("pas.exec.points.count", &labels);
-    pas_obs::observe_us("pas.exec.point.microseconds", &labels, el_us);
-    // Under an ambient trace context (set per closure by the traced
-    // executors) the point also records a span; results never read it.
-    if let Some((trace, parent)) = pas_obs::trace::current() {
-        pas_obs::trace::record(trace, parent, "exec.point", &labels, start_us, el_us as u64);
-    }
     RunRecord {
         x: pt.x,
         policy_label: pt.policy_label.clone(),

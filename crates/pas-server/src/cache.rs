@@ -135,9 +135,7 @@ impl ResultCache {
     /// the caller still just sees `Option`, so a corrupt entry falls
     /// back to recomputation exactly as before.
     pub fn load(&self, key: &str) -> Option<RunRecord> {
-        let _prof = pas_obs::profile::scope("cache.probe");
-        let start_us = pas_obs::trace::now_us();
-        let t0 = std::time::Instant::now();
+        let probe = pas_obs::span("cache.probe").histogram("pas.cache.lookup.microseconds", &[]);
         let (outcome, record) = match std::fs::read_to_string(self.entry_path(key)) {
             Err(_) => ("miss", None),
             Ok(text) => {
@@ -148,19 +146,8 @@ impl ResultCache {
                 }
             }
         };
-        let el_us = t0.elapsed().as_secs_f64() * 1e6;
         pas_obs::inc("pas.cache.lookup.count", &[("outcome", outcome)]);
-        pas_obs::observe_us("pas.cache.lookup.microseconds", &[], el_us);
-        if let Some((trace, parent)) = pas_obs::trace::current() {
-            pas_obs::trace::record(
-                trace,
-                parent,
-                "cache.probe",
-                &[("outcome", outcome)],
-                start_us,
-                el_us as u64,
-            );
-        }
+        probe.labels(&[("outcome", outcome)]).finish();
         record
     }
 
@@ -177,9 +164,7 @@ impl ResultCache {
     /// Store an entry (atomic rename; concurrent writers of the same key
     /// are idempotent because the content is identical by construction).
     pub fn store(&self, key: &str, record: &RunRecord) -> io::Result<()> {
-        let _prof = pas_obs::profile::scope("cache.store");
-        let start_us = pas_obs::trace::now_us();
-        let t0 = std::time::Instant::now();
+        let _span = pas_obs::span("cache.store");
         let payload = encode_record(record);
         let text = format!(
             "{CACHE_VERSION}\n{}\n{payload}",
@@ -190,16 +175,6 @@ impl ResultCache {
         std::fs::rename(&tmp, self.entry_path(key))?;
         pas_obs::inc("pas.cache.store.count", &[]);
         pas_obs::add("pas.cache.write.bytes", &[], text.len() as u64);
-        if let Some((trace, parent)) = pas_obs::trace::current() {
-            pas_obs::trace::record(
-                trace,
-                parent,
-                "cache.store",
-                &[],
-                start_us,
-                (t0.elapsed().as_secs_f64() * 1e6) as u64,
-            );
-        }
         Ok(())
     }
 }
@@ -364,25 +339,16 @@ pub fn execute_with_cache(
     opts: ExecOptions,
     cache: &ResultCache,
 ) -> Result<(BatchResult, CacheStats), pas_scenario::ManifestError> {
-    execute_with_cache_progress(manifest, opts, cache, |_, _| {})
+    execute_with_cache_traced(manifest, opts, cache, None, |_, _| {})
 }
 
 /// [`execute_with_cache`] plus a `(done, total)` progress callback, fired
-/// after every completed point from whichever worker finished it.
-pub fn execute_with_cache_progress(
-    manifest: &Manifest,
-    opts: ExecOptions,
-    cache: &ResultCache,
-    on_progress: impl Fn(usize, usize) + Sync,
-) -> Result<(BatchResult, CacheStats), pas_scenario::ManifestError> {
-    execute_with_cache_traced(manifest, opts, cache, None, on_progress)
-}
-
-/// [`execute_with_cache_progress`] under a trace context: per-point
-/// cache probes, stores, and simulations record spans parented under
-/// `(trace, parent span)`. The context is re-entered *inside* each
-/// worker closure so pooled threads inherit the right parent. Tracing
-/// is observational only — record bytes are identical either way.
+/// after every completed point from whichever worker finished it, under
+/// an optional trace context: per-point cache probes, stores, and
+/// simulations record spans parented under `(trace, parent span)`. The
+/// context is re-entered *inside* each worker closure so pooled threads
+/// inherit the right parent. Tracing is observational only — record
+/// bytes are identical either way.
 pub fn execute_with_cache_traced(
     manifest: &Manifest,
     opts: ExecOptions,

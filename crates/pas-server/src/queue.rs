@@ -3,7 +3,7 @@
 //! Submissions enter a FIFO with a hard capacity; when it is full the
 //! server answers `429 Too Many Requests` instead of buffering without
 //! bound (backpressure, not collapse). Worker threads pop jobs and run
-//! them through [`crate::cache::execute_with_cache_progress`] — each job
+//! them through [`crate::cache::execute_with_cache_traced`] — each job
 //! is itself internally parallel via `pas-sweep::parallel_map_with`, so
 //! one worker already saturates the machine; extra workers only help
 //! when jobs are small. Job state lives in a registry the HTTP layer
@@ -13,7 +13,6 @@ use crate::cache::{execute_with_cache_traced, CacheStats, ResultCache};
 use pas_scenario::{BatchResult, ExecOptions, Manifest};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
 
 /// Finished jobs retained for `GET /jobs/:id` before the oldest are
 /// evicted (results also persist in the on-disk cache, so an evicted
@@ -81,9 +80,16 @@ pub struct Job {
     pub error: Option<String>,
     /// Results when `phase == Completed`.
     pub result: Option<BatchResult>,
-    /// When the job entered the queue (drives the wait-time and
-    /// duration histograms; never serialised).
-    pub submitted: Instant,
+}
+
+impl Job {
+    /// The job's root `job` span, from submit to now.
+    fn root_span(&self, outcome: &str) -> pas_obs::SpanGuard {
+        pas_obs::span_since("job", self.trace.start_us)
+            .with_id(self.trace.root)
+            .parent(self.trace.id, 0)
+            .labels(&[("scenario", self.scenario.as_str()), ("outcome", outcome)])
+    }
 }
 
 struct Inner {
@@ -174,7 +180,6 @@ impl JobQueue {
                 stats: CacheStats::default(),
                 error: None,
                 result: None,
-                submitted: Instant::now(),
             },
         );
         t.manifests.insert(id, manifest);
@@ -218,7 +223,6 @@ impl JobQueue {
             stats: j.stats,
             error: j.error.clone(),
             result: None,
-            submitted: j.submitted,
         })
     }
 
@@ -280,17 +284,9 @@ impl JobQueue {
             j.stats = stats;
             j.result = Some(batch);
             pas_obs::inc("pas.queue.jobs.count", &[("outcome", "completed")]);
-            let dur_us = j.submitted.elapsed().as_secs_f64() * 1e6;
-            pas_obs::observe_us("pas.queue.job.duration.microseconds", &[], dur_us);
-            pas_obs::trace::record_id(
-                j.trace.id,
-                j.trace.root,
-                0,
-                "job",
-                &[("scenario", j.scenario.as_str()), ("outcome", "completed")],
-                j.trace.start_us,
-                dur_us as u64,
-            );
+            j.root_span("completed")
+                .histogram("pas.queue.job.duration.microseconds", &[])
+                .finish();
         });
     }
 
@@ -301,15 +297,7 @@ impl JobQueue {
             j.phase = JobPhase::Failed;
             j.error = Some(error);
             pas_obs::inc("pas.queue.jobs.count", &[("outcome", "failed")]);
-            pas_obs::trace::record_id(
-                j.trace.id,
-                j.trace.root,
-                0,
-                "job",
-                &[("scenario", j.scenario.as_str()), ("outcome", "failed")],
-                j.trace.start_us,
-                (j.submitted.elapsed().as_secs_f64() * 1e6) as u64,
-            );
+            j.root_span("failed").finish();
         });
     }
 
@@ -339,24 +327,21 @@ impl JobQueue {
     /// job, execute it against `cache`, publish progress and results.
     pub fn work(&self, cache: &ResultCache, opts: ExecOptions) {
         while let Some((id, manifest)) = self.pop() {
-            let _prof = pas_obs::profile::scope("job.execute");
             let queue = self.clone();
-            let trace = self.status(id).map(|j| j.trace);
             // The `job.execute` span covers the whole local execution;
             // per-point probe/run spans parent under it via the ambient
             // context the traced executor re-enters on each pool thread.
-            let (span, ctx) = match trace {
-                Some(tr) => {
-                    let span = pas_obs::trace::start(tr.id, tr.root, "job.execute", &[]);
-                    let ctx = Some((tr.id, span.id()));
-                    (Some(span), ctx)
-                }
-                None => (None, None),
-            };
-            let outcome = execute_with_cache_traced(&manifest, opts, cache, ctx, |done, total| {
-                queue.set_progress(id, done, total);
-            });
-            drop(span);
+            let mut span = pas_obs::span("job.execute");
+            if let Some(tr) = self.status(id).map(|j| j.trace) {
+                span = span.parent(tr.id, tr.root);
+            }
+            let outcome =
+                execute_with_cache_traced(&manifest, opts, cache, span.ctx(), |done, total| {
+                    queue.set_progress(id, done, total);
+                });
+            // Closed before the job publishes, so a finished job's trace
+            // is complete.
+            span.finish();
             match outcome {
                 Ok((batch, stats)) => self.complete(id, batch, stats),
                 Err(e) => self.fail(id, e.to_string()),
@@ -372,16 +357,10 @@ impl JobTable {
         let manifest = self.manifests.remove(&id).expect("manifest for queued job");
         if let Some(j) = self.by_id.get_mut(&id) {
             j.phase = JobPhase::Running;
-            let wait_us = j.submitted.elapsed().as_secs_f64() * 1e6;
-            pas_obs::observe_us("pas.queue.wait.microseconds", &[], wait_us);
-            pas_obs::trace::record(
-                j.trace.id,
-                j.trace.root,
-                "job.queued",
-                &[],
-                j.trace.start_us,
-                wait_us as u64,
-            );
+            pas_obs::span_since("job.queued", j.trace.start_us)
+                .parent(j.trace.id, j.trace.root)
+                .histogram("pas.queue.wait.microseconds", &[])
+                .finish();
         }
         pas_obs::gauge_set("pas.queue.depth.jobs", &[], self.queue.len() as i64);
         Some((id, manifest))

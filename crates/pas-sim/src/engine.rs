@@ -14,10 +14,6 @@ pub enum StopReason {
     QueueEmpty,
     /// The time horizon was reached (next event is strictly after it).
     HorizonReached,
-    /// The event budget was exhausted.
-    BudgetExhausted,
-    /// The handler requested a stop via [`Engine::request_stop`].
-    Requested,
 }
 
 /// A discrete-event simulation engine over event type `E`.
@@ -26,8 +22,6 @@ pub struct Engine<E> {
     now: SimTime,
     queue: EventQueue<E>,
     processed: u64,
-    max_queue_len: usize,
-    stop_requested: bool,
 }
 
 impl<E> Default for Engine<E> {
@@ -43,8 +37,6 @@ impl<E> Engine<E> {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             processed: 0,
-            max_queue_len: 0,
-            stop_requested: false,
         }
     }
 
@@ -68,12 +60,6 @@ impl<E> Engine<E> {
         self.processed
     }
 
-    /// High-water mark of the pending-event queue.
-    #[inline]
-    pub fn max_queue_len(&self) -> usize {
-        self.max_queue_len
-    }
-
     /// Number of pending events.
     #[inline]
     pub fn pending(&self) -> usize {
@@ -94,7 +80,6 @@ impl<E> Engine<E> {
         );
         let _prof = pas_obs::profile::scope_detail("sim.queue.push");
         self.queue.push(at, event);
-        self.max_queue_len = self.max_queue_len.max(self.queue.len());
     }
 
     /// Schedule `event` after a non-negative delay in seconds.
@@ -105,33 +90,14 @@ impl<E> Engine<E> {
         );
         let _prof = pas_obs::profile::scope_detail("sim.queue.push");
         self.queue.push(self.now + delay_secs, event);
-        self.max_queue_len = self.max_queue_len.max(self.queue.len());
-    }
-
-    /// Ask the current run loop to stop after this event's handler returns.
-    pub fn request_stop(&mut self) {
-        self.stop_requested = true;
-    }
-
-    /// Pop the next event and advance the clock to it.
-    ///
-    /// Returns `None` when the queue is empty. Most callers want
-    /// [`Engine::run`] or [`Engine::run_until`] instead.
-    pub fn step(&mut self) -> Option<E> {
-        let _prof = pas_obs::profile::scope_detail("sim.queue.pop");
-        let (t, e) = self.queue.pop()?;
-        debug_assert!(t >= self.now, "event queue yielded a past event");
-        self.now = t;
-        self.processed += 1;
-        Some(e)
     }
 
     /// Run until the queue is empty, dispatching every event to `handler`.
-    pub fn run<F>(&mut self, mut handler: F) -> StopReason
+    pub fn run<F>(&mut self, handler: F) -> StopReason
     where
         F: FnMut(&mut Engine<E>, E),
     {
-        self.run_inner(SimTime::NEVER, u64::MAX, &mut handler)
+        self.run_until(SimTime::NEVER, handler)
     }
 
     /// Run until the queue is empty or the next event is strictly after
@@ -140,33 +106,7 @@ impl<E> Engine<E> {
     where
         F: FnMut(&mut Engine<E>, E),
     {
-        self.run_inner(horizon, u64::MAX, &mut handler)
-    }
-
-    /// Run with both a horizon and a maximum number of dispatched events —
-    /// the budget guards against runaway self-scheduling loops in tests.
-    pub fn run_bounded<F>(
-        &mut self,
-        horizon: SimTime,
-        max_events: u64,
-        mut handler: F,
-    ) -> StopReason
-    where
-        F: FnMut(&mut Engine<E>, E),
-    {
-        self.run_inner(horizon, max_events, &mut handler)
-    }
-
-    fn run_inner<F>(&mut self, horizon: SimTime, max_events: u64, handler: &mut F) -> StopReason
-    where
-        F: FnMut(&mut Engine<E>, E),
-    {
-        self.stop_requested = false;
-        let mut dispatched: u64 = 0;
         loop {
-            if dispatched >= max_events {
-                return StopReason::BudgetExhausted;
-            }
             // One combined settle-and-pop per event: a peek + pop pair
             // would advance the calendar queue's cursor state twice.
             let popped = {
@@ -184,10 +124,6 @@ impl<E> Engine<E> {
             self.now = t;
             self.processed += 1;
             handler(self, event);
-            dispatched += 1;
-            if self.stop_requested {
-                return StopReason::Requested;
-            }
         }
     }
 }
@@ -254,36 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_limits_dispatch() {
-        let mut eng: Engine<Ev> = Engine::new();
-        eng.schedule_in(0.0, Ev::Chain(0));
-        // Self-perpetuating chain at fixed timestamps.
-        let reason = eng.run_bounded(SimTime::NEVER, 10, |e, _| {
-            e.schedule_in(1.0, Ev::Chain(0));
-        });
-        assert_eq!(reason, StopReason::BudgetExhausted);
-        assert_eq!(eng.processed(), 10);
-    }
-
-    #[test]
-    fn request_stop_exits_immediately() {
-        let mut eng: Engine<Ev> = Engine::new();
-        for i in 0..10 {
-            eng.schedule_in(i as f64, Ev::Tick(i));
-        }
-        let mut count = 0;
-        let reason = eng.run(|e, ev| {
-            count += 1;
-            if ev == Ev::Tick(3) {
-                e.request_stop();
-            }
-        });
-        assert_eq!(reason, StopReason::Requested);
-        assert_eq!(count, 4);
-        assert_eq!(eng.pending(), 6);
-    }
-
-    #[test]
     #[should_panic(expected = "past")]
     fn scheduling_into_past_panics() {
         let mut eng: Engine<Ev> = Engine::new();
@@ -307,9 +213,8 @@ mod tests {
         for i in 0..8 {
             eng.schedule_in(i as f64, Ev::Tick(i));
         }
-        assert_eq!(eng.max_queue_len(), 8);
+        assert_eq!(eng.pending(), 8);
         eng.run(|_, _| {});
-        assert_eq!(eng.max_queue_len(), 8);
         assert_eq!(eng.pending(), 0);
     }
 
