@@ -23,8 +23,6 @@
 //! * [`eikonal`] — a Fast Marching Method solver for `|∇T| F = 1` on a
 //!   heterogeneous speed grid: front propagation through media where speed
 //!   varies in space, with bilinear arrival interpolation.
-//! * [`contour`] — marching-squares extraction of the front boundary as
-//!   polylines, for visualisation and boundary-distance analysis.
 //!
 //! All models are deterministic pure functions of their parameters; the
 //! simulator samples them, never steps them.
@@ -33,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod aniso;
-pub mod contour;
 pub mod eikonal;
 pub mod field;
 pub mod multi;
@@ -52,7 +49,6 @@ pub use radial::RadialFront;
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::aniso::AnisotropicFront;
-    pub use crate::contour::extract_contours;
     pub use crate::eikonal::{EikonalField, SpeedGrid};
     pub use crate::field::StimulusField;
     pub use crate::multi::MultiSourceField;

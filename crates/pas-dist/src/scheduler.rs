@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Scheduler tuning knobs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerOptions {
     /// Lease lifetime between renewals; a worker silent this long
     /// forfeits its shards.

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Worker configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkerOptions {
     /// Name shown in `/dist/workers` (default: `worker-<pid>`).
     pub name: String,

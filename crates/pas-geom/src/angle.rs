@@ -51,24 +51,6 @@ pub fn included_cos(a: Vec2, b: Vec2) -> f64 {
     (a.dot(b) / nn).clamp(-1.0, 1.0)
 }
 
-/// Signed angular difference `b - a` normalised into `(-π, π]`.
-#[inline]
-pub fn angle_diff(a: f64, b: f64) -> f64 {
-    normalize_angle(b - a)
-}
-
-/// Convert degrees to radians.
-#[inline]
-pub fn deg_to_rad(deg: f64) -> f64 {
-    deg * (PI / 180.0)
-}
-
-/// Convert radians to degrees.
-#[inline]
-pub fn rad_to_deg(rad: f64) -> f64 {
-    rad * (180.0 / PI)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,20 +112,5 @@ mod tests {
             included_cos(a, b),
             included_cos(a * 7.0, b * 0.01)
         ));
-    }
-
-    #[test]
-    fn diff_wraps() {
-        assert!(approx_eq(angle_diff(0.1, -0.1), -0.2));
-        // Wrapping through π: from +3 rad to -3 rad is +0.28… rad, not -6 rad.
-        let d = angle_diff(3.0, -3.0);
-        assert!(d > 0.0 && d < 0.3);
-    }
-
-    #[test]
-    fn degree_conversions() {
-        assert!(approx_eq(deg_to_rad(180.0), PI));
-        assert!(approx_eq(rad_to_deg(PI), 180.0));
-        assert!(approx_eq(rad_to_deg(deg_to_rad(37.5)), 37.5));
     }
 }

@@ -28,18 +28,6 @@ pub fn approx_eq_eps(a: f64, b: f64, eps: f64) -> bool {
     (a - b).abs() <= eps * scale
 }
 
-/// `true` if `a <= b` within tolerance (i.e. `a < b` or `approx_eq`).
-#[inline]
-pub fn approx_le(a: f64, b: f64) -> bool {
-    a < b || approx_eq(a, b)
-}
-
-/// `true` if `a >= b` within tolerance.
-#[inline]
-pub fn approx_ge(a: f64, b: f64) -> bool {
-    a > b || approx_eq(a, b)
-}
-
 /// Total-order comparison for `f64` that panics on NaN.
 ///
 /// The simulator forbids NaN everywhere (times, distances, energies); hitting
@@ -49,24 +37,6 @@ pub fn approx_ge(a: f64, b: f64) -> bool {
 pub fn cmp_f64(a: f64, b: f64) -> core::cmp::Ordering {
     assert!(!a.is_nan() && !b.is_nan(), "NaN reached an ordered context");
     a.partial_cmp(&b).expect("non-NaN floats always compare")
-}
-
-/// Minimum by [`cmp_f64`]; panics on NaN.
-#[inline]
-pub fn min_f64(a: f64, b: f64) -> f64 {
-    match cmp_f64(a, b) {
-        core::cmp::Ordering::Greater => b,
-        _ => a,
-    }
-}
-
-/// Maximum by [`cmp_f64`]; panics on NaN.
-#[inline]
-pub fn max_f64(a: f64, b: f64) -> f64 {
-    match cmp_f64(a, b) {
-        core::cmp::Ordering::Less => b,
-        _ => a,
-    }
 }
 
 /// Clamp `x` into `[lo, hi]` (requires `lo <= hi`).
@@ -80,19 +50,6 @@ pub fn clamp(x: f64, lo: f64, hi: f64) -> f64 {
 #[inline]
 pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
     a + t * (b - a)
-}
-
-/// Inverse of [`lerp`]: the `t` with `lerp(a, b, t) == x`.
-///
-/// Returns 0 when `a == b` (degenerate interval).
-#[inline]
-pub fn inv_lerp(a: f64, b: f64, x: f64) -> f64 {
-    let d = b - a;
-    if d == 0.0 {
-        0.0
-    } else {
-        (x - a) / d
-    }
 }
 
 #[cfg(test)]
@@ -115,16 +72,6 @@ mod tests {
     }
 
     #[test]
-    fn approx_le_ge() {
-        assert!(approx_le(1.0, 1.0 + 1e-12));
-        assert!(approx_le(0.9, 1.0));
-        assert!(!approx_le(1.1, 1.0));
-        assert!(approx_ge(1.0 + 1e-12, 1.0));
-        assert!(approx_ge(1.1, 1.0));
-        assert!(!approx_ge(0.9, 1.0));
-    }
-
-    #[test]
     fn cmp_orders() {
         assert_eq!(cmp_f64(1.0, 2.0), Ordering::Less);
         assert_eq!(cmp_f64(2.0, 1.0), Ordering::Greater);
@@ -138,28 +85,10 @@ mod tests {
     }
 
     #[test]
-    fn min_max() {
-        assert_eq!(min_f64(1.0, 2.0), 1.0);
-        assert_eq!(max_f64(1.0, 2.0), 2.0);
-        assert_eq!(min_f64(-0.0, 0.0), -0.0);
-    }
-
-    #[test]
     fn clamp_and_lerp() {
         assert_eq!(clamp(5.0, 0.0, 1.0), 1.0);
         assert_eq!(clamp(-5.0, 0.0, 1.0), 0.0);
         assert_eq!(clamp(0.5, 0.0, 1.0), 0.5);
         assert_eq!(lerp(0.0, 10.0, 0.25), 2.5);
-        assert_eq!(inv_lerp(0.0, 10.0, 2.5), 0.25);
-        assert_eq!(inv_lerp(3.0, 3.0, 3.0), 0.0);
-    }
-
-    #[test]
-    fn lerp_inv_lerp_roundtrip() {
-        for i in 0..=10 {
-            let t = i as f64 / 10.0;
-            let x = lerp(-4.0, 9.0, t);
-            assert!(approx_eq(inv_lerp(-4.0, 9.0, x), t));
-        }
     }
 }

@@ -7,10 +7,8 @@
 //!   operations, used both for positions (metres) and velocities (m/s).
 //! * [`angle`] — angle normalisation and the included-angle computation that
 //!   the paper's arrival-time estimator (`|IX| cos θ / v`) depends on.
-//! * [`Aabb`], [`Circle`], [`Segment`] — primitive shapes for deployment
-//!   regions, transmission disks and front sampling.
-//! * [`Polyline`] / [`Polygon`] — open and closed chains used to represent
-//!   extracted stimulus boundaries (contours).
+//! * [`Aabb`], [`Circle`] — primitive shapes for deployment regions,
+//!   transmission disks and front sampling.
 //! * [`SpatialGrid`] — a uniform spatial hash over node positions so
 //!   neighbour queries are O(1) amortised instead of O(n) scans.
 //!
@@ -37,14 +35,12 @@ pub mod aabb;
 pub mod angle;
 pub mod float;
 pub mod grid;
-pub mod polyline;
 pub mod shapes;
 pub mod vec2;
 
 pub use aabb::Aabb;
 pub use grid::SpatialGrid;
-pub use polyline::{Polygon, Polyline};
-pub use shapes::{Circle, Segment};
+pub use shapes::Circle;
 pub use vec2::Vec2;
 
 /// Commonly used items, for glob import.
@@ -53,7 +49,6 @@ pub mod prelude {
     pub use crate::angle::{included_angle, normalize_angle};
     pub use crate::float::{approx_eq, approx_eq_eps};
     pub use crate::grid::SpatialGrid;
-    pub use crate::polyline::{Polygon, Polyline};
-    pub use crate::shapes::{Circle, Segment};
+    pub use crate::shapes::Circle;
     pub use crate::vec2::Vec2;
 }

@@ -1,8 +1,5 @@
-//! Primitive shapes: circles and line segments.
-//!
-//! Circles model transmission disks (unit-disk radio) and isotropic stimulus
-//! fronts; segments support distance-to-boundary queries on extracted
-//! contours.
+//! Primitive shapes: circles model transmission disks (unit-disk radio) and
+//! isotropic stimulus fronts.
 
 use crate::aabb::Aabb;
 use crate::vec2::Vec2;
@@ -79,85 +76,6 @@ impl Circle {
     }
 }
 
-/// A line segment between two points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Segment {
-    /// Start point.
-    pub a: Vec2,
-    /// End point.
-    pub b: Vec2,
-}
-
-impl Segment {
-    /// Construct a segment.
-    #[inline]
-    pub const fn new(a: Vec2, b: Vec2) -> Self {
-        Segment { a, b }
-    }
-
-    /// Segment length.
-    #[inline]
-    pub fn length(&self) -> f64 {
-        self.a.distance(self.b)
-    }
-
-    /// Midpoint.
-    #[inline]
-    pub fn midpoint(&self) -> Vec2 {
-        (self.a + self.b) * 0.5
-    }
-
-    /// The point on the segment closest to `p`.
-    pub fn closest_point(&self, p: Vec2) -> Vec2 {
-        let d = self.b - self.a;
-        let len_sq = d.norm_sq();
-        if len_sq == 0.0 {
-            return self.a; // degenerate segment
-        }
-        let t = ((p - self.a).dot(d) / len_sq).clamp(0.0, 1.0);
-        self.a + d * t
-    }
-
-    /// Distance from `p` to the segment.
-    #[inline]
-    pub fn distance_to(&self, p: Vec2) -> f64 {
-        self.closest_point(p).distance(p)
-    }
-
-    /// Direction unit vector, or `None` for a degenerate segment.
-    #[inline]
-    pub fn direction(&self) -> Option<Vec2> {
-        (self.b - self.a).try_normalize()
-    }
-
-    /// Outward normal (left of travel direction), or `None` if degenerate.
-    #[inline]
-    pub fn normal(&self) -> Option<Vec2> {
-        self.direction().map(Vec2::perp)
-    }
-
-    /// Intersection point of two segments, if they cross.
-    ///
-    /// Collinear overlaps return `None` (no unique point); endpoint contact
-    /// counts as intersection.
-    pub fn intersect(&self, other: &Segment) -> Option<Vec2> {
-        let r = self.b - self.a;
-        let s = other.b - other.a;
-        let denom = r.cross(s);
-        if denom == 0.0 {
-            return None; // parallel or collinear
-        }
-        let qp = other.a - self.a;
-        let t = qp.cross(s) / denom;
-        let u = qp.cross(r) / denom;
-        if (0.0..=1.0).contains(&t) && (0.0..=1.0).contains(&u) {
-            Some(self.a + r * t)
-        } else {
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,45 +129,5 @@ mod tests {
         for p in pts {
             assert!(approx_eq(c.center.distance(p), 2.5));
         }
-    }
-
-    #[test]
-    fn segment_closest_point() {
-        let s = Segment::new(Vec2::ZERO, Vec2::new(10.0, 0.0));
-        assert_eq!(s.closest_point(Vec2::new(5.0, 3.0)), Vec2::new(5.0, 0.0));
-        assert_eq!(s.closest_point(Vec2::new(-5.0, 3.0)), Vec2::ZERO); // clamped
-        assert_eq!(s.closest_point(Vec2::new(15.0, -2.0)), Vec2::new(10.0, 0.0));
-        assert!(approx_eq(s.distance_to(Vec2::new(5.0, 3.0)), 3.0));
-    }
-
-    #[test]
-    fn degenerate_segment() {
-        let s = Segment::new(Vec2::new(1.0, 1.0), Vec2::new(1.0, 1.0));
-        assert_eq!(s.closest_point(Vec2::new(4.0, 5.0)), Vec2::new(1.0, 1.0));
-        assert_eq!(s.direction(), None);
-        assert_eq!(s.normal(), None);
-        assert_eq!(s.length(), 0.0);
-    }
-
-    #[test]
-    fn segment_intersection() {
-        let a = Segment::new(Vec2::new(0.0, 0.0), Vec2::new(2.0, 2.0));
-        let b = Segment::new(Vec2::new(0.0, 2.0), Vec2::new(2.0, 0.0));
-        let p = a.intersect(&b).unwrap();
-        assert!(approx_eq(p.x, 1.0) && approx_eq(p.y, 1.0));
-        // Parallel: no intersection.
-        let c = Segment::new(Vec2::new(0.0, 1.0), Vec2::new(2.0, 3.0));
-        assert_eq!(a.intersect(&c), None);
-        // Disjoint but crossing lines: no intersection within the segments.
-        let d = Segment::new(Vec2::new(5.0, 0.0), Vec2::new(5.0, 1.0));
-        assert_eq!(a.intersect(&d), None);
-    }
-
-    #[test]
-    fn segment_direction_and_normal() {
-        let s = Segment::new(Vec2::ZERO, Vec2::new(0.0, 5.0));
-        assert_eq!(s.direction().unwrap(), Vec2::UNIT_Y);
-        assert_eq!(s.normal().unwrap(), Vec2::new(-1.0, 0.0));
-        assert_eq!(s.midpoint(), Vec2::new(0.0, 2.5));
     }
 }

@@ -2,7 +2,7 @@
 
 use pas_geom::angle::{included_cos, normalize_angle};
 use pas_geom::float::approx_eq_eps;
-use pas_geom::{Polygon, Polyline, SpatialGrid, Vec2};
+use pas_geom::{SpatialGrid, Vec2};
 use proptest::prelude::*;
 
 fn finite_coord() -> impl Strategy<Value = f64> {
@@ -83,42 +83,6 @@ proptest! {
         let c = included_cos(a, b);
         prop_assert!((-1.0..=1.0).contains(&c));
         prop_assert_eq!(c.to_bits(), included_cos(b, a).to_bits());
-    }
-
-    // --- polygon / polyline ---------------------------------------------------
-
-    #[test]
-    fn regular_polygon_area_rotation_invariant(
-        cx in -100.0..100.0f64,
-        cy in -100.0..100.0f64,
-        r in 0.1..50.0f64,
-        n in 3usize..32,
-    ) {
-        let poly = Polygon::regular(Vec2::new(cx, cy), r, n);
-        // Translate: area unchanged.
-        let moved = Polygon::new(
-            poly.points.iter().map(|&p| p + Vec2::new(7.0, -3.0)).collect(),
-        );
-        prop_assert!(approx_eq_eps(poly.area(), moved.area(), 1e-6));
-        // Perimeter below circle circumference, area below circle area.
-        prop_assert!(poly.perimeter() <= core::f64::consts::TAU * r + 1e-9);
-        prop_assert!(poly.area() <= core::f64::consts::PI * r * r + 1e-9);
-    }
-
-    #[test]
-    fn resample_preserves_endpoints_and_length(
-        pts in prop::collection::vec(vec2(), 2..12),
-        n in 2usize..50,
-    ) {
-        let pl = Polyline::new(pts);
-        let rs = pl.resample(n);
-        if pl.length() > 1e-9 {
-            prop_assert_eq!(rs.len(), n);
-            prop_assert_eq!(rs.points[0], pl.points[0]);
-            prop_assert_eq!(*rs.points.last().unwrap(), *pl.points.last().unwrap());
-            // Resampling a chain can only shorten it (chords of the path).
-            prop_assert!(rs.length() <= pl.length() + 1e-6);
-        }
     }
 
     // --- spatial grid ----------------------------------------------------------

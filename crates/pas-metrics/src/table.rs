@@ -27,11 +27,6 @@ impl Table {
         }
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Append a row of pre-formatted cells.
     ///
     /// # Panics
@@ -45,17 +40,6 @@ impl Table {
             self.header.len()
         );
         self.rows.push(cells);
-    }
-
-    /// Append a row of `f64` values formatted with `prec` decimals, with an
-    /// arbitrary first label cell.
-    pub fn push_labeled(&mut self, label: &str, values: &[f64], prec: usize) {
-        let mut cells = Vec::with_capacity(values.len() + 1);
-        cells.push(label.to_string());
-        for v in values {
-            cells.push(format!("{v:.prec$}"));
-        }
-        self.push_row(cells);
     }
 
     /// Render as an aligned ASCII table.
@@ -115,16 +99,6 @@ impl Csv {
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
         }
-    }
-
-    /// Append a row of `f64`s (full precision via `{:?}`-free formatting).
-    pub fn push_f64(&mut self, label: &str, values: &[f64]) {
-        let mut row = Vec::with_capacity(values.len() + 1);
-        row.push(label.to_string());
-        for v in values {
-            row.push(format!("{v}"));
-        }
-        self.push_raw(row);
     }
 
     /// Append pre-formatted cells.
@@ -278,13 +252,13 @@ mod tests {
     fn table_renders_aligned() {
         let mut t = Table::new("demo", &["policy", "delay", "energy"]);
         t.push_row(vec!["NS".into(), "0.00".into(), "4.10".into()]);
-        t.push_labeled("PAS", &[1.5, 0.62], 2);
+        t.push_row(vec!["PAS".into(), "1.50".into(), "0.62".into()]);
         let s = t.render();
         assert!(s.contains("## demo"));
         assert!(s.contains("policy"));
         assert!(s.contains("PAS"));
         assert!(s.contains("1.50"));
-        assert_eq!(t.row_count(), 2);
+        assert_eq!(s.lines().count(), 5);
         // All data lines have the same length (alignment).
         let lines: Vec<&str> = s.lines().skip(1).collect();
         let lens: Vec<usize> = lines.iter().map(|l| l.len()).collect();
@@ -354,14 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_f64_roundtrips_precision() {
-        let mut c = Csv::new(&["label", "x"]);
-        c.push_f64("row", &[0.1 + 0.2]);
-        let s = c.render();
-        assert!(s.contains("0.30000000000000004"), "{s}");
-    }
-
-    #[test]
     fn csv_writes_to_disk() {
         let dir = std::env::temp_dir().join("pas_metrics_test_csv");
         let path = dir.join("nested").join("out.csv");
@@ -376,7 +342,7 @@ mod tests {
     #[test]
     fn table_to_csv() {
         let mut t = Table::new("x", &["a", "b"]);
-        t.push_labeled("r", &[2.0], 1);
+        t.push_row(vec!["r".into(), "2.0".into()]);
         let dir = std::env::temp_dir().join("pas_metrics_test_tablecsv");
         let path = dir.join("t.csv");
         t.write_csv(&path).unwrap();

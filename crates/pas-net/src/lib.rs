@@ -6,8 +6,8 @@
 //! * [`deploy`] — sensor placement generators: uniform random, regular grid,
 //!   and Poisson-disk (blue-noise) layouts over a region.
 //! * [`Topology`] — unit-disk connectivity: positions + transmission range,
-//!   with precomputed neighbour tables (built on `pas-geom`'s spatial hash),
-//!   degree statistics and a BFS connectivity check.
+//!   with precomputed neighbour tables (built on `pas-geom`'s spatial hash)
+//!   and degree statistics.
 //! * [`channel`] — per-link delivery models: perfect, i.i.d. loss, and
 //!   distance-dependent loss (the paper's future-work "imperfect
 //!   communication channel", built now as an ablation).

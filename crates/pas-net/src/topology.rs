@@ -3,12 +3,10 @@
 //! The paper's setup: "each node has a transmission range of 10m" — the
 //! classic unit-disk model. [`Topology`] owns the node positions and the
 //! range, precomputes each node's neighbour list once (every broadcast needs
-//! it), and provides the diagnostics WSN papers report: degree statistics
-//! and connectivity.
+//! it), and reports the degree statistics WSN papers quote.
 
 use pas_geom::{SpatialGrid, Vec2};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Static unit-disk topology: positions, range, precomputed neighbours.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -145,50 +143,6 @@ impl Topology {
         }
         (min, sum as f64 / self.len() as f64, max)
     }
-
-    /// `true` if the network is connected (single BFS component).
-    pub fn is_connected(&self) -> bool {
-        let n = self.len();
-        let mut seen = vec![false; n];
-        let mut queue = VecDeque::with_capacity(n);
-        seen[0] = true;
-        queue.push_back(0usize);
-        let mut visited = 1usize;
-        while let Some(u) = queue.pop_front() {
-            for &v in &self.neighbors[u] {
-                if !seen[v] {
-                    seen[v] = true;
-                    visited += 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        visited == n
-    }
-
-    /// Hop distance between two nodes by BFS, or `None` if disconnected.
-    pub fn hop_distance(&self, from: usize, to: usize) -> Option<usize> {
-        if from == to {
-            return Some(0);
-        }
-        let n = self.len();
-        let mut dist = vec![usize::MAX; n];
-        let mut queue = VecDeque::new();
-        dist[from] = 0;
-        queue.push_back(from);
-        while let Some(u) = queue.pop_front() {
-            for &v in &self.neighbors[u] {
-                if dist[v] == usize::MAX {
-                    dist[v] = dist[u] + 1;
-                    if v == to {
-                        return Some(dist[v]);
-                    }
-                    queue.push_back(v);
-                }
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -234,34 +188,8 @@ mod tests {
     }
 
     #[test]
-    fn connectivity() {
-        assert!(line_topology().is_connected());
-        // Break the line: move node 2 far away.
-        let mut positions: Vec<Vec2> = (0..5).map(|i| Vec2::new(i as f64 * 8.0, 0.0)).collect();
-        positions[2] = Vec2::new(1000.0, 0.0);
-        let t = Topology::new(positions, 10.0);
-        assert!(!t.is_connected());
-    }
-
-    #[test]
-    fn hop_distance_on_path() {
-        let t = line_topology();
-        assert_eq!(t.hop_distance(0, 0), Some(0));
-        assert_eq!(t.hop_distance(0, 1), Some(1));
-        assert_eq!(t.hop_distance(0, 4), Some(4));
-        assert_eq!(t.hop_distance(4, 0), Some(4));
-    }
-
-    #[test]
-    fn hop_distance_disconnected_is_none() {
-        let t = Topology::new(vec![Vec2::ZERO, Vec2::new(100.0, 0.0)], 10.0);
-        assert_eq!(t.hop_distance(0, 1), None);
-    }
-
-    #[test]
     fn single_node() {
         let t = Topology::new(vec![Vec2::ZERO], 10.0);
-        assert!(t.is_connected());
         assert_eq!(t.degree(0), 0);
         assert_eq!(t.len(), 1);
     }

@@ -153,6 +153,8 @@ impl std::fmt::Display for ClientError {
     }
 }
 
+impl std::error::Error for ClientError {}
+
 impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> Self {
         ClientError::Io(e)

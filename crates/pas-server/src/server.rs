@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Server construction options.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerOptions {
     /// Worker threads per job (0 = defer to each manifest, then cores).
     pub threads: usize,

@@ -90,20 +90,4 @@ fn main() {
         far_bank.unwrap().as_secs(),
         far_bank.unwrap().as_secs() - near_bank.unwrap().as_secs()
     );
-
-    // Extract and summarise the front line at t = 120 s (marching squares
-    // over the arrival field) — what a command dashboard would draw.
-    let arrival_grid =
-        pas_diffusion::contour::ScalarGrid::from_fn(region.min, 121, 121, 1.0, 1.0, |p| {
-            fire.first_arrival_time(p)
-                .map(|t| t.as_secs())
-                .unwrap_or(f64::INFINITY)
-        });
-    let contours = extract_contours(&arrival_grid, 120.0);
-    let total_len: f64 = contours.iter().map(|c| c.length()).sum();
-    println!(
-        "Front line at t = 120 s: {} contour segment(s), {:.0} m total length.",
-        contours.len(),
-        total_len
-    );
 }

@@ -8,7 +8,7 @@
 //!
 //! | Crate | What it provides |
 //! |-------|------------------|
-//! | [`geom`] | 2-D vectors, shapes, polylines, spatial hashing |
+//! | [`geom`] | 2-D vectors, shapes, spatial hashing |
 //! | [`sim`] | deterministic discrete-event engine + seedable PRNG |
 //! | [`diffusion`] | stimulus ground truth: fronts, plumes, eikonal/FMM |
 //! | [`platform`] | Telos power model, energy metering, frame sizing |

@@ -1,22 +1,5 @@
 //! `pas` — run declarative PAS experiment batches from the command line.
-//!
-//! ```text
-//! pas list                         enumerate built-in scenarios
-//! pas show <name>                  print a built-in manifest's TOML
-//! pas validate <path>              parse + validate a manifest file
-//! pas expand <name|path>           print the expanded run matrix shape
-//! pas run <name|path> [options]    execute a batch and report summaries
-//! pas report <src> [options]       statistical report (md/json/svg) of a
-//!                                  batch, manifest, or saved sink file
-//! pas serve [options]              run the batch API server
-//! pas worker [options]             join a server as an execution worker
-//! pas submit <name|path> [options] run a batch on a server (with caching)
-//! pas status [options]             server health + per-worker progress
-//! pas top [options]                live fleet dashboard from /metrics/history
-//! pas profile [options]            region profile: flamegraph / folded / json
-//! pas bench [options]              time expansion, batches, dist scaling,
-//!                                  server saturation (--server)
-//! ```
+//! `pas --help` lists the subcommands and their options.
 //!
 //! Scenario arguments resolve against the built-in registry first and fall
 //! back to the filesystem, so `pas run paper-default` and
@@ -30,11 +13,13 @@
 use pas_dist::{Scheduler, SchedulerOptions, WorkerOptions};
 use pas_scenario::{execute, expand, registry, ExecOptions, Manifest};
 use pas_server::{
-    Client, ClientError, HistoryFormat, ProfileFormat, ResultCache, ResultFormat, RetryPolicy,
-    Server, ServerOptions, TraceFormat,
+    Client, ClientError, HistoryFormat, ProfileFormat, ReportFormat, ResultCache, ResultFormat,
+    RetryPolicy, Server, ServerOptions, TraceFormat,
 };
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 /// Default server address (loopback; pick a fixed high port).
@@ -196,14 +181,183 @@ BENCH OPTIONS:
     --gate [FILES...]    regression gate: compare each history's newest
                          entry against the previous one; exit non-zero on a
                          throughput drop beyond the tolerance (default
-                         files: the three BENCH_*.json)
+                         files: the five BENCH_*.json)
     --max-drop PCT       gate tolerance, percent (default 35)
 "
 }
 
-fn fail(msg: impl std::fmt::Display) -> ExitCode {
-    eprintln!("error: {msg}");
-    ExitCode::FAILURE
+/// What a subcommand returns; `main` prints the error and exits 1.
+type CmdResult = Result<(), Box<dyn std::error::Error>>;
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        write_stdout(format_args!($($arg)*));
+    }};
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => { out!("\n") };
+    ($($arg:tt)*) => { out!("{}\n", format_args!($($arg)*)) };
+}
+
+/// Every byte the CLI prints to stdout goes through here. Once the reader
+/// has gone away (`pas list | head -1`) the output is dropped quietly,
+/// instead of a broken-pipe panic, and `false` comes back; the command
+/// still writes its files and exits with the status it owes.
+fn write_stdout(args: std::fmt::Arguments) -> bool {
+    use std::io::Write as _;
+    let mut stdout = std::io::stdout().lock();
+    match stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        Ok(()) => true,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => false,
+        Err(e) => {
+            eprintln!("error: writing stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// argument parsing
+// ---------------------------------------------------------------------------
+
+/// The one argument loop. [`Cursor::each`] hands every argument of
+/// `pas <cmd>` to the subcommand's match; its arms read flag values
+/// through the typed readers, and whatever no arm reads is an error.
+struct Cursor<'a> {
+    cmd: &'a str,
+    args: std::slice::Iter<'a, String>,
+}
+
+impl<'a> Cursor<'a> {
+    fn each(
+        cmd: &'a str,
+        args: &'a [String],
+        mut arm: impl FnMut(&mut Self, &'a str) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let mut cursor = Cursor {
+            cmd,
+            args: args.iter(),
+        };
+        while let Some(arg) = cursor.next() {
+            arm(&mut cursor, arg)?;
+        }
+        Ok(())
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.args.next().map(String::as_str)
+    }
+
+    /// The argument after `flag`, parsed.
+    fn value<T: FromStr>(&mut self, flag: &str) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        let v = self.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        v.parse().map_err(|e| format!("{flag} `{v}`: {e}"))
+    }
+
+    fn at_least<T>(&mut self, flag: &str, min: T) -> Result<T, String>
+    where
+        T: FromStr + PartialOrd + Display,
+        T::Err: Display,
+    {
+        let v = self.value(flag)?;
+        if v >= min {
+            Ok(v)
+        } else {
+            Err(format!("{flag} must be at least {min}"))
+        }
+    }
+
+    /// A `*-ms` interval. Zero is refused: a zero interval spins.
+    fn ms(&mut self, flag: &str) -> Result<Duration, String> {
+        self.at_least(flag, 1).map(Duration::from_millis)
+    }
+
+    /// The index in `names` of the value after `flag`.
+    fn choice(&mut self, flag: &str, names: &[&str]) -> Result<usize, String> {
+        let v: String = self.value(flag)?;
+        let expected = || format!("{flag} `{v}`: expected {}", names.join(", "));
+        names
+            .iter()
+            .position(|name| *name == v)
+            .ok_or_else(expected)
+    }
+
+    /// Fill an empty positional slot; a flag or a second positional is an
+    /// error.
+    fn positional(&self, slot: &mut Option<String>, arg: &str) -> Result<(), String> {
+        if arg.starts_with('-') || slot.is_some() {
+            return Err(self.unknown(arg));
+        }
+        *slot = Some(arg.to_string());
+        Ok(())
+    }
+
+    fn unknown(&self, arg: &str) -> String {
+        let cmd = self.cmd;
+        format!("`pas {cmd}` does not take `{arg}` (see `pas --help`)")
+    }
+}
+
+/// `pas <cmd>` with no arguments at all.
+fn parse_none(cmd: &str, args: &[String]) -> Result<(), String> {
+    Cursor::each(cmd, args, |c, arg| Err(c.unknown(arg)))
+}
+
+/// `pas <cmd> <what>`: exactly one positional.
+fn parse_one(cmd: &str, args: &[String], what: &str) -> Result<String, String> {
+    let mut one = None;
+    Cursor::each(cmd, args, |c, arg| c.positional(&mut one, arg))?;
+    one.ok_or_else(|| format!("{cmd} needs {what}"))
+}
+
+/// A parsed command line.
+#[derive(Debug, PartialEq)]
+enum Command {
+    Help,
+    List,
+    Show(String),
+    Validate(String),
+    Expand(String),
+    Run(RunOpts),
+    Report(ReportOpts),
+    Serve(ServeOpts),
+    Worker(WorkerOpts),
+    Submit(SubmitOpts),
+    Status(StatusOpts),
+    Top(TopOpts),
+    Trace(TraceOpts),
+    Profile(ProfileOpts),
+    Bench(BenchOpts),
+}
+
+fn parse(args: &[String]) -> Result<Command, String> {
+    let Some((cmd, rest)) = args.split_first() else {
+        return Ok(Command::Help);
+    };
+    Ok(match cmd.as_str() {
+        "--help" | "-h" | "help" => parse_none(cmd, rest).map(|()| Command::Help)?,
+        "list" => parse_none(cmd, rest).map(|()| Command::List)?,
+        "show" => Command::Show(parse_one(cmd, rest, "a scenario name")?),
+        "validate" => Command::Validate(parse_one(cmd, rest, "a manifest path")?),
+        "expand" => Command::Expand(parse_one(cmd, rest, "a scenario name or manifest path")?),
+        "run" => Command::Run(parse_run(rest)?),
+        "report" => Command::Report(parse_report(rest)?),
+        "serve" => Command::Serve(parse_serve(rest)?),
+        "worker" => Command::Worker(parse_worker(rest)?),
+        "submit" => Command::Submit(parse_submit(rest)?),
+        "status" => Command::Status(parse_status(rest)?),
+        "top" => Command::Top(parse_top(rest)?),
+        "trace" => Command::Trace(parse_trace(rest)?),
+        "profile" => Command::Profile(parse_profile(rest)?),
+        "bench" => Command::Bench(parse_bench(rest)?),
+        other => return Err(format!("unknown command `{other}`\n\n{}", usage())),
+    })
 }
 
 /// Registry name first, file path second.
@@ -222,15 +376,17 @@ fn load(arg: &str) -> Result<Manifest, String> {
     }
 }
 
-fn cmd_list() -> ExitCode {
-    println!(
+fn cmd_list() -> CmdResult {
+    outln!(
         "{:<20} {:>6} {:>9}  description",
-        "name", "runs", "policies"
+        "name",
+        "runs",
+        "policies"
     );
     for (name, _) in registry::BUILTINS {
         let m = registry::builtin(name).expect("builtins parse");
         let runs = expand(&m).map(|p| p.len()).unwrap_or(0);
-        println!(
+        outln!(
             "{:<20} {:>6} {:>9}  {}",
             name,
             runs,
@@ -238,47 +394,31 @@ fn cmd_list() -> ExitCode {
             m.description
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_show(name: &str) -> ExitCode {
-    match registry::raw(name) {
-        Some(src) => {
-            print!("{src}");
-            ExitCode::SUCCESS
-        }
-        None => fail(format!(
-            "no built-in scenario `{name}` (try: {})",
-            registry::names().join(", ")
-        )),
-    }
+fn cmd_show(name: &str) -> CmdResult {
+    let src = registry::raw(name).ok_or_else(|| {
+        let names = registry::names().join(", ");
+        format!("no built-in scenario `{name}` (try: {names})")
+    })?;
+    out!("{src}");
+    Ok(())
 }
 
-fn cmd_validate(path: &str) -> ExitCode {
-    match Manifest::from_path(Path::new(path)) {
-        Ok(m) => match expand(&m) {
-            Ok(points) => {
-                println!("ok: `{}` expands to {} runs", m.name, points.len());
-                ExitCode::SUCCESS
-            }
-            Err(e) => fail(e),
-        },
-        Err(e) => fail(e),
-    }
+fn cmd_validate(path: &str) -> CmdResult {
+    let m = Manifest::from_path(Path::new(path))?;
+    let points = expand(&m)?;
+    outln!("ok: `{}` expands to {} runs", m.name, points.len());
+    Ok(())
 }
 
-fn cmd_expand(arg: &str) -> ExitCode {
-    let m = match load(arg) {
-        Ok(m) => m,
-        Err(e) => return fail(e),
-    };
-    let points = match expand(&m) {
-        Ok(p) => p,
-        Err(e) => return fail(e),
-    };
+fn cmd_expand(arg: &str) -> CmdResult {
+    let m = load(arg)?;
+    let points = expand(&m)?;
     let axis_points: usize = m.sweep.iter().map(|a| a.values.len()).product();
-    println!("scenario   {}", m.name);
-    println!(
+    outln!("scenario   {}", m.name);
+    outln!(
         "matrix     {} axis point(s) x {} policies x {} seeds = {} runs",
         axis_points,
         m.policies.len(),
@@ -287,7 +427,7 @@ fn cmd_expand(arg: &str) -> ExitCode {
     );
     for axis in &m.sweep {
         let values: Vec<String> = axis.values.iter().map(|v| v.to_string()).collect();
-        println!("axis       {} = [{}]", axis.field, values.join(", "));
+        outln!("axis       {} = [{}]", axis.field, values.join(", "));
     }
     for p in &m.policies {
         let mut details: Vec<String> = Vec::new();
@@ -295,7 +435,7 @@ fn cmd_expand(arg: &str) -> ExitCode {
             details.push(format!("predictor={}", pred.name()));
         }
         details.extend(p.overrides.iter().map(|(k, v)| format!("{k}={v}")));
-        println!(
+        outln!(
             "policy     {:<10} ({}{}{})",
             p.label,
             p.kind,
@@ -303,10 +443,11 @@ fn cmd_expand(arg: &str) -> ExitCode {
             details.join(", ")
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-struct RunArgs {
+#[derive(Debug, Default, PartialEq)]
+struct RunOpts {
     scenario: String,
     out: Option<PathBuf>,
     raw: Option<PathBuf>,
@@ -314,160 +455,94 @@ struct RunArgs {
     quiet: bool,
 }
 
-fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
+fn parse_run(args: &[String]) -> Result<RunOpts, String> {
+    let mut o = RunOpts::default();
     let mut scenario = None;
-    let mut out = None;
-    let mut raw = None;
-    let mut threads = 0usize;
-    let mut quiet = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => {
-                let v = it.next().ok_or("--out needs a file path")?;
-                out = Some(PathBuf::from(v));
-            }
-            "--raw" => {
-                let v = it.next().ok_or("--raw needs a file path")?;
-                raw = Some(PathBuf::from(v));
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a number")?;
-                threads = v
-                    .parse()
-                    .map_err(|_| format!("--threads: `{v}` is not a number"))?;
-            }
-            "--quiet" => quiet = true,
-            other if other.starts_with('-') => return Err(format!("unknown option `{other}`")),
-            other => {
-                if scenario.replace(other.to_string()).is_some() {
-                    return Err("more than one scenario argument".to_string());
-                }
-            }
+    Cursor::each("run", args, |c, arg| {
+        match arg {
+            "--out" => o.out = Some(c.value(arg)?),
+            "--raw" => o.raw = Some(c.value(arg)?),
+            "--threads" => o.threads = c.value(arg)?,
+            "--quiet" => o.quiet = true,
+            _ => c.positional(&mut scenario, arg)?,
         }
-    }
-    Ok(RunArgs {
-        scenario: scenario.ok_or("missing scenario name or manifest path")?,
-        out,
-        raw,
-        threads,
-        quiet,
-    })
+        Ok(())
+    })?;
+    o.scenario = scenario.ok_or("missing scenario name or manifest path")?;
+    Ok(o)
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
-    let run_args = match parse_run_args(args) {
-        Ok(a) => a,
-        Err(e) => return fail(e),
-    };
-    let m = match load(&run_args.scenario) {
-        Ok(m) => m,
-        Err(e) => return fail(e),
-    };
-    let n_runs = match expand(&m) {
-        Ok(p) => p.len(),
-        Err(e) => return fail(e),
-    };
+fn cmd_run(run_args: RunOpts) -> CmdResult {
+    let m = load(&run_args.scenario)?;
+    let n_runs = expand(&m)?.len();
     if !run_args.quiet {
         eprintln!("running `{}`: {} runs ...", m.name, n_runs);
     }
-    let batch = match execute(
-        &m,
-        ExecOptions {
-            threads: run_args.threads,
-        },
-    ) {
-        Ok(b) => b,
-        Err(e) => return fail(e),
-    };
+    let threads = run_args.threads;
+    let batch = execute(&m, ExecOptions { threads })?;
     if !run_args.quiet {
-        print!("{}", pas_scenario::summary_table(&batch).render());
+        out!("{}", pas_scenario::summary_table(&batch).render());
     }
     if let Some(path) = &run_args.out {
-        if let Err(e) = pas_scenario::write_summary_csv(&batch, path) {
-            return fail(format!("writing {}: {e}", path.display()));
-        }
+        pas_scenario::write_summary_csv(&batch, path)
+            .map_err(|e| format!("writing {}: {e}", path.display()))?;
         if !run_args.quiet {
-            println!("wrote {}", path.display());
+            outln!("wrote {}", path.display());
         }
     }
     if let Some(path) = &run_args.raw {
-        if let Err(e) = pas_scenario::write_records_jsonl(&batch, path) {
-            return fail(format!("writing {}: {e}", path.display()));
-        }
+        pas_scenario::write_records_jsonl(&batch, path)
+            .map_err(|e| format!("writing {}: {e}", path.display()))?;
         if !run_args.quiet {
-            println!("wrote {}", path.display());
+            outln!("wrote {}", path.display());
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // report
 // ---------------------------------------------------------------------------
 
-struct ReportArgs {
+#[derive(Debug, PartialEq)]
+struct ReportOpts {
     source: String,
-    format: String,
+    format: ReportFormat,
     out: Option<PathBuf>,
     compare: Option<(String, String)>,
     threads: usize,
     quiet: bool,
 }
 
-fn parse_report_args(args: &[String]) -> Result<ReportArgs, String> {
+fn parse_report(args: &[String]) -> Result<ReportOpts, String> {
+    let mut o = ReportOpts {
+        source: String::new(),
+        format: ReportFormat::Markdown,
+        out: None,
+        compare: None,
+        threads: 0,
+        quiet: false,
+    };
     let mut source = None;
-    let mut format = "md".to_string();
-    let mut out = None;
-    let mut compare = None;
-    let mut threads = 0usize;
-    let mut quiet = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    Cursor::each("report", args, |c, arg| {
+        match arg {
             "--format" => {
-                let v = it.next().ok_or("--format needs md|json|svg")?;
-                if !["md", "json", "svg"].contains(&v.as_str()) {
-                    return Err(format!("--format: `{v}` is not md, json, or svg"));
-                }
-                format = v.clone();
+                use ReportFormat as F;
+                o.format = [F::Markdown, F::Json, F::Svg][c.choice(arg, &["md", "json", "svg"])?]
             }
-            "--out" => out = Some(PathBuf::from(it.next().ok_or("--out needs a file path")?)),
-            "--compare" => {
-                let a = it.next().ok_or("--compare needs two policy labels")?;
-                let b = it.next().ok_or("--compare needs two policy labels")?;
-                compare = Some((a.clone(), b.clone()));
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a number")?;
-                threads = v
-                    .parse()
-                    .map_err(|_| format!("--threads: `{v}` is not a number"))?;
-            }
-            "--quiet" => quiet = true,
-            other if other.starts_with('-') => return Err(format!("unknown option `{other}`")),
-            other => {
-                if source.replace(other.to_string()).is_some() {
-                    return Err("more than one source argument".to_string());
-                }
-            }
+            "--out" => o.out = Some(c.value(arg)?),
+            "--compare" => o.compare = Some((c.value(arg)?, c.value(arg)?)),
+            "--threads" => o.threads = c.value(arg)?,
+            "--quiet" => o.quiet = true,
+            _ => c.positional(&mut source, arg)?,
         }
-    }
-    Ok(ReportArgs {
-        source: source.ok_or("missing source: scenario name, manifest, .jsonl, or .csv")?,
-        format,
-        out,
-        compare,
-        threads,
-        quiet,
-    })
+        Ok(())
+    })?;
+    o.source = source.ok_or("missing source: scenario name, manifest, .jsonl, or .csv")?;
+    Ok(o)
 }
 
-fn cmd_report(args: &[String]) -> ExitCode {
-    let rep = match parse_report_args(args) {
-        Ok(a) => a,
-        Err(e) => return fail(e),
-    };
+fn cmd_report(rep: ReportOpts) -> CmdResult {
     let opts = pas_report::ReportOptions {
         compare: rep.compare.clone(),
     };
@@ -479,188 +554,113 @@ fn cmd_report(args: &[String]) -> ExitCode {
     let is_sink_file =
         path.exists() && matches!(ext.as_deref(), Some("jsonl") | Some("ndjson") | Some("csv"));
     let report = if is_sink_file {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => return fail(format!("reading {}: {e}", path.display())),
-        };
-        let built = if ext.as_deref() == Some("csv") {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("reading {}: {e}", path.display()))?;
+        let at = |e: pas_report::IngestError| format!("{}: {e}", path.display());
+        if ext.as_deref() == Some("csv") {
             // A summary CSV carries only means — there are no per-run
             // replicates to pair, so an explicit comparison request
             // must fail loudly rather than be silently dropped.
             if rep.compare.is_some() {
-                return fail(format!(
+                return Err(format!(
                     "{}: --compare needs per-run records (a .jsonl sink); \
                      a summary CSV carries only means",
                     path.display()
-                ));
+                )
+                .into());
             }
-            pas_report::parse_summary_csv(&text)
-                .map_err(|e| format!("{}: {e}", path.display()))
-                .and_then(|ing| {
-                    let name = path
-                        .file_stem()
-                        .and_then(|s| s.to_str())
-                        .unwrap_or("summary")
-                        .to_string();
-                    pas_report::Report::from_summaries(&name, &ing.x_label, &ing.summaries)
-                        .map_err(|e| e.to_string())
-                })
+            let ing = pas_report::parse_summary_csv(&text).map_err(at)?;
+            let name = path.file_stem().and_then(|s| s.to_str());
+            pas_report::Report::from_summaries(
+                name.unwrap_or("summary"),
+                &ing.x_label,
+                &ing.summaries,
+            )?
         } else {
-            pas_report::parse_records_jsonl(&text)
-                .map_err(|e| format!("{}: {e}", path.display()))
-                .and_then(|ing| {
-                    pas_report::Report::from_records(
-                        &ing.scenario,
-                        &ing.x_label,
-                        &ing.records,
-                        &opts,
-                    )
-                    .map_err(|e| e.to_string())
-                })
-        };
-        match built {
-            Ok(r) => r,
-            Err(e) => return fail(e),
+            let ing = pas_report::parse_records_jsonl(&text).map_err(at)?;
+            pas_report::Report::from_records(&ing.scenario, &ing.x_label, &ing.records, &opts)?
         }
     } else {
-        let m = match load(&rep.source) {
-            Ok(m) => m,
-            Err(e) => return fail(e),
-        };
+        let m = load(&rep.source)?;
         if !rep.quiet {
             let runs = expand(&m).map(|p| p.len()).unwrap_or(0);
             eprintln!("reporting `{}`: {} runs ...", m.name, runs);
         }
-        let batch = match execute(
-            &m,
-            ExecOptions {
-                threads: rep.threads,
-            },
-        ) {
-            Ok(b) => b,
-            Err(e) => return fail(e),
-        };
-        match pas_report::Report::from_batch(&batch, &opts) {
-            Ok(r) => r,
-            Err(e) => return fail(e),
-        }
+        let threads = rep.threads;
+        pas_report::Report::from_batch(&execute(&m, ExecOptions { threads })?, &opts)?
     };
-    let body = match rep.format.as_str() {
-        "json" => pas_report::render_json(&report),
-        "svg" => pas_report::render_svg(&report),
-        _ => pas_report::render_md(&report),
+    let body = match rep.format {
+        ReportFormat::Json => pas_report::render_json(&report),
+        ReportFormat::Svg => pas_report::render_svg(&report),
+        ReportFormat::Markdown => pas_report::render_md(&report),
     };
     match &rep.out {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &body) {
-                return fail(format!("writing {}: {e}", path.display()));
-            }
+            std::fs::write(path, &body).map_err(|e| format!("writing {}: {e}", path.display()))?;
             if !rep.quiet {
                 eprintln!("wrote {}", path.display());
             }
         }
-        None => print!("{body}"),
+        None => out!("{body}"),
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // serve
 // ---------------------------------------------------------------------------
 
-struct ServeArgs {
+#[derive(Debug, Default, PartialEq)]
+struct ServeOpts {
     addr: String,
     cache_dir: PathBuf,
-    opts: ServerOptions,
+    server: ServerOptions,
     sched: SchedulerOptions,
 }
 
-fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
-    let mut addr = DEFAULT_ADDR.to_string();
-    let mut cache_dir = PathBuf::from(".pas-cache");
-    let mut opts = ServerOptions::default();
-    let mut sched = SchedulerOptions::default();
-    let mut it = args.iter();
-    let ms = |v: &String, flag: &str| -> Result<Duration, String> {
-        v.parse::<u64>()
-            .map(Duration::from_millis)
-            .map_err(|_| format!("{flag}: `{v}` is not a number"))
+fn parse_serve(args: &[String]) -> Result<ServeOpts, String> {
+    let mut o = ServeOpts {
+        addr: DEFAULT_ADDR.to_string(),
+        cache_dir: PathBuf::from(".pas-cache"),
+        ..Default::default()
     };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => addr = it.next().ok_or("--addr needs HOST:PORT")?.clone(),
-            "--cache-dir" => {
-                cache_dir = PathBuf::from(it.next().ok_or("--cache-dir needs a path")?)
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a number")?;
-                opts.threads = v
-                    .parse()
-                    .map_err(|_| format!("--threads: `{v}` is not a number"))?;
-            }
-            "--queue-cap" => {
-                let v = it.next().ok_or("--queue-cap needs a number")?;
-                opts.queue_capacity = v
-                    .parse()
-                    .map_err(|_| format!("--queue-cap: `{v}` is not a number"))?;
-            }
-            "--no-local-exec" => opts.local_exec = false,
-            "--metrics" => opts.metrics = true,
+    // The history sampler runs only with --metrics.
+    let mut history_flag = None;
+    Cursor::each("serve", args, |c, arg| {
+        match arg {
+            "--addr" => o.addr = c.value(arg)?,
+            "--cache-dir" => o.cache_dir = c.value(arg)?,
+            "--threads" => o.server.threads = c.value(arg)?,
+            "--queue-cap" => o.server.queue_capacity = c.value(arg)?,
+            "--no-local-exec" => o.server.local_exec = false,
+            "--metrics" => o.server.metrics = true,
             "--history-interval-ms" => {
-                opts.history_interval = ms(
-                    it.next().ok_or("--history-interval-ms needs a number")?,
-                    "--history-interval-ms",
-                )?;
-                if opts.history_interval.is_zero() {
-                    return Err("--history-interval-ms must be at least 1".to_string());
-                }
+                o.server.history_interval = c.ms(arg)?;
+                history_flag = Some(arg);
             }
             "--history-retention" => {
-                let v = it.next().ok_or("--history-retention needs a number")?;
-                opts.history_retention = v
-                    .parse()
-                    .map_err(|_| format!("--history-retention: `{v}` is not a number"))?;
+                o.server.history_retention = c.value(arg)?;
+                history_flag = Some(arg);
             }
-            "--lease-ms" => {
-                sched.lease = ms(it.next().ok_or("--lease-ms needs a number")?, "--lease-ms")?
-            }
-            "--heartbeat-ms" => {
-                sched.heartbeat = ms(
-                    it.next().ok_or("--heartbeat-ms needs a number")?,
-                    "--heartbeat-ms",
-                )?
-            }
-            "--shard-points" => {
-                let v = it.next().ok_or("--shard-points needs a number")?;
-                sched.shard_points = v
-                    .parse()
-                    .map_err(|_| format!("--shard-points: `{v}` is not a number"))?;
-            }
-            other => return Err(format!("unknown serve option `{other}`")),
+            "--lease-ms" => o.sched.lease = c.ms(arg)?,
+            "--heartbeat-ms" => o.sched.heartbeat = c.ms(arg)?,
+            "--shard-points" => o.sched.shard_points = c.value(arg)?,
+            _ => return Err(c.unknown(arg)),
         }
+        Ok(())
+    })?;
+    match history_flag {
+        Some(flag) if !o.server.metrics => Err(format!("{flag} needs --metrics")),
+        _ => Ok(o),
     }
-    Ok(ServeArgs {
-        addr,
-        cache_dir,
-        opts,
-        sched,
-    })
 }
 
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let serve = match parse_serve_args(args) {
-        Ok(a) => a,
-        Err(e) => return fail(e),
-    };
-    let cache = match ResultCache::open(&serve.cache_dir) {
-        Ok(c) => c,
-        Err(e) => return fail(format!("opening cache {}: {e}", serve.cache_dir.display())),
-    };
+fn cmd_serve(serve: ServeOpts) -> CmdResult {
+    let cache = ResultCache::open(&serve.cache_dir)
+        .map_err(|e| format!("opening cache {}: {e}", serve.cache_dir.display()))?;
     let warm = cache.len();
-    let mut server = match Server::bind(serve.addr.as_str(), cache.clone(), serve.opts) {
-        Ok(s) => s,
-        Err(e) => return fail(format!("binding {}: {e}", serve.addr)),
-    };
+    let mut server = Server::bind(serve.addr.as_str(), cache.clone(), serve.server)
+        .map_err(|e| format!("binding {}: {e}", serve.addr))?;
     // The distributed scheduler rides on the same listener: `/healthz`
     // plus the `/dist/*` worker protocol. With --no-local-exec it is the
     // only execution backend; otherwise it coexists with the in-process
@@ -672,7 +672,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         Ok(addr) => eprintln!(
             "pas-server listening on {addr} (cache: {}, {warm} warm entries, {})",
             serve.cache_dir.display(),
-            if serve.opts.local_exec {
+            if serve.server.local_exec {
                 "local exec + dist"
             } else {
                 "dist only"
@@ -680,102 +680,87 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         ),
         Err(_) => eprintln!("pas-server listening on {}", serve.addr),
     }
-    match server.run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(format!("server: {e}")),
-    }
+    server.run().map_err(|e| format!("server: {e}").into())
 }
 
 // ---------------------------------------------------------------------------
 // worker / status
 // ---------------------------------------------------------------------------
 
-fn parse_worker_args(args: &[String]) -> Result<(String, WorkerOptions), String> {
-    let mut addr = DEFAULT_ADDR.to_string();
-    let mut opts = WorkerOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--connect" => addr = it.next().ok_or("--connect needs HOST:PORT")?.clone(),
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a number")?;
-                opts.threads = v
-                    .parse()
-                    .map_err(|_| format!("--threads: `{v}` is not a number"))?;
-            }
-            "--name" => opts.name = it.next().ok_or("--name needs a value")?.clone(),
-            "--poll-ms" => {
-                let v = it.next().ok_or("--poll-ms needs a number")?;
-                opts.poll = Duration::from_millis(
-                    v.parse()
-                        .map_err(|_| format!("--poll-ms: `{v}` is not a number"))?,
-                );
-            }
-            "--max-shards" => {
-                let v = it.next().ok_or("--max-shards needs a number")?;
-                opts.max_shards = Some(
-                    v.parse()
-                        .map_err(|_| format!("--max-shards: `{v}` is not a number"))?,
-                );
-            }
-            "--fail-after-points" => {
-                let v = it.next().ok_or("--fail-after-points needs a number")?;
-                opts.fail_after_points = Some(
-                    v.parse()
-                        .map_err(|_| format!("--fail-after-points: `{v}` is not a number"))?,
-                );
-            }
-            "--quiet" => opts.verbose = false,
-            other => return Err(format!("unknown worker option `{other}`")),
-        }
-    }
-    Ok((addr, opts))
+#[derive(Debug, Default, PartialEq)]
+struct WorkerOpts {
+    addr: String,
+    worker: WorkerOptions,
+    quiet: bool,
 }
 
-fn cmd_worker(args: &[String]) -> ExitCode {
-    let (addr, mut opts) = match parse_worker_args(args) {
-        Ok(a) => a,
-        Err(e) => return fail(e),
+fn parse_worker(args: &[String]) -> Result<WorkerOpts, String> {
+    let mut o = WorkerOpts {
+        addr: DEFAULT_ADDR.to_string(),
+        ..Default::default()
     };
-    opts.verbose = opts.verbose || std::env::var_os("PAS_WORKER_VERBOSE").is_some();
-    eprintln!("pas-worker `{}` connecting to {addr}", opts.name);
-    match pas_dist::worker::run(&addr, opts) {
-        Ok(summary) => {
-            eprintln!(
-                "pas-worker {}: {} shards, {} points{}",
-                summary.worker,
-                summary.shards,
-                summary.points,
-                if summary.died { " (died by drill)" } else { "" }
-            );
-            ExitCode::SUCCESS
+    Cursor::each("worker", args, |c, arg| {
+        match arg {
+            "--connect" => o.addr = c.value(arg)?,
+            "--threads" => o.worker.threads = c.value(arg)?,
+            "--name" => o.worker.name = c.value(arg)?,
+            "--poll-ms" => o.worker.poll = c.ms(arg)?,
+            "--max-shards" => o.worker.max_shards = Some(c.value(arg)?),
+            "--fail-after-points" => o.worker.fail_after_points = Some(c.value(arg)?),
+            "--quiet" => o.quiet = true,
+            _ => return Err(c.unknown(arg)),
         }
-        Err(e) => fail(format!("worker: {e}")),
-    }
+        Ok(())
+    })?;
+    Ok(o)
 }
 
-fn cmd_status(args: &[String]) -> ExitCode {
-    let mut addr = DEFAULT_ADDR.to_string();
-    let mut metrics = false;
-    let mut raw = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => addr = v.clone(),
-                None => return fail("--addr needs HOST:PORT"),
-            },
-            "--metrics" => metrics = true,
-            "--raw" => raw = true,
-            other => return fail(format!("unknown status option `{other}`")),
+fn cmd_worker(o: WorkerOpts) -> CmdResult {
+    let mut worker = o.worker;
+    worker.verbose = !o.quiet && std::env::var_os("PAS_WORKER_VERBOSE").is_some();
+    eprintln!("pas-worker `{}` connecting to {}", worker.name, o.addr);
+    let summary = pas_dist::worker::run(&o.addr, worker).map_err(|e| format!("worker: {e}"))?;
+    eprintln!(
+        "pas-worker {}: {} shards, {} points{}",
+        summary.worker,
+        summary.shards,
+        summary.points,
+        if summary.died { " (died by drill)" } else { "" }
+    );
+    Ok(())
+}
+
+#[derive(Debug, Default, PartialEq)]
+struct StatusOpts {
+    addr: String,
+    metrics: bool,
+    raw: bool,
+}
+
+fn parse_status(args: &[String]) -> Result<StatusOpts, String> {
+    let mut o = StatusOpts {
+        addr: DEFAULT_ADDR.to_string(),
+        ..Default::default()
+    };
+    Cursor::each("status", args, |c, arg| {
+        match arg {
+            "--addr" => o.addr = c.value(arg)?,
+            "--metrics" => o.metrics = true,
+            "--raw" => o.raw = true,
+            _ => return Err(c.unknown(arg)),
         }
+        Ok(())
+    })?;
+    if o.raw && !o.metrics {
+        return Err("--raw needs --metrics".to_string());
     }
+    Ok(o)
+}
+
+fn cmd_status(StatusOpts { addr, metrics, raw }: StatusOpts) -> CmdResult {
     let client = Client::new(addr.clone());
-    let health = match client.healthz() {
-        Ok(h) => h,
-        Err(e) => return fail(format!("{addr}: {e}")),
-    };
-    println!("server     {addr}");
+    let health = client.healthz().map_err(|e| format!("{addr}: {e}"))?;
+    outln!("server     {addr}");
     // The two `_dropped` keys surface telemetry loss: spans evicted from
     // the trace ring and scopes lost to profile-table overflow. Non-zero
     // means `pas trace` / `pas profile` output is incomplete.
@@ -787,44 +772,38 @@ fn cmd_status(args: &[String]) -> ExitCode {
         "profile_dropped",
     ] {
         if let Some(v) = pas_server::json::find_u64(&health, key) {
-            println!("{key:<15} {v}");
+            outln!("{key:<15} {v}");
         }
     }
     if let Some(true) = pas_server::json::find_bool(&health, "draining") {
-        println!("draining        yes");
+        outln!("draining        yes");
     }
     match client.workers_table() {
         Ok(table) if !table.trim().is_empty() => {
-            println!();
-            print!("{table}");
+            outln!();
+            out!("{table}");
         }
         _ => {}
     }
     if metrics {
-        match client.metrics() {
-            Ok(text) => {
-                println!();
-                if raw {
-                    print!("{text}");
-                } else {
-                    // Derived rates lead the summary: the cumulative
-                    // counters below say how much ever happened, two
-                    // history samples say how fast it is happening now.
-                    if let Some(rates) = status_rates(&client) {
-                        print!("{rates}");
-                        println!();
-                    }
-                    print!("{}", summarize_metrics(&text));
-                }
+        let text = client.metrics().map_err(|e| {
+            format!("{addr}: /metrics: {e} (is the server running with --metrics?)")
+        })?;
+        outln!();
+        if raw {
+            out!("{text}");
+        } else {
+            // Derived rates lead the summary: the cumulative
+            // counters below say how much ever happened, two
+            // history samples say how fast it is happening now.
+            if let Some(rates) = status_rates(&client) {
+                out!("{rates}");
+                outln!();
             }
-            Err(e) => {
-                return fail(format!(
-                    "{addr}: /metrics: {e} (is the server running with --metrics?)"
-                ))
-            }
+            out!("{}", summarize_metrics(&text));
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Current rates from the server's metric history (`req/s`, submits/s,
@@ -1087,52 +1066,51 @@ fn top_frame(addr: &str, health: &str, dump: &pas_obs::history::Dump, frame: u64
     lines
 }
 
-fn cmd_top(args: &[String]) -> ExitCode {
-    let mut addr = DEFAULT_ADDR.to_string();
-    let mut interval_ms = 1000u64;
-    let mut frames: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => addr = v.clone(),
-                None => return fail("--addr needs HOST:PORT"),
-            },
-            "--interval-ms" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) if n >= 1 => interval_ms = n,
-                _ => return fail("--interval-ms needs a number >= 1"),
-            },
-            "--frames" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) if n >= 1 => frames = Some(n),
-                _ => return fail("--frames needs a number >= 1"),
-            },
-            other => return fail(format!("unknown top option `{other}`")),
+#[derive(Debug, PartialEq)]
+struct TopOpts {
+    addr: String,
+    interval: Duration,
+    frames: Option<u64>,
+}
+
+fn parse_top(args: &[String]) -> Result<TopOpts, String> {
+    let mut o = TopOpts {
+        addr: DEFAULT_ADDR.to_string(),
+        interval: Duration::from_millis(1000),
+        frames: None,
+    };
+    Cursor::each("top", args, |c, arg| {
+        match arg {
+            "--addr" => o.addr = c.value(arg)?,
+            "--interval-ms" => o.interval = c.ms(arg)?,
+            "--frames" => o.frames = Some(c.at_least(arg, 1)?),
+            _ => return Err(c.unknown(arg)),
         }
-    }
+        Ok(())
+    })?;
+    Ok(o)
+}
+
+fn cmd_top(o: TopOpts) -> CmdResult {
+    let (addr, interval, frames) = (o.addr, o.interval, o.frames);
     let client = Client::new(addr.clone());
     let mut frame = 0u64;
     loop {
-        let health = match client.healthz() {
-            Ok(h) => h,
-            Err(e) => return fail(format!("{addr}: {e}")),
-        };
-        let body = match client.metrics_history(HistoryFormat::Json) {
-            Ok(b) => b,
-            // The degradation path: a server without `--metrics` refuses
-            // with guidance — report it instead of an empty dashboard.
-            Err(ClientError::Api(status, msg)) => {
-                return fail(format!("{addr}: /metrics/history: {status} {msg}"))
-            }
-            Err(e) => return fail(format!("{addr}: /metrics/history: {e}")),
-        };
-        let Some(dump) = std::str::from_utf8(&body)
+        let health = client.healthz().map_err(|e| format!("{addr}: {e}"))?;
+        let body = client
+            .metrics_history(HistoryFormat::Json)
+            .map_err(|e| match e {
+                // The degradation path: a server without `--metrics`
+                // refuses with guidance — report it instead of an empty
+                // dashboard.
+                ClientError::Api(status, msg) => format!("{status} {msg}"),
+                e => e.to_string(),
+            })
+            .map_err(|e| format!("{addr}: /metrics/history: {e}"))?;
+        let dump = std::str::from_utf8(&body)
             .ok()
             .and_then(pas_obs::history::parse_dump)
-        else {
-            return fail(format!(
-                "{addr}: /metrics/history returned unparseable JSON"
-            ));
-        };
+            .ok_or_else(|| format!("{addr}: /metrics/history returned unparseable JSON"))?;
         frame += 1;
         // First frame clears the screen; later ones repaint from the
         // top-left and erase each line's tail, so the view refreshes in
@@ -1147,13 +1125,11 @@ fn cmd_top(args: &[String]) -> ExitCode {
             out.push_str("\x1b[K\n");
         }
         out.push_str("\x1b[J");
-        print!("{out}");
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
-        if frames.is_some_and(|n| frame >= n) {
-            return ExitCode::SUCCESS;
+        // A dashboard nobody reads any more (`pas top | head`) is done.
+        if !write_stdout(format_args!("{out}")) || frames.is_some_and(|n| frame >= n) {
+            return Ok(());
         }
-        std::thread::sleep(Duration::from_millis(interval_ms));
+        std::thread::sleep(interval);
     }
 }
 
@@ -1161,46 +1137,42 @@ fn cmd_top(args: &[String]) -> ExitCode {
 // trace
 // ---------------------------------------------------------------------------
 
-fn cmd_trace(args: &[String]) -> ExitCode {
-    let mut addr = DEFAULT_ADDR.to_string();
-    let mut format = TraceFormat::Tree;
-    let mut job: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => addr = v.clone(),
-                None => return fail("--addr needs HOST:PORT"),
-            },
-            "--format" => match it.next().map(String::as_str) {
-                Some("tree") => format = TraceFormat::Tree,
-                Some("chrome") => format = TraceFormat::Chrome,
-                Some("critical-path") => format = TraceFormat::CriticalPath,
-                _ => return fail("--format needs tree, chrome, or critical-path"),
-            },
-            other if other.starts_with('-') => {
-                return fail(format!("unknown trace option `{other}`"))
+#[derive(Debug, PartialEq)]
+struct TraceOpts {
+    addr: String,
+    job: u64,
+    format: TraceFormat,
+}
+
+fn parse_trace(args: &[String]) -> Result<TraceOpts, String> {
+    let (mut addr, mut format, mut job) = (DEFAULT_ADDR.to_string(), TraceFormat::Tree, None);
+    Cursor::each("trace", args, |c, arg| {
+        match arg {
+            "--addr" => addr = c.value(arg)?,
+            "--format" => {
+                use TraceFormat as F;
+                let i = c.choice(arg, &["tree", "chrome", "critical-path"])?;
+                format = [F::Tree, F::Chrome, F::CriticalPath][i];
             }
-            other => match other.parse() {
-                Ok(id) if job.is_none() => job = Some(id),
-                Ok(_) => return fail("more than one job id"),
-                Err(_) => return fail(format!("`{other}` is not a job id")),
-            },
+            _ => c.positional(&mut job, arg)?,
         }
-    }
-    let Some(id) = job else {
-        return fail("trace needs a job id (printed by `pas submit -v`, or in GET /jobs/:id)");
-    };
-    let client = Client::new(addr.clone());
-    match client.trace(id, format) {
-        Ok(body) => {
-            print!("{}", String::from_utf8_lossy(&body));
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(format!(
-            "{addr}: /jobs/{id}/trace: {e} (is the server running with --metrics?)"
-        )),
-    }
+        Ok(())
+    })?;
+    let job =
+        job.ok_or("trace needs a job id (printed by `pas submit -v`, or in GET /jobs/:id)")?;
+    let job = job
+        .parse()
+        .map_err(|_| format!("`{job}` is not a job id"))?;
+    Ok(TraceOpts { addr, job, format })
+}
+
+fn cmd_trace(o: TraceOpts) -> CmdResult {
+    let (addr, id) = (&o.addr, o.job);
+    let body = Client::new(addr.clone()).trace(id, o.format).map_err(|e| {
+        format!("{addr}: /jobs/{id}/trace: {e} (is the server running with --metrics?)")
+    })?;
+    out!("{}", String::from_utf8_lossy(&body));
+    Ok(())
 }
 
 /// All `("ts", "dur")` value pairs (µs) of Chrome trace events named
@@ -1241,74 +1213,68 @@ fn chrome_durs(chrome: &str, name: &str) -> Vec<u64> {
 // profile
 // ---------------------------------------------------------------------------
 
-struct ProfileArgs {
-    scenario: Option<String>,
-    serve_url: Option<String>,
-    seconds: Option<u64>,
+#[derive(Debug, PartialEq)]
+struct ProfileOpts {
+    source: ProfileSource,
     format: ProfileFormat,
-    hz: Option<u32>,
-    threads: usize,
     out: Option<PathBuf>,
 }
 
-fn parse_profile_args(args: &[String]) -> Result<ProfileArgs, String> {
-    let mut scenario = None;
-    let mut serve_url = None;
-    let mut seconds = None;
-    let mut format = ProfileFormat::Folded;
-    let mut hz = None;
-    let mut threads = 1usize;
-    let mut out = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--serve-url" | "--addr" => {
-                serve_url = Some(it.next().ok_or("--serve-url needs HOST:PORT")?.clone())
+/// Where `pas profile` takes its table from.
+#[derive(Debug, PartialEq)]
+enum ProfileSource {
+    /// Execute a scenario in-process with the detail regions on.
+    Local {
+        scenario: String,
+        hz: Option<u32>,
+        threads: usize,
+    },
+    /// Fetch `GET /profile` from a running server.
+    Remote { addr: String, seconds: Option<u64> },
+}
+
+fn parse_profile(args: &[String]) -> Result<ProfileOpts, String> {
+    use ProfileFormat as F;
+    let (mut scenario, mut serve_url, mut seconds) = (None, None, None);
+    let (mut hz, mut threads, mut format, mut out) = (None, None, F::Folded, None);
+    Cursor::each("profile", args, |c, arg| {
+        match arg {
+            "--serve-url" => serve_url = Some(c.value(arg)?),
+            "--seconds" => seconds = Some(c.value(arg)?),
+            "--format" => {
+                format = [F::Folded, F::Svg, F::Json][c.choice(arg, &["folded", "svg", "json"])?]
             }
-            "--seconds" => {
-                let v = it.next().ok_or("--seconds needs a number")?;
-                seconds = Some(
-                    v.parse()
-                        .map_err(|_| format!("--seconds: `{v}` is not a number"))?,
-                );
-            }
-            "--format" => match it.next().map(String::as_str) {
-                Some("folded") => format = ProfileFormat::Folded,
-                Some("svg") => format = ProfileFormat::Svg,
-                Some("json") => format = ProfileFormat::Json,
-                _ => return Err("--format needs folded, svg, or json".to_string()),
-            },
-            "--hz" => {
-                let v = it.next().ok_or("--hz needs a number")?;
-                hz = Some(
-                    v.parse()
-                        .map_err(|_| format!("--hz: `{v}` is not a number"))?,
-                );
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a number")?;
-                threads = v
-                    .parse()
-                    .map_err(|_| format!("--threads: `{v}` is not a number"))?;
-            }
-            "--out" => out = Some(PathBuf::from(it.next().ok_or("--out needs a file path")?)),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown profile option `{other}`"))
-            }
-            other => {
-                if scenario.replace(other.to_string()).is_some() {
-                    return Err("more than one scenario argument".to_string());
-                }
-            }
+            "--hz" => hz = Some(c.value(arg)?),
+            "--threads" => threads = Some(c.value(arg)?),
+            "--out" => out = Some(c.value(arg)?),
+            _ => c.positional(&mut scenario, arg)?,
         }
-    }
-    Ok(ProfileArgs {
-        scenario,
-        serve_url,
-        seconds,
+        Ok(())
+    })?;
+    let source = match (serve_url, scenario) {
+        (Some(_), Some(_)) => return Err("give either a scenario or --serve-url, not both".into()),
+        (Some(_), None) if hz.is_some() => return Err("--hz only applies to local mode".into()),
+        (Some(_), None) if threads.is_some() => {
+            return Err("--threads only applies to local mode".into())
+        }
+        (Some(addr), None) => ProfileSource::Remote { addr, seconds },
+        (None, Some(_)) if seconds.is_some() => {
+            return Err("--seconds only applies to --serve-url mode".into())
+        }
+        (None, Some(scenario)) => ProfileSource::Local {
+            scenario,
+            hz,
+            threads: threads.unwrap_or(1),
+        },
+        (None, None) => {
+            return Err(
+                "profile needs a scenario name/manifest path or --serve-url HOST:PORT".into(),
+            )
+        }
+    };
+    Ok(ProfileOpts {
+        source,
         format,
-        hz,
-        threads,
         out,
     })
 }
@@ -1317,51 +1283,29 @@ fn parse_profile_args(args: &[String]) -> Result<ProfileArgs, String> {
 /// flamegraph, or JSON. Remote mode (`--serve-url`) fetches a running
 /// server's `/profile`; local mode executes a scenario in-process with
 /// the detail regions (per-event sim hot-loop scopes) switched on.
-fn cmd_profile(args: &[String]) -> ExitCode {
-    let pa = match parse_profile_args(args) {
-        Ok(a) => a,
-        Err(e) => return fail(e),
-    };
-    let body: Vec<u8> = match (&pa.serve_url, &pa.scenario) {
-        (Some(_), Some(_)) => {
-            return fail("give either a scenario or --serve-url, not both");
-        }
-        (Some(addr), None) => {
-            let client = Client::new(addr.clone());
-            match client.profile(pa.format, pa.seconds) {
-                Ok(b) => b,
-                Err(e) => {
-                    return fail(format!(
-                        "{addr}: /profile: {e} (is the server running with --metrics?)"
-                    ))
-                }
-            }
-        }
-        (None, Some(src)) => {
-            if pa.seconds.is_some() {
-                return fail("--seconds only applies to --serve-url mode");
-            }
-            let m = match load(src) {
-                Ok(m) => m,
-                Err(e) => return fail(e),
-            };
+fn cmd_profile(pa: ProfileOpts) -> CmdResult {
+    let body: Vec<u8> = match pa.source {
+        ProfileSource::Remote { addr, seconds } => Client::new(addr.clone())
+            .profile(pa.format, seconds)
+            .map_err(|e| {
+                format!("{addr}: /profile: {e} (is the server running with --metrics?)")
+            })?,
+        ProfileSource::Local {
+            scenario,
+            hz,
+            threads,
+        } => {
+            let m = load(&scenario)?;
             // Local mode owns the process: add the detail regions the
             // always-on coarse set leaves out, start from a zeroed table.
             pas_obs::profile::set_detail(true);
             pas_obs::profile::reset();
-            let sampler = pa.hz.map(pas_obs::profile::start_sampler);
-            let result = execute(
-                &m,
-                ExecOptions {
-                    threads: pa.threads,
-                },
-            );
+            let sampler = hz.map(pas_obs::profile::start_sampler);
+            let result = execute(&m, ExecOptions { threads });
             // Join the sampler before rendering so its last tick lands.
             drop(sampler);
             pas_obs::profile::set_detail(false);
-            if let Err(e) = result {
-                return fail(e);
-            }
+            result?;
             match pa.format {
                 ProfileFormat::Folded => pas_obs::profile::render_folded(),
                 ProfileFormat::Svg => pas_obs::profile::render_svg(),
@@ -1369,95 +1313,60 @@ fn cmd_profile(args: &[String]) -> ExitCode {
             }
             .into_bytes()
         }
-        (None, None) => {
-            return fail("profile needs a scenario name/manifest path or --serve-url HOST:PORT");
-        }
     };
     match &pa.out {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &body) {
-                return fail(format!("writing {}: {e}", path.display()));
-            }
+            std::fs::write(path, &body).map_err(|e| format!("writing {}: {e}", path.display()))?;
             eprintln!("wrote {}", path.display());
         }
-        None => print!("{}", String::from_utf8_lossy(&body)),
+        None => out!("{}", String::from_utf8_lossy(&body)),
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // submit
 // ---------------------------------------------------------------------------
 
-struct SubmitArgs {
+#[derive(Debug, Default, PartialEq)]
+struct SubmitOpts {
     scenario: String,
     addr: String,
     out: Option<PathBuf>,
     raw: Option<PathBuf>,
-    poll_ms: u64,
+    poll: Duration,
     retries: u32,
     verbose: bool,
     quiet: bool,
 }
 
-fn parse_submit_args(args: &[String]) -> Result<SubmitArgs, String> {
+fn parse_submit(args: &[String]) -> Result<SubmitOpts, String> {
+    let mut o = SubmitOpts {
+        addr: DEFAULT_ADDR.to_string(),
+        poll: Duration::from_millis(200),
+        retries: 8,
+        ..Default::default()
+    };
     let mut scenario = None;
-    let mut addr = DEFAULT_ADDR.to_string();
-    let mut out = None;
-    let mut raw = None;
-    let mut poll_ms = 200u64;
-    let mut retries = 8u32;
-    let mut verbose = false;
-    let mut quiet = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => addr = it.next().ok_or("--addr needs HOST:PORT")?.clone(),
-            "--out" => out = Some(PathBuf::from(it.next().ok_or("--out needs a file path")?)),
-            "--raw" => raw = Some(PathBuf::from(it.next().ok_or("--raw needs a file path")?)),
-            "--poll-ms" => {
-                let v = it.next().ok_or("--poll-ms needs a number")?;
-                poll_ms = v
-                    .parse()
-                    .map_err(|_| format!("--poll-ms: `{v}` is not a number"))?;
-            }
-            "--retries" => {
-                let v = it.next().ok_or("--retries needs a number")?;
-                retries = v
-                    .parse()
-                    .map_err(|_| format!("--retries: `{v}` is not a number"))?;
-            }
-            "-v" | "--verbose" => verbose = true,
-            "--quiet" => quiet = true,
-            other if other.starts_with('-') => return Err(format!("unknown option `{other}`")),
-            other => {
-                if scenario.replace(other.to_string()).is_some() {
-                    return Err("more than one scenario argument".to_string());
-                }
-            }
+    Cursor::each("submit", args, |c, arg| {
+        match arg {
+            "--addr" => o.addr = c.value(arg)?,
+            "--out" => o.out = Some(c.value(arg)?),
+            "--raw" => o.raw = Some(c.value(arg)?),
+            "--poll-ms" => o.poll = c.ms(arg)?,
+            "--retries" => o.retries = c.value(arg)?,
+            "-v" | "--verbose" => o.verbose = true,
+            "--quiet" => o.quiet = true,
+            _ => c.positional(&mut scenario, arg)?,
         }
-    }
-    Ok(SubmitArgs {
-        scenario: scenario.ok_or("missing scenario name or manifest path")?,
-        addr,
-        out,
-        raw,
-        poll_ms,
-        retries,
-        verbose,
-        quiet,
-    })
+        Ok(())
+    })?;
+    o.scenario = scenario.ok_or("missing scenario name or manifest path")?;
+    Ok(o)
 }
 
-fn cmd_submit(args: &[String]) -> ExitCode {
-    let sub = match parse_submit_args(args) {
-        Ok(a) => a,
-        Err(e) => return fail(e),
-    };
-    let m = match load(&sub.scenario) {
-        Ok(m) => m,
-        Err(e) => return fail(e),
-    };
+fn cmd_submit(sub: SubmitOpts) -> CmdResult {
+    let m = load(&sub.scenario)?;
     let client = Client::new(sub.addr.clone());
     // Transient failures — the server still booting (connection refused)
     // or shedding load (429) — back off exponentially with jitter instead
@@ -1473,7 +1382,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
     // `pas.client.submit.retries.count{cause}` series the client
     // records in the metrics registry.
     let mut retry_tally: Vec<(&'static str, u32)> = Vec::new();
-    let id = match client.submit_with_retry(&m.to_toml(), policy, |attempt, err| {
+    let id = client.submit_with_retry(&m.to_toml(), policy, |attempt, err| {
         let cause = pas_server::retry_cause(err);
         match retry_tally.iter_mut().find(|(c, _)| *c == cause) {
             Some((_, n)) => *n += 1,
@@ -1482,10 +1391,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
         if !quiet {
             eprintln!("submit retry {attempt}/{}: {err}", policy.attempts - 1);
         }
-    }) {
-        Ok(id) => id,
-        Err(e) => return fail(e),
-    };
+    })?;
     if sub.verbose && !sub.quiet {
         if retry_tally.is_empty() {
             eprintln!("retries   none (first attempt accepted)");
@@ -1501,13 +1407,12 @@ fn cmd_submit(args: &[String]) -> ExitCode {
     if !sub.quiet {
         eprintln!("submitted `{}` to {} as job {id}", m.name, sub.addr);
     }
-    let poll = std::time::Duration::from_millis(sub.poll_ms.max(1));
     let status = if sub.verbose && !sub.quiet {
         // Live rate readout: difference consecutive status polls, the
         // same derivation the server's SSE `progress` frames use.
         let mut mark: Option<(std::time::Instant, u64)> = None;
         let mut printed = false;
-        let result = client.wait_with(id, poll, |s| {
+        let result = client.wait_with(id, sub.poll, |s| {
             let now = std::time::Instant::now();
             if let Some((at, done)) = mark {
                 let dt = now.duration_since(at).as_secs_f64();
@@ -1530,18 +1435,15 @@ fn cmd_submit(args: &[String]) -> ExitCode {
         }
         result
     } else {
-        client.wait(id, poll)
-    };
-    let status = match status {
-        Ok(s) => s,
-        Err(e) => return fail(e),
-    };
+        client.wait(id, sub.poll)
+    }?;
     if status.phase != "completed" {
-        return fail(format!(
+        return Err(format!(
             "job {id} {}: {}",
             status.phase,
             status.error.unwrap_or_else(|| "unknown error".to_string())
-        ));
+        )
+        .into());
     }
     if !sub.quiet {
         eprintln!(
@@ -1550,10 +1452,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
         );
     }
     let t_download = std::time::Instant::now();
-    let csv = match client.results(id, ResultFormat::Csv) {
-        Ok(b) => b,
-        Err(e) => return fail(e),
-    };
+    let csv = client.results(id, ResultFormat::Csv)?;
     let download_us = t_download.elapsed().as_micros() as u64;
     if sub.verbose && !sub.quiet {
         // Latency breakdown from the job's trace: where did the
@@ -1599,28 +1498,21 @@ fn cmd_submit(args: &[String]) -> ExitCode {
     match &sub.out {
         // The body is written verbatim: byte-identical to `pas run --out`.
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &csv) {
-                return fail(format!("writing {}: {e}", path.display()));
-            }
+            std::fs::write(path, &csv).map_err(|e| format!("writing {}: {e}", path.display()))?;
             if !sub.quiet {
-                println!("wrote {}", path.display());
+                outln!("wrote {}", path.display());
             }
         }
-        None => print!("{}", String::from_utf8_lossy(&csv)),
+        None => out!("{}", String::from_utf8_lossy(&csv)),
     }
     if let Some(path) = &sub.raw {
-        let jsonl = match client.results(id, ResultFormat::Jsonl) {
-            Ok(b) => b,
-            Err(e) => return fail(e),
-        };
-        if let Err(e) = std::fs::write(path, &jsonl) {
-            return fail(format!("writing {}: {e}", path.display()));
-        }
+        let jsonl = client.results(id, ResultFormat::Jsonl)?;
+        std::fs::write(path, &jsonl).map_err(|e| format!("writing {}: {e}", path.display()))?;
         if !sub.quiet {
-            println!("wrote {}", path.display());
+            outln!("wrote {}", path.display());
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1630,7 +1522,7 @@ fn cmd_submit(args: &[String]) -> ExitCode {
 /// Record one bench payload into its history file: append with
 /// commit/date metadata (upgrading legacy single-object files in
 /// place), echo the payload, and report the history depth.
-fn record_bench(out: &Path, payload: &str) -> ExitCode {
+fn record_bench(out: &Path, payload: &str) -> CmdResult {
     let commit = std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .output()
@@ -1641,23 +1533,17 @@ fn record_bench(out: &Path, payload: &str) -> ExitCode {
         .duration_since(std::time::UNIX_EPOCH)
         .ok()
         .map(|d| pas_bench::civil_date(d.as_secs()));
-    match pas_bench::append(out, payload, commit, date) {
-        Ok(history) => {
-            print!("{payload}");
-            eprintln!(
-                "appended to {} ({} entries)",
-                out.display(),
-                history.entries.len()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(format!("recording {}: {e}", out.display())),
-    }
+    let history = pas_bench::append(out, payload, commit, date)
+        .map_err(|e| format!("recording {}: {e}", out.display()))?;
+    out!("{payload}");
+    let entries = history.entries.len();
+    eprintln!("appended to {} ({entries} entries)", out.display());
+    Ok(())
 }
 
 /// `pas bench --gate`: fail on a throughput cliff between the two
 /// newest entries of each bench history.
-fn cmd_bench_gate(max_drop_pct: f64, files: &[PathBuf]) -> ExitCode {
+fn cmd_bench_gate(max_drop_pct: f64, files: &[PathBuf]) -> CmdResult {
     let defaults = [
         "BENCH_batch.json",
         "BENCH_dist.json",
@@ -1675,10 +1561,10 @@ fn cmd_bench_gate(max_drop_pct: f64, files: &[PathBuf]) -> ExitCode {
         let history = match pas_bench::BenchHistory::load(path) {
             Ok(Some(h)) => h,
             Ok(None) => {
-                println!("gate {:<28} absent, skipped", path.display());
+                outln!("gate {:<28} absent, skipped", path.display());
                 continue;
             }
-            Err(e) => return fail(format!("{}: {e}", path.display())),
+            Err(e) => return Err(format!("{}: {e}", path.display()).into()),
         };
         let outcome = pas_bench::gate(&history, max_drop_pct);
         let verdict = if !outcome.ok {
@@ -1688,122 +1574,162 @@ fn cmd_bench_gate(max_drop_pct: f64, files: &[PathBuf]) -> ExitCode {
             "ok"
         };
         match (outcome.previous, outcome.latest, &outcome.key) {
-            (Some(prev), Some(latest), Some(key)) => println!(
+            (Some(prev), Some(latest), Some(key)) => outln!(
                 "gate {:<28} {verdict}: {latest:.1} runs/s vs {prev:.1} at {key} \
                  ({:+.1}% drop, tolerance {max_drop_pct:.0}%)",
                 path.display(),
                 outcome.drop_pct
             ),
-            _ => println!(
+            _ => outln!(
                 "gate {:<28} {verdict}: no two entries with a shared configuration",
                 path.display()
             ),
         }
     }
     if failed {
-        fail("bench regression gate failed")
+        Err("bench regression gate failed".into())
     } else {
-        ExitCode::SUCCESS
+        Ok(())
+    }
+}
+
+/// `pas bench`: one mode, its output file resolved to the mode's
+/// default history when `--out` is absent.
+#[derive(Debug, PartialEq)]
+enum BenchOpts {
+    Batch {
+        profile: bool,
+        out: PathBuf,
+    },
+    Dist {
+        workers: usize,
+        out: PathBuf,
+    },
+    Predictors {
+        out: PathBuf,
+    },
+    Queue {
+        out: PathBuf,
+    },
+    Server {
+        addr: Option<String>,
+        max_clients: usize,
+        step: Duration,
+        out: PathBuf,
+    },
+    Gate {
+        max_drop_pct: f64,
+        files: Vec<PathBuf>,
+    },
+}
+
+/// One mode flag at most; every other argument but `--out` belongs to
+/// one mode and is refused under any other.
+fn parse_bench(args: &[String]) -> Result<BenchOpts, String> {
+    let (mut mode, mut given) = (None, Vec::new());
+    let (mut out, mut workers, mut profile, mut addr) = (None, 0, false, None);
+    let (mut max_clients, mut step) = (32, Duration::from_millis(1500));
+    let (mut max_drop_pct, mut files) = (pas_bench::DEFAULT_MAX_DROP_PCT, Vec::new());
+    Cursor::each("bench", args, |c, arg| {
+        match arg {
+            "--dist" | "--predictors" | "--queue" | "--server" | "--gate" => {
+                if let Some(first) = mode.replace(arg) {
+                    return Err(format!("{first} and {arg} are two bench modes; give one"));
+                }
+                if arg == "--dist" {
+                    workers = c.at_least(arg, 1)?;
+                }
+            }
+            "--out" => out = Some(c.value(arg)?),
+            "--profile" => profile = true,
+            "--addr" => addr = Some(c.value(arg)?),
+            "--max-clients" => max_clients = c.at_least(arg, 1)?,
+            "--step-ms" => step = c.ms(arg)?,
+            "--max-drop" => max_drop_pct = c.at_least(arg, 0.0)?,
+            _ if arg.starts_with('-') => return Err(c.unknown(arg)),
+            _ => files.push(PathBuf::from(arg)),
+        }
+        given.push(arg);
+        Ok(())
+    })?;
+    if step < Duration::from_millis(100) {
+        return Err("--step-ms must be at least 100".to_string());
+    }
+    // Each argument given is checked against the mode once it is known.
+    let mode = mode.unwrap_or("batch");
+    for arg in given {
+        let owner = match arg {
+            "--profile" => "batch",
+            "--addr" | "--max-clients" | "--step-ms" => "--server",
+            "--out" if mode == "--gate" => "batch/dist/predictors/queue/server",
+            "--out" | "--dist" | "--predictors" | "--queue" | "--server" | "--gate" => continue,
+            _ => "--gate", // --max-drop and the history files
+        };
+        if owner != mode {
+            let name = |m: &str| m.trim_start_matches('-').to_string();
+            let (owner, mode) = (name(owner), name(mode));
+            return Err(format!(
+                "{arg} belongs to the {owner} bench, not the {mode} bench"
+            ));
+        }
+    }
+    let out = |default: &str| out.unwrap_or_else(|| PathBuf::from(default));
+    Ok(match mode {
+        "--gate" => BenchOpts::Gate {
+            max_drop_pct,
+            files,
+        },
+        "--dist" => BenchOpts::Dist {
+            workers,
+            out: out("BENCH_dist.json"),
+        },
+        "--predictors" => BenchOpts::Predictors {
+            out: out("BENCH_predictors.json"),
+        },
+        "--queue" => BenchOpts::Queue {
+            out: out("BENCH_queue.json"),
+        },
+        "--server" => BenchOpts::Server {
+            addr,
+            max_clients,
+            step,
+            out: out("BENCH_server.json"),
+        },
+        _ => BenchOpts::Batch {
+            profile,
+            out: out("BENCH_batch.json"),
+        },
+    })
+}
+
+fn cmd_bench(opts: BenchOpts) -> CmdResult {
+    match opts {
+        BenchOpts::Batch { profile, out } => cmd_bench_batch(profile, out),
+        BenchOpts::Dist { workers, out } => cmd_bench_dist(workers, out),
+        BenchOpts::Predictors { out } => cmd_bench_predictors(out),
+        BenchOpts::Queue { out } => cmd_bench_queue(out),
+        BenchOpts::Server {
+            addr,
+            max_clients,
+            step,
+            out,
+        } => cmd_bench_server(addr, max_clients, step, out),
+        BenchOpts::Gate {
+            max_drop_pct,
+            files,
+        } => cmd_bench_gate(max_drop_pct, &files),
     }
 }
 
 /// Smoke benchmark: expansion throughput and a small batch execute —
 /// timed with the observability registry on and off, so the history
 /// tracks instrumentation overhead — as JSON other PRs can diff for a
-/// perf trajectory (BENCH_batch.json).
-/// With `--dist N`, instead measure distributed scaling: cold-run the
-/// full paper-default grid on in-process fleets of 1, 2, 4, …, N
-/// single-threaded workers against a real `--no-local-exec` server, and
-/// record throughput and efficiency vs the single-process sequential
-/// baseline (BENCH_dist.json). Every result appends to the unified
-/// versioned history (`pas-bench::history`); `--gate` checks the
+/// perf trajectory (BENCH_batch.json). Every bench appends to the
+/// unified versioned history (`pas-bench::history`); `--gate` checks the
 /// newest entries for throughput cliffs instead of running anything.
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let mut out: Option<PathBuf> = None;
-    let mut dist: Option<usize> = None;
-    let mut predictors = false;
-    let mut queue = false;
-    let mut profile = false;
-    let mut gate = false;
-    let mut server = false;
-    let mut addr: Option<String> = None;
-    let mut max_clients = 32usize;
-    let mut step_ms = 1500u64;
-    let mut max_drop_pct = pas_bench::DEFAULT_MAX_DROP_PCT;
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => match it.next() {
-                Some(v) => out = Some(PathBuf::from(v)),
-                None => return fail("--out needs a file path"),
-            },
-            "--dist" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => dist = Some(n),
-                _ => return fail("--dist needs a worker count >= 1"),
-            },
-            "--predictors" => predictors = true,
-            "--queue" => queue = true,
-            "--profile" => profile = true,
-            "--gate" => gate = true,
-            "--server" => server = true,
-            "--addr" => match it.next() {
-                Some(v) => addr = Some(v.clone()),
-                None => return fail("--addr needs HOST:PORT"),
-            },
-            "--max-clients" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => max_clients = n,
-                _ => return fail("--max-clients needs a count >= 1"),
-            },
-            "--step-ms" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) if n >= 100 => step_ms = n,
-                _ => return fail("--step-ms needs a duration >= 100"),
-            },
-            "--max-drop" => match it.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(p)) if p >= 0.0 => max_drop_pct = p,
-                _ => return fail("--max-drop needs a percentage >= 0"),
-            },
-            other if other.starts_with('-') => {
-                return fail(format!("unknown bench option `{other}`"))
-            }
-            other => files.push(PathBuf::from(other)),
-        }
-    }
-    if gate {
-        return cmd_bench_gate(max_drop_pct, &files);
-    }
-    if !files.is_empty() {
-        return fail("positional files only apply to --gate");
-    }
-    if server {
-        return cmd_bench_server(
-            addr,
-            max_clients,
-            step_ms,
-            out.unwrap_or_else(|| PathBuf::from("BENCH_server.json")),
-        );
-    }
-    if addr.is_some() {
-        return fail("--addr only applies to --server");
-    }
-    if predictors {
-        return cmd_bench_predictors(out.unwrap_or_else(|| PathBuf::from("BENCH_predictors.json")));
-    }
-    if queue {
-        return cmd_bench_queue(out.unwrap_or_else(|| PathBuf::from("BENCH_queue.json")));
-    }
-    if let Some(max_workers) = dist {
-        return cmd_bench_dist(
-            max_workers,
-            out.unwrap_or_else(|| PathBuf::from("BENCH_dist.json")),
-        );
-    }
-    let out = out.unwrap_or_else(|| PathBuf::from("BENCH_batch.json"));
+fn cmd_bench_batch(profile: bool, out: PathBuf) -> CmdResult {
     let manifest = registry::builtin("paper-default").expect("builtin parses");
-    let points = match expand(&manifest) {
-        Ok(p) => p,
-        Err(e) => return fail(e),
-    };
+    let points = expand(&manifest)?;
 
     // Expansion: many iterations, it is microseconds-scale.
     let expand_iters = 200u32;
@@ -1829,10 +1755,7 @@ fn cmd_bench(args: &[String]) -> ExitCode {
     let mut small = manifest.clone();
     small.sweep[0].values = vec![4.0, 12.0].into();
     small.run.replicates = 4;
-    let n_runs = match expand(&small) {
-        Ok(p) => p.len(),
-        Err(e) => return fail(e),
-    };
+    let n_runs = expand(&small)?.len();
     // (metrics, tracing, profiling, history sampler)
     type Config = (bool, bool, bool, bool);
     const SHIPPING: Config = (true, true, true, true);
@@ -1855,8 +1778,8 @@ fn cmd_bench(args: &[String]) -> ExitCode {
         let trace = pas_obs::trace::mint_id();
         let _ctx = pas_obs::trace::enter(trace, pas_obs::trace::mint_id());
         let t = std::time::Instant::now();
-        let batch = execute(&small, ExecOptions { threads: 1 }).map_err(|e| e.to_string())?;
-        Ok::<_, String>((t.elapsed().as_micros() as u64, batch))
+        let batch = execute(&small, ExecOptions { threads: 1 })?;
+        Ok::<_, pas_scenario::ManifestError>((t.elapsed().as_micros() as u64, batch))
     };
     let start_sampler = || {
         pas_obs::history::start_sampler(pas_obs::history::HistoryConfig {
@@ -1869,10 +1792,7 @@ fn cmd_bench(args: &[String]) -> ExitCode {
     // breakdown describe.
     pas_obs::profile::reset();
     let mut sampler = Some(start_sampler());
-    let batch = match run_once(SHIPPING) {
-        Ok((_, batch)) => batch,
-        Err(e) => return fail(e),
-    };
+    let (_, batch) = run_once(SHIPPING)?;
     let regions = profile.then(profile_region_json);
     let mut samples = vec![Vec::with_capacity(BENCH_ROUNDS); configs.len()];
     for round in 0..BENCH_ROUNDS {
@@ -1883,14 +1803,9 @@ fn cmd_bench(args: &[String]) -> ExitCode {
                 // (with its immediate first snapshot) or a join slows the
                 // batch right after it, so that batch runs untimed.
                 sampler = configs[c].3.then(start_sampler);
-                if let Err(e) = run_once(configs[c]) {
-                    return fail(e);
-                }
+                run_once(configs[c])?;
             }
-            match run_once(configs[c]) {
-                Ok((us, _)) => samples[c].push(us),
-                Err(e) => return fail(e),
-            }
+            samples[c].push(run_once(configs[c])?.0);
         }
     }
     drop(sampler);
@@ -2000,7 +1915,7 @@ fn profile_region_json() -> String {
 /// perf trajectory tracks the estimation path itself — the code inside
 /// the wake-decision loop — not just batch/dist plumbing
 /// (BENCH_predictors.json).
-fn cmd_bench_predictors(out: PathBuf) -> ExitCode {
+fn cmd_bench_predictors(out: PathBuf) -> CmdResult {
     let base = registry::builtin("paper-default").expect("builtin parses");
     let mut entries = Vec::new();
     let mut runs_per_predictor = 0usize;
@@ -2013,16 +1928,10 @@ fn cmd_bench_predictors(out: PathBuf) -> ExitCode {
         m.policies[0].predictor = pas_core::PredictorSpec::from_name(name);
         m.sweep[0].values = vec![4.0, 12.0].into();
         m.run.replicates = 8;
-        let n_runs = match expand(&m) {
-            Ok(p) => p.len(),
-            Err(e) => return fail(e),
-        };
+        let n_runs = expand(&m)?.len();
         runs_per_predictor = n_runs;
         let t0 = std::time::Instant::now();
-        let batch = match execute(&m, ExecOptions { threads: 1 }) {
-            Ok(b) => b,
-            Err(e) => return fail(e),
-        };
+        let batch = execute(&m, ExecOptions { threads: 1 })?;
         let us = t0.elapsed().as_micros() as u64;
         let events: u64 = batch.records.iter().map(|r| r.events_processed).sum();
         entries.push(format!(
@@ -2046,7 +1955,7 @@ fn cmd_bench_predictors(out: PathBuf) -> ExitCode {
 /// events pending and repeatedly pop the earliest, then push a
 /// replacement 0–20 s ahead of the popped time (an LCG supplies the
 /// jitter so both implementations see the identical sequence).
-fn cmd_bench_queue(out: PathBuf) -> ExitCode {
+fn cmd_bench_queue(out: PathBuf) -> CmdResult {
     use pas_sim::{EventQueue, HeapEventQueue, SimTime};
     const OPS: u64 = 200_000;
     fn next_time(x: &mut u64, now: f64) -> f64 {
@@ -2109,19 +2018,14 @@ fn cmd_bench_queue(out: PathBuf) -> ExitCode {
 /// Distributed scaling bench: one in-process server + fleet per
 /// configuration, each starting from a cold cache so every point
 /// simulates remotely.
-fn cmd_bench_dist(max_workers: usize, out: PathBuf) -> ExitCode {
+fn cmd_bench_dist(max_workers: usize, out: PathBuf) -> CmdResult {
     let manifest = registry::builtin("paper-default").expect("builtin parses");
     let toml = manifest.to_toml();
-    let n_runs = match expand(&manifest) {
-        Ok(p) => p.len(),
-        Err(e) => return fail(e),
-    };
+    let n_runs = expand(&manifest)?.len();
 
     // Single-process sequential baseline (the PR 2 execution path).
     let t0 = std::time::Instant::now();
-    if let Err(e) = execute(&manifest, ExecOptions { threads: 1 }) {
-        return fail(e);
-    }
+    execute(&manifest, ExecOptions { threads: 1 })?;
     let base_us = t0.elapsed().as_micros() as u64;
 
     let mut counts: Vec<usize> = Vec::new();
@@ -2137,22 +2041,18 @@ fn cmd_bench_dist(max_workers: usize, out: PathBuf) -> ExitCode {
         let dir =
             std::env::temp_dir().join(format!("pas_bench_dist_{}_{workers}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = match ResultCache::open(&dir) {
-            Ok(c) => c,
-            Err(e) => return fail(format!("opening {}: {e}", dir.display())),
-        };
+        let cache =
+            ResultCache::open(&dir).map_err(|e| format!("opening {}: {e}", dir.display()))?;
         let opts = ServerOptions {
             local_exec: false,
             ..ServerOptions::default()
         };
-        let mut server = match Server::bind("127.0.0.1:0", cache.clone(), opts) {
-            Ok(s) => s,
-            Err(e) => return fail(format!("binding bench server: {e}")),
-        };
-        let addr = match server.local_addr() {
-            Ok(a) => a.to_string(),
-            Err(e) => return fail(format!("bench server addr: {e}")),
-        };
+        let mut server = Server::bind("127.0.0.1:0", cache.clone(), opts)
+            .map_err(|e| format!("binding bench server: {e}"))?;
+        let addr = server
+            .local_addr()
+            .map_err(|e| format!("bench server addr: {e}"))?
+            .to_string();
         let scheduler = Scheduler::new(
             server.queue(),
             cache,
@@ -2181,30 +2081,24 @@ fn cmd_bench_dist(max_workers: usize, out: PathBuf) -> ExitCode {
 
         let client = Client::new(addr);
         let t1 = std::time::Instant::now();
-        let id = match client.submit_with_retry(&toml, RetryPolicy::default(), |_, _| {}) {
-            Ok(id) => id,
-            Err(e) => return fail(format!("bench submit: {e}")),
-        };
-        let status = match client.wait(id, Duration::from_millis(20)) {
-            Ok(s) => s,
-            Err(e) => return fail(format!("bench wait: {e}")),
-        };
+        let id = client
+            .submit_with_retry(&toml, RetryPolicy::default(), |_, _| {})
+            .map_err(|e| format!("bench submit: {e}"))?;
+        let status = client
+            .wait(id, Duration::from_millis(20))
+            .map_err(|e| format!("bench wait: {e}"))?;
         let wall_us = t1.elapsed().as_micros() as u64;
         if status.phase != "completed" || status.cache_misses != n_runs as u64 {
-            return fail(format!(
+            return Err(format!(
                 "bench fleet of {workers}: phase {}, {} simulated (want {n_runs})",
                 status.phase, status.cache_misses
-            ));
+            )
+            .into());
         }
-        if let Err(e) = client.drain() {
-            return fail(format!("bench drain: {e}"));
-        }
+        client.drain().map_err(|e| format!("bench drain: {e}"))?;
         for handle in fleet {
-            match handle.join() {
-                Ok(Ok(_)) => {}
-                Ok(Err(e)) => return fail(format!("bench worker: {e}")),
-                Err(_) => return fail("bench worker panicked"),
-            }
+            let joined = handle.join().map_err(|_| "bench worker panicked")?;
+            joined.map_err(|e| format!("bench worker: {e}"))?;
         }
         let speedup = base_us as f64 / wall_us as f64;
         fleets.push(format!(
@@ -2244,9 +2138,9 @@ fn cmd_bench_dist(max_workers: usize, out: PathBuf) -> ExitCode {
 fn cmd_bench_server(
     addr: Option<String>,
     max_clients: usize,
-    step_ms: u64,
+    step: Duration,
     out: PathBuf,
-) -> ExitCode {
+) -> CmdResult {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -2262,24 +2156,20 @@ fn cmd_bench_server(
         None => {
             let dir = std::env::temp_dir().join(format!("pas_bench_server_{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
-            let cache = match ResultCache::open(&dir) {
-                Ok(c) => c,
-                Err(e) => return fail(format!("opening {}: {e}", dir.display())),
-            };
+            let cache =
+                ResultCache::open(&dir).map_err(|e| format!("opening {}: {e}", dir.display()))?;
             let opts = ServerOptions {
                 metrics: true,
                 history_interval: Duration::from_millis(250),
                 history_retention: 240,
                 ..ServerOptions::default()
             };
-            let server = match Server::bind("127.0.0.1:0", cache, opts) {
-                Ok(s) => s,
-                Err(e) => return fail(format!("binding bench server: {e}")),
-            };
-            let a = match server.local_addr() {
-                Ok(a) => a.to_string(),
-                Err(e) => return fail(format!("bench server addr: {e}")),
-            };
+            let server = Server::bind("127.0.0.1:0", cache, opts)
+                .map_err(|e| format!("binding bench server: {e}"))?;
+            let a = server
+                .local_addr()
+                .map_err(|e| format!("bench server addr: {e}"))?
+                .to_string();
             std::thread::spawn(move || server.run());
             cleanup_dir = Some(dir);
             a
@@ -2288,20 +2178,15 @@ fn cmd_bench_server(
 
     // Seed submission: after this every harness job is a cache hit.
     let seed = Client::new(addr.clone());
-    let id = match seed.submit_with_retry(&toml, RetryPolicy::default(), |_, _| {}) {
-        Ok(id) => id,
-        Err(e) => return fail(format!("bench seed submit to {addr}: {e}")),
-    };
-    match seed.wait(id, Duration::from_millis(5)) {
-        Ok(s) if s.phase == "completed" => {}
-        Ok(s) => {
-            return fail(format!(
-                "bench seed job {}: {}",
-                s.phase,
-                s.error.unwrap_or_default()
-            ))
-        }
-        Err(e) => return fail(format!("bench seed wait: {e}")),
+    let id = seed
+        .submit_with_retry(&toml, RetryPolicy::default(), |_, _| {})
+        .map_err(|e| format!("bench seed submit to {addr}: {e}"))?;
+    let s = seed
+        .wait(id, Duration::from_millis(5))
+        .map_err(|e| format!("bench seed wait: {e}"))?;
+    if s.phase != "completed" {
+        let error = s.error.unwrap_or_default();
+        return Err(format!("bench seed job {}: {error}", s.phase).into());
     }
 
     let mut ramp: Vec<usize> = Vec::new();
@@ -2361,20 +2246,16 @@ fn cmd_bench_server(
             })
             .collect();
         let t0 = std::time::Instant::now();
-        std::thread::sleep(Duration::from_millis(step_ms));
+        std::thread::sleep(step);
         stop.store(true, Ordering::Relaxed);
         let mut latencies: Vec<u64> = Vec::new();
         let mut errors = 0u64;
         let mut http_429 = 0u64;
         for h in handles {
-            match h.join() {
-                Ok((lat, e, r)) => {
-                    latencies.extend(lat);
-                    errors += e;
-                    http_429 += r;
-                }
-                Err(_) => return fail("bench client thread panicked"),
-            }
+            let (lat, e, r) = h.join().map_err(|_| "bench client thread panicked")?;
+            latencies.extend(lat);
+            errors += e;
+            http_429 += r;
         }
         let wall_s = t0.elapsed().as_secs_f64();
         latencies.sort_unstable();
@@ -2428,6 +2309,7 @@ fn cmd_bench_server(
             )
         })
         .collect();
+    let step_ms = step.as_millis();
     let json = format!(
         "{{\n  \"bench\": \"server\",\n  \"scenario\": \"server-saturation\",\n  \
          \"step_ms\": {step_ms},\n  \"steps\": [\n{}\n  ],\n  \
@@ -2441,35 +2323,32 @@ fn cmd_bench_server(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("show") => match args.get(1) {
-            Some(name) => cmd_show(name),
-            None => fail("show needs a scenario name"),
-        },
-        Some("validate") => match args.get(1) {
-            Some(path) => cmd_validate(path),
-            None => fail("validate needs a manifest path"),
-        },
-        Some("expand") => match args.get(1) {
-            Some(arg) => cmd_expand(arg),
-            None => fail("expand needs a scenario name or manifest path"),
-        },
-        Some("run") => cmd_run(&args[1..]),
-        Some("report") => cmd_report(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("worker") => cmd_worker(&args[1..]),
-        Some("submit") => cmd_submit(&args[1..]),
-        Some("status") => cmd_status(&args[1..]),
-        Some("top") => cmd_top(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("profile") => cmd_profile(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("--help") | Some("-h") | Some("help") | None => {
-            print!("{}", usage());
-            ExitCode::SUCCESS
+    let result = parse(&args).map_err(Into::into).and_then(|cmd| match cmd {
+        Command::Help => {
+            out!("{}", usage());
+            Ok(())
         }
-        Some(other) => fail(format!("unknown command `{other}`\n\n{}", usage())),
+        Command::List => cmd_list(),
+        Command::Show(name) => cmd_show(&name),
+        Command::Validate(path) => cmd_validate(&path),
+        Command::Expand(arg) => cmd_expand(&arg),
+        Command::Run(o) => cmd_run(o),
+        Command::Report(o) => cmd_report(o),
+        Command::Serve(o) => cmd_serve(o),
+        Command::Worker(o) => cmd_worker(o),
+        Command::Submit(o) => cmd_submit(o),
+        Command::Status(o) => cmd_status(o),
+        Command::Top(o) => cmd_top(o),
+        Command::Trace(o) => cmd_trace(o),
+        Command::Profile(o) => cmd_profile(o),
+        Command::Bench(o) => cmd_bench(o),
+    });
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -2528,5 +2407,408 @@ pas_e_count 0
         assert_eq!(hist_quantile(&buckets, 10, 0.50), "<=10");
         assert_eq!(hist_quantile(&buckets, 10, 0.90), "<=100");
         assert_eq!(hist_quantile(&buckets, 10, 0.99), ">100");
+    }
+
+    fn parse_line(line: &str) -> Result<Command, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&args)
+    }
+
+    /// `(subcommand, flags, metavar count)` for every option line of the
+    /// `<CMD> OPTIONS:` sections of `usage()`.
+    fn documented_options() -> Vec<(String, Vec<String>, usize)> {
+        let mut cmd = String::new();
+        let mut options = Vec::new();
+        for line in usage().lines() {
+            if let Some(section) = line.strip_suffix(" OPTIONS:") {
+                cmd = section.to_lowercase();
+            } else if !cmd.is_empty() && line.starts_with("    -") {
+                // `--flag METAVAR` ends at the first double space; an
+                // optional `[FILES...]` takes no sample value.
+                let head = line.trim_start().split("  ").next().unwrap_or("");
+                let words: Vec<&str> = head
+                    .split_whitespace()
+                    .filter(|w| !w.starts_with('['))
+                    .collect();
+                let flags: Vec<String> = words
+                    .iter()
+                    .filter(|w| w.starts_with('-'))
+                    .map(|w| w.trim_end_matches(',').to_string())
+                    .collect();
+                let metavars = words.len() - flags.len();
+                options.push((cmd.clone(), flags, metavars));
+            }
+        }
+        options
+    }
+
+    #[test]
+    fn help_and_parser_agree() {
+        let options = documented_options();
+        let commands: Vec<&str> = usage()
+            .lines()
+            .filter_map(|l| l.strip_prefix("    pas ")?.split_whitespace().next())
+            .collect();
+        assert_eq!(commands.len(), 14, "{commands:?}");
+        let mut sections: Vec<&str> = options.iter().map(|(cmd, ..)| cmd.as_str()).collect();
+        sections.dedup();
+        assert_eq!(sections.len(), 10, "{sections:?}");
+        // A sample value "1" stands in for every metavar.
+        let rejects = |cmd: &str, flag: &str, metavars: usize| {
+            let line = format!("{cmd} {flag}{}", " 1".repeat(metavars));
+            parse_line(&line).is_err_and(|e| e.contains(&format!("does not take `{flag}`")))
+        };
+        for (cmd, flags, metavars) in &options {
+            for flag in flags {
+                assert!(
+                    !rejects(cmd, flag, *metavars),
+                    "`pas {cmd}` rejects its documented {flag}"
+                );
+            }
+        }
+        for cmd in &commands {
+            for (owner, flags, metavars) in &options {
+                for flag in flags {
+                    let own = options.iter().any(|(c, f, _)| c == cmd && f.contains(flag));
+                    assert!(
+                        own || rejects(cmd, flag, *metavars),
+                        "`pas {cmd}` takes {flag}, documented only for `pas {owner}`"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Arguments a subcommand would read in another mode, or not at all,
+    /// are refused (tests/cli.rs runs the binary on more).
+    #[test]
+    fn nothing_is_ignored() {
+        for (line, offender) in [
+            ("run a b", "b"),
+            ("trace 1 2", "2"),
+            ("bench --gate --out x", "--out"),
+            ("bench x.json", "x.json"),
+            ("status --raw", "--raw"),
+            ("serve --history-interval-ms 200", "--history-interval-ms"),
+            ("profile --serve-url h:1 --hz 99", "--hz"),
+            ("profile --serve-url h:1 --threads 2", "--threads"),
+            ("profile paper-default --seconds 5", "--seconds"),
+            ("profile --addr h:1", "--addr"),
+        ] {
+            match parse_line(line) {
+                Err(e) => assert!(e.contains(offender), "`pas {line}`: {e}"),
+                Ok(cmd) => panic!("`pas {line}` parsed as {cmd:?}"),
+            }
+        }
+    }
+
+    /// Each `*-ms` flag refuses 0, which would make its loop spin.
+    #[test]
+    fn zero_intervals_are_refused() {
+        for (line, flag) in [
+            ("serve --lease-ms 0", "--lease-ms"),
+            ("serve --heartbeat-ms 0", "--heartbeat-ms"),
+            (
+                "serve --metrics --history-interval-ms 0",
+                "--history-interval-ms",
+            ),
+            ("worker --poll-ms 0", "--poll-ms"),
+            ("submit paper-default --poll-ms 0", "--poll-ms"),
+            ("top --interval-ms 0", "--interval-ms"),
+            ("bench --server --step-ms 0", "--step-ms"),
+            ("bench --server --step-ms 99", "--step-ms"),
+        ] {
+            let err = parse_line(line).expect_err(line);
+            assert!(
+                err.starts_with(&format!("{flag} must be at least")),
+                "{err}"
+            );
+        }
+        let Ok(Command::Bench(BenchOpts::Server { step, .. })) =
+            parse_line("bench --server --step-ms 100")
+        else {
+            panic!("--step-ms 100 is accepted");
+        };
+        assert_eq!(step, Duration::from_millis(100));
+    }
+
+    /// Every `pas …` command line in the CI workflow: continuation lines
+    /// joined, cut at the first redirection, pipe or `;`, quotes dropped.
+    fn ci_invocations() -> Vec<String> {
+        let ci = include_str!("../.github/workflows/ci.yml").replace("\\\n", " ");
+        let mut found: Vec<String> = Vec::new();
+        for line in ci.lines() {
+            let Some((_, rest)) = line.split_once("./target/release/pas ") else {
+                continue;
+            };
+            let mut words = Vec::new();
+            for word in rest.split_whitespace() {
+                if word.starts_with(['>', '|', '&', ';']) || word.starts_with("2>") {
+                    break;
+                }
+                words.push(word.trim_end_matches(';').trim_matches('"'));
+                if word.ends_with(';') {
+                    break;
+                }
+            }
+            let line = words.join(" ");
+            if !found.contains(&line) {
+                found.push(line);
+            }
+        }
+        found
+    }
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    fn at(port: u16) -> String {
+        format!("127.0.0.1:{port}")
+    }
+
+    fn tmp(file: &str) -> Option<PathBuf> {
+        Some(PathBuf::from(format!("/tmp/{file}")))
+    }
+
+    fn run(scenario: &str, quiet: bool, out: Option<PathBuf>, raw: Option<PathBuf>) -> Command {
+        let scenario = scenario.to_string();
+        Command::Run(RunOpts {
+            scenario,
+            out,
+            raw,
+            threads: 0,
+            quiet,
+        })
+    }
+
+    fn serve(port: u16, cache: &str, tune: impl FnOnce(&mut ServeOpts)) -> Command {
+        let mut o = ServeOpts {
+            addr: at(port),
+            cache_dir: PathBuf::from(format!("/tmp/pas-ci-{cache}")),
+            ..Default::default()
+        };
+        tune(&mut o);
+        Command::Serve(o)
+    }
+
+    fn worker(port: u16, name: &str, poll: u64) -> Command {
+        let name = name.to_string();
+        let worker = WorkerOptions {
+            name,
+            poll: ms(poll),
+            ..WorkerOptions::default()
+        };
+        let (addr, quiet) = (at(port), true);
+        Command::Worker(WorkerOpts {
+            addr,
+            worker,
+            quiet,
+        })
+    }
+
+    fn submit(port: u16, out: &str, verbose: bool) -> Command {
+        Command::Submit(SubmitOpts {
+            scenario: "paper-default".into(),
+            addr: at(port),
+            out: tmp(out),
+            poll: ms(200),
+            retries: 8,
+            verbose,
+            ..Default::default()
+        })
+    }
+
+    fn status(port: u16, metrics: bool) -> Command {
+        let (addr, raw) = (at(port), false);
+        Command::Status(StatusOpts { addr, metrics, raw })
+    }
+
+    fn report(source: &str, format: ReportFormat, out: &str) -> Command {
+        Command::Report(ReportOpts {
+            source: source.into(),
+            format,
+            out: tmp(out),
+            compare: None,
+            threads: 0,
+            quiet: true,
+        })
+    }
+
+    fn trace(format: TraceFormat) -> Command {
+        let (addr, job) = (at(8482), 1);
+        Command::Trace(TraceOpts { addr, job, format })
+    }
+
+    fn profile(source: ProfileSource, out: &str) -> Command {
+        let (format, out) = (ProfileFormat::Folded, tmp(out));
+        Command::Profile(ProfileOpts {
+            source,
+            format,
+            out,
+        })
+    }
+
+    fn gate(max_drop_pct: f64, files: &[&str]) -> Command {
+        let files = files.iter().filter_map(|f| tmp(f)).collect();
+        Command::Bench(BenchOpts::Gate {
+            max_drop_pct,
+            files,
+        })
+    }
+
+    fn top(port: u16, interval: u64, frames: u64) -> Command {
+        let (addr, interval, frames) = (at(port), ms(interval), Some(frames));
+        Command::Top(TopOpts {
+            addr,
+            interval,
+            frames,
+        })
+    }
+
+    /// What each `pas` command line of the CI workflow parses to, in the
+    /// workflow's order; `Err(arg)` is a deliberate failure naming `arg`.
+    #[test]
+    fn ci_invocations_parse_to_their_options() {
+        use ReportFormat::{Json, Markdown, Svg};
+        let (no_local, metrics) = (
+            |o: &mut ServeOpts| o.server.local_exec = false,
+            |o: &mut ServeOpts| o.server.metrics = true,
+        );
+        let dist = |o: &mut ServeOpts| {
+            no_local(o);
+            o.sched.heartbeat = ms(500);
+        };
+        let traced = |o: &mut ServeOpts| {
+            dist(o);
+            metrics(o);
+        };
+        let out = |file: &str| tmp(file).unwrap();
+        let want: Vec<Result<Command, &str>> = vec![
+            Ok(Command::List),
+            Ok(Command::Show("paper-default".into())),
+            Err("--bogus"),
+            Err("--profile"),
+            Ok(run("ablate-estimator", false, None, None)),
+            Ok(run(
+                "$s",
+                true,
+                tmp("golden-$s.csv"),
+                tmp("golden-records/$s.jsonl"),
+            )),
+            Ok(run(
+                "predictor-shootout",
+                true,
+                None,
+                tmp("golden-records/predictor-shootout.jsonl"),
+            )),
+            Ok(Command::Expand("predictor-shootout".into())),
+            Ok(run(
+                "predictor-shootout",
+                true,
+                tmp("shootout.csv"),
+                tmp("shootout.jsonl"),
+            )),
+            Ok(run("paper-default", true, tmp("direct.csv"), None)),
+            Ok(serve(8479, "cache", |_| {})),
+            Ok(submit(8479, "cold.csv", false)),
+            Ok(submit(8479, "warm.csv", false)),
+            Ok(report("paper-default", Markdown, "cli-report.md")),
+            Ok(run("paper-default", true, tmp("dist-direct.csv"), None)),
+            Ok(serve(8480, "dist-cache", dist)),
+            Ok(worker(8480, "ci-w1", 200)),
+            Ok(worker(8480, "ci-w2", 200)),
+            Ok(submit(8480, "dist-cold.csv", false)),
+            Ok(submit(8480, "dist-warm.csv", false)),
+            Ok(status(8480, false)),
+            Ok(run("paper-default", true, tmp("obs-direct.csv"), None)),
+            Ok(serve(8481, "obs-cache", metrics)),
+            Ok(submit(8481, "obs-cold.csv", true)),
+            Ok(status(8481, true)),
+            Ok(run("paper-default", true, tmp("trace-direct.csv"), None)),
+            Ok(serve(8482, "trace-cache", traced)),
+            Ok(worker(8482, "tr-w1", 20)),
+            Ok(worker(8482, "tr-w2", 20)),
+            Ok(submit(8482, "trace-cold.csv", true)),
+            Ok(trace(TraceFormat::Chrome)),
+            Ok(trace(TraceFormat::Tree)),
+            Ok(trace(TraceFormat::CriticalPath)),
+            Ok(run("paper-default", true, tmp("prof-direct.csv"), None)),
+            Ok(serve(8483, "prof-cache", traced)),
+            Ok(worker(8483, "pr-w1", 20)),
+            Ok(worker(8483, "pr-w2", 20)),
+            Ok(submit(8483, "prof-cold.csv", false)),
+            Ok(profile(
+                ProfileSource::Remote {
+                    addr: at(8483),
+                    seconds: None,
+                },
+                "prof.folded",
+            )),
+            Ok(status(8483, true)),
+            Ok(report("paper-default", Markdown, "report.md")),
+            Ok(report("paper-default", Json, "report.json")),
+            Ok(report("paper-default", Svg, "report.svg")),
+            Ok(run("paper-default", true, None, tmp("paper-default.jsonl"))),
+            Ok(report(
+                "/tmp/paper-default.jsonl",
+                Markdown,
+                "report-from-jsonl.md",
+            )),
+            Ok(Command::Bench(BenchOpts::Batch {
+                profile: true,
+                out: out("BENCH_batch.json"),
+            })),
+            Ok(Command::Bench(BenchOpts::Dist {
+                workers: 2,
+                out: out("BENCH_dist.json"),
+            })),
+            Ok(Command::Bench(BenchOpts::Predictors {
+                out: out("BENCH_predictors.json"),
+            })),
+            Ok(gate(
+                35.0,
+                &[
+                    "BENCH_batch.json",
+                    "BENCH_dist.json",
+                    "BENCH_predictors.json",
+                ],
+            )),
+            Ok(serve(8484, "hist-cache", |o| {
+                metrics(o);
+                o.server.history_interval = ms(200);
+            })),
+            Ok(Command::Bench(BenchOpts::Server {
+                addr: Some(at(8484)),
+                max_clients: 4,
+                step: ms(300),
+                out: out("BENCH_server.json"),
+            })),
+            Ok(gate(60.0, &["BENCH_server.json"])),
+            Ok(top(8484, 200, 3)),
+            Ok(status(8484, true)),
+            Ok(serve(8485, "nohist-cache", |_| {})),
+            Ok(top(8485, 1000, 1)),
+            Ok(Command::Bench(BenchOpts::Queue {
+                out: out("BENCH_queue.json"),
+            })),
+            Ok(gate(15.0, &["BENCH_batch.json", "BENCH_queue.json"])),
+            Ok(profile(
+                ProfileSource::Local {
+                    scenario: "paper-default".into(),
+                    hz: None,
+                    threads: 1,
+                },
+                "ci-profile.folded",
+            )),
+        ];
+        let ci = ci_invocations();
+        assert_eq!(ci.len(), want.len(), "{ci:#?}");
+        for (line, want) in ci.iter().zip(want) {
+            match (parse_line(line), want) {
+                (Err(e), Err(offender)) => assert!(e.contains(offender), "`pas {line}`: {e}"),
+                (got, want) => assert_eq!(got, want.map_err(String::from), "`pas {line}`"),
+            }
+        }
     }
 }
