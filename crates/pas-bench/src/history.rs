@@ -25,6 +25,7 @@
 //! previous one and fails on a drop beyond a tolerance — the CI
 //! regression gate `pas bench --gate` exposes.
 
+use pas_obs::json::{self, quote, Json};
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -95,93 +96,6 @@ impl From<io::Error> for HistoryError {
     }
 }
 
-// --- JSON scanning ----------------------------------------------------------
-
-fn scan_u64(json: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn scan_string(json: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start().strip_prefix('"')?;
-    // Escape-aware: a `\"` inside the value must not terminate it.
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Every `"key": <number>` occurrence in the text, in order.
-fn scan_all_f64(json: &str, key: &str) -> Vec<f64> {
-    let needle = format!("\"{key}\":");
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(at) = rest.find(&needle) {
-        let tail = rest[at + needle.len()..].trim_start();
-        let end = tail
-            .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-            .unwrap_or(tail.len());
-        if let Ok(v) = tail[..end].parse() {
-            out.push(v);
-        }
-        rest = &rest[at + needle.len()..];
-    }
-    out
-}
-
-/// `s` starts at `{`: index just past the matching `}` (string- and
-/// escape-aware), or `None` when it is unterminated or a `}` comes first
-/// (a non-object value such as `null`).
-fn object_end(s: &str) -> Option<usize> {
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in s.char_indices() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' => depth += 1,
-            '}' => {
-                depth = depth.checked_sub(1)?;
-                if depth == 0 {
-                    return Some(i + 1);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 impl BenchHistory {
     /// Read a bench file, or `None` when it does not exist. Reads both
     /// the versioned history layout and legacy single-object files
@@ -197,71 +111,45 @@ impl BenchHistory {
 
     /// Parse a bench file body.
     pub fn parse(text: &str) -> Result<BenchHistory, HistoryError> {
-        // Legacy files have no top-level stamp; their payload starts at
-        // the `bench` key.
-        let is_versioned = text
-            .find("\"history\"")
-            .is_some_and(|h| text.find("\"schema_version\"").is_some_and(|s| s < h));
-        if !is_versioned {
-            let payload = text.trim();
-            let bench = scan_string(payload, "bench")
-                .ok_or_else(|| HistoryError::Malformed("no `bench` field".to_string()))?;
-            let scenario = scan_string(payload, "scenario").unwrap_or_default();
-            return Ok(BenchHistory {
-                bench,
-                scenario,
-                entries: vec![HistoryEntry {
-                    commit: None,
-                    date: None,
-                    payload: payload.to_string(),
-                }],
-            });
-        }
-        match scan_u64(text, "schema_version") {
-            Some(v) if v == u64::from(BENCH_SCHEMA_VERSION) => {}
-            Some(v) => {
-                return Err(HistoryError::Schema {
-                    found: v,
-                    supported: BENCH_SCHEMA_VERSION,
-                })
+        let malformed = |m: &str| HistoryError::Malformed(m.to_string());
+        let root = json::parse(text).ok_or_else(|| malformed("not JSON"))?;
+        let bench = string(root, "bench").ok_or_else(|| malformed("no `bench` field"))?;
+        let scenario = string(root, "scenario").unwrap_or_default();
+        let entries = match root.get("history") {
+            // A legacy file is one bare payload, without the history wrapper.
+            None => vec![HistoryEntry {
+                commit: None,
+                date: None,
+                payload: root.raw().to_string(),
+            }],
+            Some(history) => {
+                match root.get("schema_version").and_then(|v| v.as_u64()) {
+                    Some(v) if v == u64::from(BENCH_SCHEMA_VERSION) => {}
+                    Some(found) => {
+                        let supported = BENCH_SCHEMA_VERSION;
+                        return Err(HistoryError::Schema { found, supported });
+                    }
+                    None => return Err(malformed("no schema_version")),
+                }
+                if !history.raw().starts_with('[') {
+                    return Err(malformed("`history` is not an array"));
+                }
+                let entry = |e: Json| {
+                    let payload = e.get("payload").filter(|p| p.raw().starts_with('{'));
+                    let payload =
+                        payload.ok_or_else(|| malformed("entry without a payload object"))?;
+                    Ok(HistoryEntry {
+                        commit: string(e, "commit"),
+                        date: string(e, "date"),
+                        payload: payload.raw().to_string(),
+                    })
+                };
+                history
+                    .items()
+                    .map(entry)
+                    .collect::<Result<_, HistoryError>>()?
             }
-            None => return Err(HistoryError::Malformed("no schema_version".to_string())),
-        }
-        let bench = scan_string(text, "bench")
-            .ok_or_else(|| HistoryError::Malformed("no `bench` field".to_string()))?;
-        let scenario = scan_string(text, "scenario").unwrap_or_default();
-        let hist_at = text
-            .find("\"history\":")
-            .ok_or_else(|| HistoryError::Malformed("no `history` array".to_string()))?;
-        let mut rest = text[hist_at + "\"history\":".len()..]
-            .trim_start()
-            .strip_prefix('[')
-            .ok_or_else(|| HistoryError::Malformed("`history` is not an array".to_string()))?;
-        let mut entries = Vec::new();
-        loop {
-            rest = rest.trim_start().trim_start_matches(',').trim_start();
-            if rest.starts_with(']') || rest.is_empty() {
-                break;
-            }
-            let end = object_end(rest)
-                .ok_or_else(|| HistoryError::Malformed("unterminated entry".to_string()))?;
-            let entry = &rest[..end];
-            // Metadata keys precede `payload`; scan only that prefix so
-            // payload fields can never alias them.
-            let payload_at = entry
-                .find("\"payload\":")
-                .ok_or_else(|| HistoryError::Malformed("entry without payload".to_string()))?;
-            let head = &entry[..payload_at];
-            let payload_src = entry[payload_at + "\"payload\":".len()..].trim_start();
-            let payload_end = object_end(payload_src)
-                .ok_or_else(|| HistoryError::Malformed("unterminated payload".to_string()))?;
-            entries.push(HistoryEntry {
-                commit: scan_string(head, "commit"),
-                date: scan_string(head, "date"),
-                payload: payload_src[..payload_end].to_string(),
-            });
-            rest = &rest[end..];
-        }
+        };
         Ok(BenchHistory {
             bench,
             scenario,
@@ -271,32 +159,31 @@ impl BenchHistory {
 
     /// Render the versioned history file.
     pub fn render(&self) -> String {
+        let or_null = |v: &Option<String>| v.as_deref().map_or_else(|| "null".to_string(), quote);
         let entries: Vec<String> = self
             .entries
             .iter()
             .map(|e| {
-                let commit = match &e.commit {
-                    Some(c) => format!("\"{c}\""),
-                    None => "null".to_string(),
-                };
-                let date = match &e.date {
-                    Some(d) => format!("\"{d}\""),
-                    None => "null".to_string(),
-                };
                 format!(
-                    "    {{\"commit\": {commit}, \"date\": {date}, \"payload\": {}}}",
+                    "    {{\"commit\": {}, \"date\": {}, \"payload\": {}}}",
+                    or_null(&e.commit),
+                    or_null(&e.date),
                     e.payload.trim()
                 )
             })
             .collect();
         format!(
-            "{{\n  \"schema_version\": {BENCH_SCHEMA_VERSION},\n  \"bench\": \"{}\",\n  \
-             \"scenario\": \"{}\",\n  \"history\": [\n{}\n  ]\n}}\n",
-            self.bench,
-            self.scenario,
+            "{{\n  \"schema_version\": {BENCH_SCHEMA_VERSION},\n  \"bench\": {},\n  \
+             \"scenario\": {},\n  \"history\": [\n{}\n  ]\n}}\n",
+            quote(&self.bench),
+            quote(&self.scenario),
             entries.join(",\n")
         )
     }
+}
+
+fn string(object: Json, key: &str) -> Option<String> {
+    object.get(key)?.as_str()
 }
 
 /// Append one bench result to `path` (creating or upgrading the file)
@@ -308,9 +195,11 @@ pub fn append(
     commit: Option<String>,
     date: Option<String>,
 ) -> Result<BenchHistory, HistoryError> {
-    let bench = scan_string(payload, "bench")
+    let root = json::parse(payload);
+    let bench = root
+        .and_then(|p| string(p, "bench"))
         .ok_or_else(|| HistoryError::Malformed("payload has no `bench` field".to_string()))?;
-    let scenario = scan_string(payload, "scenario").unwrap_or_default();
+    let scenario = root.and_then(|p| string(p, "scenario")).unwrap_or_default();
     let mut history = BenchHistory::load(path)?.unwrap_or(BenchHistory {
         bench: bench.clone(),
         scenario: scenario.clone(),
@@ -337,9 +226,13 @@ pub fn append(
 /// their common fleet sizes, and adding or removing a predictor
 /// variant changes the key set rather than silently shifting a mean.
 pub fn throughput_by_key(bench: &str, payload: &str) -> Vec<(String, f64)> {
+    let Some(p) = json::parse(payload) else {
+        return Vec::new();
+    };
+    let num = |key: &str| p.get(key).and_then(|v| v.as_f64());
     match bench {
         "batch" => {
-            let runs = scan_u64(payload, "execute_runs").map(|v| v as f64);
+            let runs = num("execute_runs");
             let mut out = Vec::new();
             // Older entries carry only the metrics-on measurement; the
             // obs-off, trace-off, and profile-off companion keys appear
@@ -352,81 +245,56 @@ pub fn throughput_by_key(bench: &str, payload: &str) -> Vec<(String, f64)> {
                 ("sequential-history-off", "execute_us_history_off"),
                 ("sequential-obs-off", "execute_us_obs_off"),
             ] {
-                let us = scan_u64(payload, field).map(|v| v as f64);
-                if let (Some(r), Some(u)) = (runs, us) {
-                    if u > 0.0 {
-                        out.push((key.to_string(), r * 1e6 / u));
-                    }
+                if let (Some(r), Some(u)) = (runs, num(field).filter(|u| *u > 0.0)) {
+                    out.push((key.to_string(), r * 1e6 / u));
                 }
             }
             // Manifest-expansion throughput (expansions/s), gated under
             // its own key so an expansion regression cannot hide behind
             // execute jitter (and vice versa).
-            if let Some(ns) = scan_u64(payload, "expand_ns_per_iter") {
-                if ns > 0 {
-                    out.push(("sequential-expand".to_string(), 1e9 / ns as f64));
-                }
+            if let Some(ns) = num("expand_ns_per_iter").filter(|ns| *ns > 0.0) {
+                out.push(("sequential-expand".to_string(), 1e9 / ns));
             }
             out
         }
         // One sample per queue configuration (`calendar-n1000`-style
         // keys), so `pas bench --queue` regressions gate per impl and
         // pending-count, never mixing the two implementations.
-        "queue" => scan_keyed(payload, "config", "ops_per_s", |v| {
-            v.trim_matches('"').to_string()
-        }),
+        "queue" => keyed(p, "configs", "config", "ops_per_s", ""),
         // Two samples per fleet size: raw throughput
         // (`workers=N` ← `runs_per_s`) and the scaling gate key
         // (`dist-wN` ← `speedup`), so a speedup collapse at one fleet
         // size fails the gate even when absolute throughput jitter
         // would mask it.
-        "dist" => {
-            let mut out = scan_keyed(payload, "workers", "runs_per_s", |v| format!("workers={v}"));
-            out.extend(scan_keyed(payload, "workers", "speedup", |v| {
-                format!("dist-w{v}")
-            }));
-            out
-        }
+        "dist" => [
+            keyed(p, "fleets", "workers", "runs_per_s", "workers="),
+            keyed(p, "fleets", "workers", "speedup", "dist-w"),
+        ]
+        .concat(),
         // One sample per predictor variant.
-        "predictors" => scan_keyed(payload, "predictor", "runs_per_s", |v| {
-            v.trim_matches('"').to_string()
-        }),
+        "predictors" => keyed(p, "predictors", "predictor", "runs_per_s", ""),
         // One sample per ramp step (`clients=N` ← `jobs_per_s`) plus
         // the headline `server-max` key, so a saturation collapse at
         // one concurrency fails the gate even when the peak holds.
         "server" => {
-            let mut out = scan_keyed(payload, "clients", "jobs_per_s", |v| format!("clients={v}"));
-            if let Some(max) = scan_all_f64(payload, "max_jobs_per_s").first() {
-                out.push(("server-max".to_string(), *max));
-            }
+            let mut out = keyed(p, "steps", "clients", "jobs_per_s", "clients=");
+            out.extend(num("max_jobs_per_s").map(|max| ("server-max".to_string(), max)));
             out
         }
         _ => Vec::new(),
     }
 }
 
-/// Pair each `"key_field": <value>` occurrence with the next
-/// `"value_field": <number>` after it (our own writers emit the key
-/// field first within each result object).
-fn scan_keyed(
-    payload: &str,
-    key_field: &str,
-    value_field: &str,
-    label: impl Fn(&str) -> String,
-) -> Vec<(String, f64)> {
-    let needle = format!("\"{key_field}\":");
-    let mut out = Vec::new();
-    let mut rest = payload;
-    while let Some(at) = rest.find(&needle) {
-        let tail = rest[at + needle.len()..].trim_start();
-        let end = tail.find([',', '}', '\n']).unwrap_or(tail.len());
-        let key = label(tail[..end].trim());
-        if let Some(v) = scan_all_f64(&tail[end..], value_field).first() {
-            out.push((key, *v));
-        }
-        rest = &rest[at + needle.len()..];
-    }
-    out
+/// `item[value]` per element of the payload's `array` with both fields,
+/// keyed by `item[key]`: a string as itself, a number after `prefix`.
+fn keyed(payload: Json, array: &str, key: &str, value: &str, prefix: &str) -> Vec<(String, f64)> {
+    let items = payload.get(array).into_iter().flat_map(|a| a.items());
+    let sample = |item: Json| {
+        let k = item.get(key)?;
+        let label = k.as_str().unwrap_or_else(|| format!("{prefix}{}", k.raw()));
+        Some((label, item.get(value)?.as_f64()?))
+    };
+    items.filter_map(sample).collect()
 }
 
 /// The headline throughput of one payload: its best keyed sample.

@@ -10,18 +10,17 @@
 //! | `POST /dist/lease` | `{"worker"}` → a [`ShardGrant`], `{"drain":true}`, or `204` |
 //! | `POST /dist/report` | a [`ShardReport`] (text) → `{"accepted","duplicates"}` |
 //!
-//! Control messages are flat JSON decoded with `pas_server::json`. Shard
+//! Control messages are flat JSON read with `pas_obs::json`. Shard
 //! reports carry full [`RunRecord`]s, so they reuse the result cache's
 //! line-oriented codec ([`pas_server::cache::encode_record`]) — `f64`s as
 //! raw bits — and a remotely executed record therefore round-trips
 //! **byte-identically** into the server's cache and result assembly.
 
+use pas_obs::json::{self, quote};
 use pas_obs::profile::ProfileEntry;
 use pas_obs::trace::SpanRecord;
 use pas_scenario::RunRecord;
 use pas_server::cache::{decode_record, encode_record, escape, unescape};
-use pas_server::http::json_string;
-use pas_server::json;
 
 /// A worker's registration request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,16 +36,17 @@ impl Register {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"name\":{},\"threads\":{}}}",
-            json_string(&self.name),
+            quote(&self.name),
             self.threads
         )
     }
 
     /// Decode from a request body.
     pub fn from_json(body: &str) -> Option<Register> {
+        let j = json::parse(body)?;
         Some(Register {
-            name: json::find_string(body, "name")?,
-            threads: json::find_u64(body, "threads").unwrap_or(1),
+            name: j.get("name")?.as_str()?,
+            threads: j.get("threads").and_then(|v| v.as_u64()).unwrap_or(1),
         })
     }
 }
@@ -73,10 +73,11 @@ impl Registered {
 
     /// Decode from a response body.
     pub fn from_json(body: &str) -> Option<Registered> {
+        let j = json::parse(body)?;
         Some(Registered {
-            worker: json::find_u64(body, "worker")?,
-            heartbeat_ms: json::find_u64(body, "heartbeat_ms")?,
-            lease_ms: json::find_u64(body, "lease_ms")?,
+            worker: j.get("worker")?.as_u64()?,
+            heartbeat_ms: j.get("heartbeat_ms")?.as_u64()?,
+            lease_ms: j.get("lease_ms")?.as_u64()?,
         })
     }
 }
@@ -135,23 +136,26 @@ impl ShardGrant {
             trace,
             profile,
             idx.join(","),
-            json_string(&self.manifest_toml)
+            quote(&self.manifest_toml)
         )
     }
 
     /// Decode from a lease response body.
     pub fn from_json(body: &str) -> Option<ShardGrant> {
+        let j = json::parse(body)?;
+        let num = |key: &str| j.get(key).and_then(|v| v.as_u64());
         Some(ShardGrant {
-            job: json::find_u64(body, "job")?,
-            shard: json::find_u64(body, "shard")?,
-            indices: json::find_u64_array(body, "indices")?
-                .into_iter()
-                .map(|i| i as usize)
-                .collect(),
-            manifest_toml: json::find_string(body, "manifest")?,
-            trace: json::find_u64(body, "trace").unwrap_or(0),
-            span: json::find_u64(body, "span").unwrap_or(0),
-            profile: json::find_bool(body, "profile").unwrap_or(false),
+            job: num("job")?,
+            shard: num("shard")?,
+            indices: j
+                .get("indices")?
+                .items()
+                .map(|i| usize::try_from(i.as_u64()?).ok())
+                .collect::<Option<_>>()?,
+            manifest_toml: j.get("manifest")?.as_str()?,
+            trace: num("trace").unwrap_or(0),
+            span: num("span").unwrap_or(0),
+            profile: j.get("profile").and_then(|v| v.as_bool()).unwrap_or(false),
         })
     }
 }
@@ -407,49 +411,65 @@ mod tests {
         }
     }
 
-    #[test]
-    fn control_messages_roundtrip() {
+    /// A registration with its answer, and an untraced and a traced grant.
+    fn control_messages() -> (Register, Registered, ShardGrant, ShardGrant) {
         let reg = Register {
-            name: "w\"1\"".to_string(),
+            name: "w\"1\"\\".to_string(),
             threads: 4,
         };
-        assert_eq!(Register::from_json(&reg.to_json()).unwrap(), reg);
-
         let ack = Registered {
             worker: 9,
             heartbeat_ms: 1000,
             lease_ms: 10_000,
         };
-        assert_eq!(Registered::from_json(&ack.to_json()).unwrap(), ack);
-
         let grant = ShardGrant {
             job: 3,
             shard: 17,
             indices: vec![0, 5, 540],
-            manifest_toml: "[scenario]\nname = \"x\"\n".to_string(),
+            manifest_toml: "[scenario]\nname = \"x\"\t\r\u{1}é\n".to_string(),
             trace: 0,
             span: 0,
             profile: false,
         };
+        let traced = ShardGrant {
+            trace: u64::MAX,
+            span: 42,
+            profile: true,
+            ..grant.clone()
+        };
+        (reg, ack, grant, traced)
+    }
+
+    #[test]
+    fn control_messages_roundtrip() {
+        let (reg, ack, grant, traced) = control_messages();
+        assert_eq!(Register::from_json(&reg.to_json()).unwrap(), reg);
+        assert_eq!(Registered::from_json(&ack.to_json()).unwrap(), ack);
         let encoded = grant.to_json();
         // Untraced grants are byte-identical to the pre-trace shape.
         assert!(!encoded.contains("trace"));
         assert!(!encoded.contains("profile"));
         assert_eq!(ShardGrant::from_json(&encoded).unwrap(), grant);
-
-        let traced = ShardGrant {
-            trace: 0xdead_beef,
-            span: 42,
-            profile: true,
-            ..grant.clone()
-        };
         assert_eq!(ShardGrant::from_json(&traced.to_json()).unwrap(), traced);
-
         let empty = ShardGrant {
             indices: Vec::new(),
             ..grant
         };
         assert_eq!(ShardGrant::from_json(&empty.to_json()).unwrap(), empty);
+    }
+
+    /// The control messages' wire bytes, as earlier workers and
+    /// schedulers wrote them.
+    #[test]
+    fn control_messages_keep_their_wire_bytes() {
+        let (reg, ack, grant, traced) = control_messages();
+        assert_eq!(reg.to_json(), r#"{"name":"w\"1\"\\","threads":4}"#);
+        let ack_bytes = r#"{"worker":9,"heartbeat_ms":1000,"lease_ms":10000}"#;
+        assert_eq!(ack.to_json(), ack_bytes);
+        let tail = r#""indices":[0,5,540],"manifest":"[scenario]\nname = \"x\"\t\r\u0001é\n"}"#;
+        assert_eq!(grant.to_json(), format!(r#"{{"job":3,"shard":17,{tail}"#));
+        let head = r#"{"job":3,"shard":17,"trace":18446744073709551615,"span":42,"profile":true"#;
+        assert_eq!(traced.to_json(), format!("{head},{tail}"));
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //! batch warms exactly the entries a local one would.
 
 use crate::protocol::{Register, Registered, ShardGrant, ShardReport};
+use pas_obs::json::quote;
 use pas_scenario::{expand, reduce, BatchResult, Manifest, RunRecord};
-use pas_server::http::{json_string, Request, Response};
+use pas_server::http::{Request, Response};
 use pas_server::json;
 use pas_server::{CacheStats, JobQueue, JobTrace, ResultCache, Router};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -588,7 +589,7 @@ impl Scheduler {
              \"running_jobs\":{running},\"active_jobs\":{},\"workers\":{},\
              \"mode\":\"dist\",\"draining\":{},\
              \"trace_dropped\":{},\"profile_dropped\":{}}}",
-            json_string(env!("CARGO_PKG_VERSION")),
+            quote(env!("CARGO_PKG_VERSION")),
             self.started.elapsed().as_secs(),
             s.jobs.len() + s.claiming,
             live_workers(&s, now, self.opts.lease),
@@ -611,7 +612,7 @@ impl Scheduler {
                     "{{\"id\":{id},\"name\":{},\"threads\":{},\"alive\":{},\
                      \"active_leases\":{},\"shards_done\":{},\"points_done\":{},\
                      \"points_per_s\":{:.1},\"last_seen_ms\":{}}}",
-                    json_string(&w.name),
+                    quote(&w.name),
                     w.threads,
                     age <= self.opts.lease,
                     active_leases(&s, id),

@@ -101,12 +101,7 @@ fn register(addr: &str, opts: &WorkerOptions) -> Result<Registered, ClientError>
                 return Registered::from_json(&resp)
                     .ok_or_else(|| ClientError::Protocol(format!("bad register response {resp}")))
             }
-            Ok((status, resp)) => {
-                return Err(ClientError::Api(
-                    status,
-                    json::find_string(&resp, "error").unwrap_or(resp),
-                ))
-            }
+            Ok((status, resp)) => return Err(ClientError::api(status, resp.as_bytes())),
             Err(e) => {
                 last = Some(e);
                 policy.sleep(attempt);
@@ -193,9 +188,7 @@ pub fn run(addr: &str, opts: WorkerOptions) -> Result<WorkerSummary, ClientError
         let mut rtt = pas_obs::span("worker.lease.rtt").labels(&[("worker", &opts.name)]);
         let leased = call(addr, "POST", "/dist/lease", body.as_bytes());
         let grant = match &leased {
-            Ok((200, resp)) if json::find_bool(resp, "drain") != Some(true) => {
-                ShardGrant::from_json(resp)
-            }
+            Ok((200, resp)) => ShardGrant::from_json(resp),
             _ => None,
         };
         if let Some(g) = &grant {
@@ -203,7 +196,9 @@ pub fn run(addr: &str, opts: WorkerOptions) -> Result<WorkerSummary, ClientError
         }
         rtt.finish();
         match leased {
-            Ok((200, resp)) if json::find_bool(&resp, "drain") == Some(true) => break Ok(()),
+            Ok((200, resp)) if grant.is_none() && json::find_bool(&resp, "drain") == Some(true) => {
+                break Ok(())
+            }
             Ok((200, resp)) => {
                 io_failures = 0;
                 let Some(grant) = grant else {
@@ -251,10 +246,7 @@ pub fn run(addr: &str, opts: WorkerOptions) -> Result<WorkerSummary, ClientError
                 summary.worker = reg.worker;
             }
             Ok((status, resp)) => {
-                break Err(ClientError::Api(
-                    status,
-                    json::find_string(&resp, "error").unwrap_or(resp),
-                ));
+                break Err(ClientError::api(status, resp.as_bytes()));
             }
             Err(e) => {
                 // Ride out server restarts: back off (jittered, cap 2 s)
@@ -418,10 +410,7 @@ fn execute_shard(
                 return Ok(ShardOutcome::Reported);
             }
             Ok((status, resp)) => {
-                return Err(ClientError::Api(
-                    status,
-                    json::find_string(&resp, "error").unwrap_or(resp),
-                ));
+                return Err(ClientError::api(status, resp.as_bytes()));
             }
             Err(e) => {
                 last = Some(e);

@@ -38,6 +38,7 @@
 //! with the sampler running. Memory is bounded by
 //! `series × retention × sample size`, independent of uptime.
 
+use crate::json::{self, quote};
 use crate::{series_key, Cell, Kind, Registry};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -324,12 +325,12 @@ fn plot_points(ring: &Ring) -> Vec<f64> {
 }
 
 fn render_series_json(out: &mut String, ring: &Ring) {
-    let _ = write!(out, "{{\"name\":{},\"labels\":{{", json_str(&ring.name));
+    let _ = write!(out, "{{\"name\":{},\"labels\":{{", quote(&ring.name));
     for (i, (k, v)) in ring.labels.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{}:{}", json_str(k), json_str(v));
+        let _ = write!(out, "{}:{}", quote(k), quote(v));
     }
     let _ = write!(
         out,
@@ -489,25 +490,6 @@ fn join_u64(it: impl Iterator<Item = u64>) -> String {
 fn join_f64(it: impl Iterator<Item = f64>, precision: usize) -> String {
     let v: Vec<String> = it.map(|x| format!("{x:.precision$}")).collect();
     v.join(",")
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn xml_escape(s: &str) -> String {
@@ -695,208 +677,40 @@ impl Dump {
             .map(|s| s.last_rate())
             .sum()
     }
-
-    /// The newest value of the first gauge series named `name`.
-    pub fn gauge_last(&self, name: &str) -> Option<f64> {
-        self.named(name).find_map(|s| s.values.last().copied())
-    }
 }
 
 /// Parse a `GET /metrics/history` JSON body rendered by
 /// [`History::render_json`]. Returns `None` on anything structurally
 /// unrecognisable; unknown fields are ignored, so the parse is
 /// forward-compatible with added arrays.
-pub fn parse_dump(json: &str) -> Option<Dump> {
+pub fn parse_dump(text: &str) -> Option<Dump> {
+    let root = json::parse(text)?;
     let mut dump = Dump {
-        interval_ms: scan_field_u64(json, "interval_ms")?,
-        retention: scan_field_u64(json, "retention").unwrap_or(0),
+        interval_ms: root.get("interval_ms")?.as_u64()?,
+        retention: root.get("retention").and_then(|v| v.as_u64()).unwrap_or(0),
         series: Vec::new(),
     };
-    let arr = array_slice(json, "series")?;
-    for obj in split_objects(arr) {
-        let mut s = DumpSeries {
-            name: scan_field_str(obj, "name")?,
-            labels: parse_labels(obj),
-            kind: scan_field_str(obj, "kind")?,
-            ..DumpSeries::default()
+    for obj in root.get("series")?.items() {
+        let items = |key: &str| obj.get(key).into_iter().flat_map(|a| a.items());
+        // `null` (an empty window) and any other non-number read as NaN.
+        let floats = |key: &str| -> Vec<f64> {
+            items(key).map(|v| v.as_f64().unwrap_or(f64::NAN)).collect()
         };
-        s.t_ms = num_array(obj, "t_ms")
-            .into_iter()
-            .map(|v| v as u64)
-            .collect();
-        s.values = float_array(obj, "values");
-        s.rates = float_array(obj, "rates");
-        s.count_rate = float_array(obj, "count_rate");
-        s.p50 = float_array(obj, "p50");
-        s.p95 = float_array(obj, "p95");
-        s.p99 = float_array(obj, "p99");
-        dump.series.push(s);
+        let labels = obj.get("labels").into_iter().flat_map(|l| l.members());
+        dump.series.push(DumpSeries {
+            name: obj.get("name")?.as_str()?,
+            labels: labels.filter_map(|(k, v)| Some((k, v.as_str()?))).collect(),
+            kind: obj.get("kind")?.as_str()?,
+            t_ms: items("t_ms").filter_map(|v| v.as_u64()).collect(),
+            values: floats("values"),
+            rates: floats("rates"),
+            count_rate: floats("count_rate"),
+            p50: floats("p50"),
+            p95: floats("p95"),
+            p99: floats("p99"),
+        });
     }
     Some(dump)
-}
-
-fn scan_field_u64(json: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let digits: String = json[at..]
-        .trim_start()
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-fn scan_field_str(obj: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let at = obj.find(&needle)? + needle.len();
-    let mut out = String::new();
-    let mut chars = obj[at..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                e => out.push(e),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// The contents of the `"key":[ ... ]` array (between the brackets),
-/// tracking nesting so inner arrays/objects don't terminate the slice.
-fn array_slice<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":[");
-    let start = json.find(&needle)? + needle.len();
-    let bytes = json.as_bytes();
-    let mut depth = 1i32;
-    let mut in_str = false;
-    let mut escape = false;
-    for (i, &b) in bytes[start..].iter().enumerate() {
-        if escape {
-            escape = false;
-            continue;
-        }
-        match b {
-            b'\\' if in_str => escape = true,
-            b'"' => in_str = !in_str,
-            b'[' | b'{' if !in_str => depth += 1,
-            b']' | b'}' if !in_str => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&json[start..start + i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Top-level `{...}` object slices of an array body.
-fn split_objects(arr: &str) -> Vec<&str> {
-    let bytes = arr.as_bytes();
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut escape = false;
-    let mut start = None;
-    for (i, &b) in bytes.iter().enumerate() {
-        if escape {
-            escape = false;
-            continue;
-        }
-        match b {
-            b'\\' if in_str => escape = true,
-            b'"' => in_str = !in_str,
-            b'{' if !in_str => {
-                if depth == 0 {
-                    start = Some(i);
-                }
-                depth += 1;
-            }
-            b'}' if !in_str => {
-                depth -= 1;
-                if depth == 0 {
-                    if let Some(s) = start.take() {
-                        out.push(&arr[s..=i]);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-fn num_array(obj: &str, key: &str) -> Vec<f64> {
-    float_array(obj, key)
-        .into_iter()
-        .filter(|v| v.is_finite())
-        .collect()
-}
-
-fn float_array(obj: &str, key: &str) -> Vec<f64> {
-    let Some(body) = array_slice(obj, key) else {
-        return Vec::new();
-    };
-    if body.trim().is_empty() {
-        return Vec::new();
-    }
-    body.split(',')
-        .map(|tok| {
-            let tok = tok.trim();
-            if tok == "null" {
-                f64::NAN
-            } else {
-                tok.parse().unwrap_or(f64::NAN)
-            }
-        })
-        .collect()
-}
-
-fn parse_labels(obj: &str) -> Vec<(String, String)> {
-    let needle = "\"labels\":{";
-    let Some(start) = obj.find(needle).map(|p| p + needle.len()) else {
-        return Vec::new();
-    };
-    let Some(end) = obj[start..].find('}').map(|p| start + p) else {
-        return Vec::new();
-    };
-    let body = &obj[start..end];
-    let mut out = Vec::new();
-    for pair in split_quoted_pairs(body) {
-        out.push(pair);
-    }
-    out
-}
-
-/// `"k":"v"` pairs of a flat string-to-string object body.
-fn split_quoted_pairs(body: &str) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let mut rest = body;
-    while let Some(k_start) = rest.find('"') {
-        let Some(k_len) = rest[k_start + 1..].find('"') else {
-            break;
-        };
-        let key = rest[k_start + 1..k_start + 1 + k_len].to_string();
-        rest = &rest[k_start + 1 + k_len + 1..];
-        let Some(colon) = rest.find(':') else { break };
-        rest = &rest[colon + 1..];
-        let Some(v_start) = rest.find('"') else { break };
-        let Some(v_len) = rest[v_start + 1..].find('"') else {
-            break;
-        };
-        out.push((key, rest[v_start + 1..v_start + 1 + v_len].to_string()));
-        rest = &rest[v_start + 1 + v_len + 1..];
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1020,13 +834,22 @@ mod tests {
         reg.counter("pas.h.rt.count", &[("outcome", "ok"), ("route", "/jobs")])
             .add(3);
         reg.gauge("pas.h.rt.jobs", &[]).set(-2);
+        // Worker names are free text (`pas worker --name`) labelling `pas
+        // top`'s lanes: each comes back verbatim, in the dump's order.
+        let workers = ["a\u{1}b", "a\rb", "a\"b", "a\\b", "a}b", "a\u{1F980}b"];
+        for w in workers {
+            reg.gauge("pas.h.rt.worker", &[("worker", w)]).set(1);
+        }
         let h = History::new(cfg(500, 8));
         h.sample_at(&reg, 1000);
         h.sample_at(&reg, 1500);
         let json = h.render_json();
         let dump = parse_dump(&json).expect("parses");
         assert_eq!(dump.interval_ms, 500);
-        assert_eq!(dump.series.len(), 2);
+        assert_eq!(dump.series.len(), 2 + workers.len());
+        let named = dump.named("pas.h.rt.worker");
+        let back: Vec<&str> = named.filter_map(|s| s.label("worker")).collect();
+        assert_eq!(back, workers);
         let c = dump.named("pas.h.rt.count").next().unwrap();
         assert_eq!(c.kind, "counter");
         assert_eq!(c.label("outcome"), Some("ok"));

@@ -21,8 +21,12 @@
 //! monotonic clock at open and at close, and from that one measurement
 //! feeds the seam's [`profile`] region, an optional histogram here, and
 //! a [`trace`] span.
+//!
+//! [`json`] is the workspace's one JSON codec: writers quote strings with
+//! [`json::quote`], readers decode with [`json::parse`].
 
 pub mod history;
+pub mod json;
 pub mod profile;
 pub mod trace;
 

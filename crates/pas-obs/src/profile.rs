@@ -748,8 +748,8 @@ pub fn json(entries: &[ProfileEntry], dropped: u64) -> String {
         }
         let _ = write!(
             out,
-            "{{\"stack\":\"{}\",\"calls\":{},\"total_us\":{},\"self_us\":{},\"samples\":{}}}",
-            jesc(&e.key()),
+            "{{\"stack\":{},\"calls\":{},\"total_us\":{},\"self_us\":{},\"samples\":{}}}",
+            crate::json::quote(&e.key()),
             e.calls,
             e.total_ns / 1_000,
             e.self_ns() / 1_000,
@@ -757,24 +757,6 @@ pub fn json(entries: &[ProfileEntry], dropped: u64) -> String {
         );
     }
     out.push_str("]}\n");
-    out
-}
-
-fn jesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

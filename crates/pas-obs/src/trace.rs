@@ -34,6 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use crate::json::quote;
 use crate::SHARDS;
 
 /// Per-shard span capacity of the global store: 16 shards × 4096 =
@@ -285,24 +286,6 @@ impl Drop for CtxGuard {
 
 // --- renderers --------------------------------------------------------------
 
-fn jesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Index of `span` id → position, for parent lookups.
 fn index(spans: &[SpanRecord]) -> std::collections::HashMap<u64, usize> {
     spans.iter().enumerate().map(|(i, s)| (s.span, i)).collect()
@@ -344,9 +327,9 @@ pub fn render_chrome(spans: &[SpanRecord]) -> String {
     let mut events: Vec<String> = Vec::new();
     for (i, tag) in procs.iter().enumerate() {
         events.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{},\"name\":\"process_name\",\"args\":{{\"name\":\"{}\"}}}}",
+            "{{\"ph\":\"M\",\"pid\":{},\"name\":\"process_name\",\"args\":{{\"name\":{}}}}}",
             i + 1,
-            jesc(tag)
+            quote(tag)
         ));
     }
     for (i, s) in spans.iter().enumerate() {
@@ -365,11 +348,11 @@ pub fn render_chrome(spans: &[SpanRecord]) -> String {
             s.trace, s.span, s.parent
         );
         for (k, v) in &s.labels {
-            let _ = write!(args, ",\"{}\":\"{}\"", jesc(k), jesc(v));
+            let _ = write!(args, ",{}:{}", quote(k), quote(v));
         }
         events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"pas\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{{}}}}}",
-            jesc(&s.name),
+            "{{\"name\":{},\"cat\":\"pas\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{{}}}}}",
+            quote(&s.name),
             s.start_us,
             s.dur_us,
             pid,

@@ -7,6 +7,7 @@
 //! downstream statistic.
 
 use pas_metrics::Csv;
+use pas_scenario::json::{self, Json};
 use pas_scenario::{AxisValue, PointSummary, RunRecord, SCHEMA_VERSION};
 use std::fmt;
 
@@ -70,103 +71,32 @@ pub struct IngestedSummaries {
     pub summaries: Vec<PointSummary>,
 }
 
-// --- flat JSON scanning -----------------------------------------------------
-//
-// Sink rows are flat objects with one nested `assignments` object; a
-// cursor-free scanner per field keeps this std-only (the `pas-server`
-// scanners are unavailable here without a dependency cycle).
-
-fn find_key(json: &str, key: &str) -> Option<usize> {
-    let needle = format!("\"{key}\":");
-    json.find(&needle).map(|at| at + needle.len())
+/// A row's `assignments` object as axis assignments: strings are
+/// names, numbers are values.
+fn assignments(row: Json) -> Option<Vec<(String, AxisValue)>> {
+    let object = row
+        .get("assignments")
+        .filter(|a| a.raw().starts_with('{'))?;
+    object
+        .members()
+        .map(|(field, v)| match v.as_str() {
+            Some(name) => Some((field, AxisValue::Name(name))),
+            None => Some((field, AxisValue::Num(v.as_f64()?))),
+        })
+        .collect()
 }
 
-fn scan_f64(json: &str, key: &str) -> Option<f64> {
-    let rest = json[find_key(json, key)?..].trim_start();
-    let end = rest
-        .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn scan_u64(json: &str, key: &str) -> Option<u64> {
-    let rest = json[find_key(json, key)?..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Decode the JSON string starting at `rest` (past the opening quote);
-/// returns `(value, bytes consumed including the closing quote)`.
-fn scan_string_at(rest: &str) -> Option<(String, usize)> {
-    let mut out = String::new();
-    let mut chars = rest.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Some((out, i + 1)),
-            '\\' => match chars.next()?.1 {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                'u' => {
-                    let mut code = String::new();
-                    for _ in 0..4 {
-                        code.push(chars.next()?.1);
-                    }
-                    out.push(char::from_u32(u32::from_str_radix(&code, 16).ok()?)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-fn scan_string(json: &str, key: &str) -> Option<String> {
-    let rest = json[find_key(json, key)?..]
-        .trim_start()
-        .strip_prefix('"')?;
-    scan_string_at(rest).map(|(s, _)| s)
-}
-
-/// Parse the flat `"assignments":{...}` object into axis assignments.
-fn scan_assignments(json: &str) -> Option<Vec<(String, AxisValue)>> {
-    let mut rest = json[find_key(json, "assignments")?..]
-        .trim_start()
-        .strip_prefix('{')?;
-    let mut out = Vec::new();
-    loop {
-        rest = rest.trim_start();
-        if rest.starts_with('}') {
-            return Some(out);
-        }
-        rest = rest.strip_prefix(',').unwrap_or(rest).trim_start();
-        let after_quote = rest.strip_prefix('"')?;
-        let (field, used) = scan_string_at(after_quote)?;
-        rest = after_quote[used..].trim_start().strip_prefix(':')?;
-        rest = rest.trim_start();
-        if let Some(r) = rest.strip_prefix('"') {
-            let (name, used) = scan_string_at(r)?;
-            out.push((field, AxisValue::Name(name)));
-            rest = &r[used..];
-        } else {
-            let end = rest
-                .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-                .unwrap_or(rest.len());
-            let v: f64 = rest[..end].parse().ok()?;
-            out.push((field, AxisValue::Num(v)));
-            rest = &rest[end..];
-        }
-    }
+/// `value`, or the error for row `line` lacking field `key`.
+fn need<T>(value: Option<T>, line: usize, key: &str) -> Result<T, IngestError> {
+    value.ok_or_else(|| IngestError::Malformed {
+        line,
+        message: format!("no {key}"),
+    })
 }
 
 /// Check one row's schema stamp.
-fn check_version(json: &str) -> Result<(), IngestError> {
-    match scan_u64(json, "schema_version") {
+fn check_version(row: Json) -> Result<(), IngestError> {
+    match row.get("schema_version").and_then(|v| v.as_u64()) {
         Some(v) if v == u64::from(SCHEMA_VERSION) => Ok(()),
         Some(v) => Err(IngestError::SchemaVersion {
             found: v.to_string(),
@@ -189,30 +119,33 @@ pub fn parse_records_jsonl(text: &str) -> Result<IngestedRecords, IngestError> {
         if line.is_empty() {
             continue;
         }
-        let row = i + 1;
-        check_version(line)?;
         let malformed = |message: &str| IngestError::Malformed {
-            line: row,
+            line: i + 1,
             message: message.to_string(),
         };
+        let row = json::parse(line).ok_or_else(|| malformed("not JSON"))?;
+        check_version(row)?;
+        let num = |k: &str| need(row.get(k).and_then(|v| v.as_f64()), i + 1, k);
+        let int = |k: &str| need(row.get(k).and_then(|v| v.as_u64()), i + 1, k);
+        let text = |k: &str| need(row.get(k).and_then(|v| v.as_str()), i + 1, k);
         if scenario.is_empty() {
-            scenario = scan_string(line, "scenario").ok_or_else(|| malformed("no scenario"))?;
+            scenario = text("scenario")?;
         }
-        let assignments = scan_assignments(line).ok_or_else(|| malformed("bad assignments"))?;
+        let assignments = assignments(row).ok_or_else(|| malformed("bad assignments"))?;
         records.push(RunRecord {
-            x: scan_f64(line, "x").ok_or_else(|| malformed("no x"))?,
-            policy_label: scan_string(line, "policy").ok_or_else(|| malformed("no policy"))?,
-            seed: scan_u64(line, "seed").ok_or_else(|| malformed("no seed"))?,
+            x: num("x")?,
+            policy_label: text("policy")?,
+            seed: int("seed")?,
             assignments,
-            delay_s: scan_f64(line, "delay_s").ok_or_else(|| malformed("no delay_s"))?,
-            energy_j: scan_f64(line, "energy_j").ok_or_else(|| malformed("no energy_j"))?,
-            reached: scan_u64(line, "reached").ok_or_else(|| malformed("no reached"))? as usize,
-            detected: scan_u64(line, "detected").ok_or_else(|| malformed("no detected"))? as usize,
-            missed: scan_u64(line, "missed").ok_or_else(|| malformed("no missed"))? as usize,
-            requests_sent: scan_u64(line, "requests_sent").unwrap_or(0),
-            responses_sent: scan_u64(line, "responses_sent").unwrap_or(0),
-            events_processed: scan_u64(line, "events_processed").unwrap_or(0),
-            duration_s: scan_f64(line, "duration_s").unwrap_or(0.0),
+            delay_s: num("delay_s")?,
+            energy_j: num("energy_j")?,
+            reached: int("reached")? as usize,
+            detected: int("detected")? as usize,
+            missed: int("missed")? as usize,
+            requests_sent: int("requests_sent").unwrap_or(0),
+            responses_sent: int("responses_sent").unwrap_or(0),
+            events_processed: int("events_processed").unwrap_or(0),
+            duration_s: num("duration_s").unwrap_or(0.0),
         });
     }
     if records.is_empty() {

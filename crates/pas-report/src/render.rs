@@ -7,28 +7,8 @@
 
 use crate::report::{Report, Source, REPORT_SCHEMA_VERSION};
 use crate::stats::{BOOTSTRAP_RESAMPLES, CONFIDENCE};
+use pas_scenario::json::quote;
 use std::fmt::Write as _;
-
-/// Quote a string as a JSON string literal.
-fn json_string(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len() + 2);
-    out.push('"');
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// Escape Markdown table-breaking characters in a label.
 fn md_cell(raw: &str) -> String {
@@ -165,31 +145,22 @@ pub fn render_json(report: &Report) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"schema_version\": {REPORT_SCHEMA_VERSION},");
-    let _ = writeln!(out, "  \"scenario\": {},", json_string(&report.scenario));
-    let _ = writeln!(out, "  \"x_label\": {},", json_string(&report.x_label));
-    let _ = writeln!(
-        out,
-        "  \"source\": {},",
-        json_string(report.source.as_str())
-    );
+    let _ = writeln!(out, "  \"scenario\": {},", quote(&report.scenario));
+    let _ = writeln!(out, "  \"x_label\": {},", quote(&report.x_label));
+    let _ = writeln!(out, "  \"source\": {},", quote(report.source.as_str()));
     let _ = writeln!(out, "  \"total_runs\": {},", report.total_runs);
     let _ = writeln!(out, "  \"confidence\": {CONFIDENCE},");
     let _ = writeln!(out, "  \"resamples\": {BOOTSTRAP_RESAMPLES},");
     match &report.compared {
         Some((a, b)) => {
-            let _ = writeln!(
-                out,
-                "  \"compare\": [{}, {}],",
-                json_string(a),
-                json_string(b)
-            );
+            let _ = writeln!(out, "  \"compare\": [{}, {}],", quote(a), quote(b));
         }
         None => {
             let _ = writeln!(out, "  \"compare\": null,");
         }
     }
     let assignments_json = |extra: &[String]| -> String {
-        let items: Vec<String> = extra.iter().map(|e| json_string(e)).collect();
+        let items: Vec<String> = extra.iter().map(|e| quote(e)).collect();
         format!("[{}]", items.join(","))
     };
     let cells: Vec<String> = report
@@ -202,7 +173,7 @@ pub fn render_json(report: &Report) -> String {
                  \"energy\":{{\"mean\":{},\"std\":{},\"ci_lo\":{},\"ci_hi\":{},\"min\":{},\"max\":{}}},\
                  \"reached\":{},\"detected\":{},\"missed\":{},\"miss_rate\":{}}}",
                 c.x,
-                json_string(&c.policy),
+                quote(&c.policy),
                 assignments_json(&c.extra),
                 c.n,
                 c.delay.mean,

@@ -47,6 +47,9 @@ pub mod registry;
 pub mod sink;
 pub mod toml;
 
+/// The JSON codec, for readers of the [`sink`] rows that lack `pas-obs`.
+pub use pas_obs::json;
+
 pub use exec::{
     execute, execute_point, expand, expand_indices, failure_plan, group, matrix_size, point_at,
     reduce, BatchResult, ExecOptions, PointCell, PointSummary, Replicate, RunPoint, RunRecord,

@@ -13,6 +13,7 @@
 
 use crate::exec::BatchResult;
 use pas_metrics::{Csv, Table};
+use pas_obs::json::quote;
 use std::io;
 use std::path::Path;
 
@@ -53,22 +54,6 @@ pub fn write_summary_csv(batch: &BatchResult, path: &Path) -> io::Result<()> {
     summary_csv(batch).write(path)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render every run record as one JSON object per line.
 pub fn records_jsonl(batch: &BatchResult) -> String {
     let mut out = String::new();
@@ -77,22 +62,20 @@ pub fn records_jsonl(batch: &BatchResult) -> String {
             .assignments
             .iter()
             .map(|(k, v)| match v {
-                crate::manifest::AxisValue::Num(v) => format!("\"{}\":{}", json_escape(k), v),
-                crate::manifest::AxisValue::Name(n) => {
-                    format!("\"{}\":\"{}\"", json_escape(k), json_escape(n))
-                }
+                crate::manifest::AxisValue::Num(v) => format!("{}:{}", quote(k), v),
+                crate::manifest::AxisValue::Name(n) => format!("{}:{}", quote(k), quote(n)),
             })
             .collect();
         out.push_str(&format!(
             "{{\"schema_version\":{SCHEMA_VERSION},\
-             \"scenario\":\"{}\",\"x\":{},\"policy\":\"{}\",\"seed\":{},\
+             \"scenario\":{},\"x\":{},\"policy\":{},\"seed\":{},\
              \"assignments\":{{{}}},\"delay_s\":{},\"energy_j\":{},\
              \"reached\":{},\"detected\":{},\"missed\":{},\
              \"requests_sent\":{},\"responses_sent\":{},\
              \"events_processed\":{},\"duration_s\":{}}}\n",
-            json_escape(&batch.name),
+            quote(&batch.name),
             r.x,
-            json_escape(&r.policy_label),
+            quote(&r.policy_label),
             r.seed,
             assignments.join(","),
             r.delay_s,

@@ -5,7 +5,7 @@
 //! wrapper over one route.
 
 use crate::http::roundtrip_with;
-use crate::json::{find_string as json_find_string, find_u64 as json_find_u64};
+use pas_obs::json;
 use std::io;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -155,6 +155,16 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
+impl ClientError {
+    /// The error for a non-success answer: the message of the server's
+    /// `{"error": "..."}` body, or the raw body when it has none.
+    pub fn api(status: u16, body: &[u8]) -> ClientError {
+        let text = String::from_utf8_lossy(body);
+        let msg = json::parse(&text).and_then(|j| j.get("error")?.as_str());
+        ClientError::Api(status, msg.unwrap_or_else(|| text.into_owned()))
+    }
+}
+
 impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> Self {
         ClientError::Io(e)
@@ -270,6 +280,17 @@ fn retryable(e: &ClientError) -> bool {
     }
 }
 
+fn text(body: Vec<u8>) -> String {
+    String::from_utf8_lossy(&body).into_owned()
+}
+
+/// Unsigned field `key` of a JSON answer.
+fn u64_field(body: &[u8], key: &str) -> Result<u64, ClientError> {
+    let body = String::from_utf8_lossy(body);
+    crate::json::find_u64(&body, key)
+        .ok_or_else(|| ClientError::Protocol(format!("no `{key}` in {body}")))
+}
+
 /// A client bound to one server address.
 #[derive(Debug, Clone)]
 pub struct Client {
@@ -287,55 +308,35 @@ impl Client {
         &self.addr
     }
 
-    fn call(
-        &self,
-        method: &str,
-        path: &str,
-        accept: Option<&str>,
-        body: &[u8],
-    ) -> Result<(u16, Vec<u8>), ClientError> {
-        self.call_with(method, path, accept, &[], body)
-    }
-
-    fn call_with(
+    /// One request: the body of a 2xx answer, else the server's error.
+    fn fetch(
         &self,
         method: &str,
         path: &str,
         accept: Option<&str>,
         extra_headers: &[(&str, &str)],
         body: &[u8],
-    ) -> Result<(u16, Vec<u8>), ClientError> {
+    ) -> Result<Vec<u8>, ClientError> {
         let mut stream = TcpStream::connect(&self.addr)?;
         stream.set_read_timeout(Some(Duration::from_secs(600)))?;
         let (status, _ctype, body) =
             roundtrip_with(&mut stream, method, path, accept, extra_headers, body)?;
-        Ok((status, body))
-    }
-
-    fn expect_ok(&self, outcome: (u16, Vec<u8>)) -> Result<String, ClientError> {
-        let (status, body) = outcome;
-        let text = String::from_utf8_lossy(&body).into_owned();
         if (200..300).contains(&status) {
-            Ok(text)
+            Ok(body)
         } else {
-            // Error bodies are `{"error": "..."}`; fall back to raw text.
-            let msg = json_find_string(&text, "error").unwrap_or(text.clone());
-            Err(ClientError::Api(status, msg))
+            Err(ClientError::api(status, &body))
         }
     }
 
     /// `GET /scenarios`, raw JSON.
     pub fn scenarios(&self) -> Result<String, ClientError> {
-        let out = self.call("GET", "/scenarios", None, &[])?;
-        self.expect_ok(out)
+        self.fetch("GET", "/scenarios", None, &[], &[]).map(text)
     }
 
     /// `POST /validate` with manifest TOML; returns the run count.
     pub fn validate(&self, manifest_toml: &str) -> Result<u64, ClientError> {
-        let out = self.call("POST", "/validate", None, manifest_toml.as_bytes())?;
-        let body = self.expect_ok(out)?;
-        json_find_u64(&body, "runs")
-            .ok_or_else(|| ClientError::Protocol(format!("no `runs` in {body}")))
+        let body = self.fetch("POST", "/validate", None, &[], manifest_toml.as_bytes())?;
+        u64_field(&body, "runs")
     }
 
     /// `POST /jobs` with manifest TOML; returns the job id.
@@ -357,16 +358,14 @@ impl Client {
         trace: u64,
     ) -> Result<(u64, u64), ClientError> {
         let hex = format!("{trace:016x}");
-        let out = self.call_with(
+        let body = self.fetch(
             "POST",
             "/jobs",
             None,
             &[("X-Pas-Trace", hex.as_str())],
             manifest_toml.as_bytes(),
         )?;
-        let body = self.expect_ok(out)?;
-        let id = json_find_u64(&body, "id")
-            .ok_or_else(|| ClientError::Protocol(format!("no `id` in {body}")))?;
+        let id = u64_field(&body, "id")?;
         Ok((id, trace))
     }
 
@@ -412,48 +411,44 @@ impl Client {
     /// `GET /healthz` (built-in; the dist scheduler serves a richer
     /// variant on the same path when mounted), raw JSON.
     pub fn healthz(&self) -> Result<String, ClientError> {
-        let out = self.call("GET", "/healthz", None, &[])?;
-        self.expect_ok(out)
+        self.fetch("GET", "/healthz", None, &[], &[]).map(text)
     }
 
     /// `GET /metrics` (requires `pas serve --metrics`): the server's
     /// Prometheus text exposition.
     pub fn metrics(&self) -> Result<String, ClientError> {
-        let out = self.call("GET", "/metrics", None, &[])?;
-        self.expect_ok(out)
+        self.fetch("GET", "/metrics", None, &[], &[]).map(text)
     }
 
     /// `GET /dist/workers` as the server-rendered plain-text fleet table.
     pub fn workers_table(&self) -> Result<String, ClientError> {
-        let out = self.call("GET", "/dist/workers", Some("text/plain"), &[])?;
-        self.expect_ok(out)
+        self.fetch("GET", "/dist/workers", Some("text/plain"), &[], &[])
+            .map(text)
     }
 
     /// `POST /dist/drain`: stop claiming jobs; workers exit when all
     /// active jobs finish.
     pub fn drain(&self) -> Result<(), ClientError> {
-        let out = self.call("POST", "/dist/drain", None, &[])?;
-        self.expect_ok(out).map(|_| ())
+        self.fetch("POST", "/dist/drain", None, &[], &[])
+            .map(|_| ())
     }
 
     /// `GET /jobs/:id`.
     pub fn status(&self, id: u64) -> Result<JobStatus, ClientError> {
-        let out = self.call("GET", &format!("/jobs/{id}"), None, &[])?;
-        let body = self.expect_ok(out)?;
-        let field = |k: &str| {
-            json_find_u64(&body, k)
-                .ok_or_else(|| ClientError::Protocol(format!("no `{k}` in {body}")))
-        };
+        let body = text(self.fetch("GET", &format!("/jobs/{id}"), None, &[], &[])?);
+        let missing = |k: &str| ClientError::Protocol(format!("no `{k}` in {body}"));
+        let j = json::parse(&body).ok_or_else(|| missing("status"))?;
+        let num = |k: &str| j.get(k).and_then(|v| v.as_u64()).ok_or_else(|| missing(k));
+        let string = |k: &str| j.get(k).and_then(|v| v.as_str());
         Ok(JobStatus {
-            id: field("id")?,
-            phase: json_find_string(&body, "phase")
-                .ok_or_else(|| ClientError::Protocol(format!("no `phase` in {body}")))?,
-            done: field("done")?,
-            total: field("total")?,
-            cache_hits: field("cache_hits")?,
-            cache_misses: field("cache_misses")?,
-            error: json_find_string(&body, "error"),
-            trace: json_find_string(&body, "trace"),
+            id: num("id")?,
+            phase: string("phase").ok_or_else(|| missing("phase"))?,
+            done: num("done")?,
+            total: num("total")?,
+            cache_hits: num("cache_hits")?,
+            cache_misses: num("cache_misses")?,
+            error: string("error"),
+            trace: string("trace"),
         })
     }
 
@@ -488,32 +483,25 @@ impl Client {
             ResultFormat::Csv => "text/csv",
             ResultFormat::Jsonl => "application/x-ndjson",
         };
-        let (status, body) = self.call("GET", &format!("/jobs/{id}/results"), Some(accept), &[])?;
-        if status == 200 {
-            Ok(body)
-        } else {
-            let text = String::from_utf8_lossy(&body).into_owned();
-            let msg = json_find_string(&text, "error").unwrap_or(text);
-            Err(ClientError::Api(status, msg))
-        }
+        self.fetch(
+            "GET",
+            &format!("/jobs/{id}/results"),
+            Some(accept),
+            &[],
+            &[],
+        )
     }
 
     /// `GET /jobs/:id/trace` in the requested format, as raw bytes
     /// (requires `pas serve --metrics`).
     pub fn trace(&self, id: u64, format: TraceFormat) -> Result<Vec<u8>, ClientError> {
-        let (status, body) = self.call(
+        self.fetch(
             "GET",
             &format!("/jobs/{id}/trace"),
             Some(format.accept()),
             &[],
-        )?;
-        if status == 200 {
-            Ok(body)
-        } else {
-            let text = String::from_utf8_lossy(&body).into_owned();
-            let msg = json_find_string(&text, "error").unwrap_or(text);
-            Err(ClientError::Api(status, msg))
-        }
+            &[],
+        )
     }
 
     /// `GET /profile` in the requested format, as raw bytes (requires
@@ -529,14 +517,7 @@ impl Client {
             Some(s) => format!("/profile?seconds={s}"),
             None => "/profile".to_string(),
         };
-        let (status, body) = self.call("GET", &path, Some(format.accept()), &[])?;
-        if status == 200 {
-            Ok(body)
-        } else {
-            let text = String::from_utf8_lossy(&body).into_owned();
-            let msg = json_find_string(&text, "error").unwrap_or(text);
-            Err(ClientError::Api(status, msg))
-        }
+        self.fetch("GET", &path, Some(format.accept()), &[], &[])
     }
 
     /// `GET /metrics/history` in the requested format, as raw bytes
@@ -544,31 +525,18 @@ impl Client {
     /// exposition answers `403` with guidance, surfaced as
     /// [`ClientError::Api`].
     pub fn metrics_history(&self, format: HistoryFormat) -> Result<Vec<u8>, ClientError> {
-        let (status, body) = self.call("GET", "/metrics/history", Some(format.accept()), &[])?;
-        if status == 200 {
-            Ok(body)
-        } else {
-            let text = String::from_utf8_lossy(&body).into_owned();
-            let msg = json_find_string(&text, "error").unwrap_or(text);
-            Err(ClientError::Api(status, msg))
-        }
+        self.fetch("GET", "/metrics/history", Some(format.accept()), &[], &[])
     }
 
     /// `GET /jobs/:id/report` in the requested format, as raw bytes.
     pub fn report(&self, id: u64, format: ReportFormat) -> Result<Vec<u8>, ClientError> {
-        let (status, body) = self.call(
+        self.fetch(
             "GET",
             &format!("/jobs/{id}/report"),
             Some(format.accept()),
             &[],
-        )?;
-        if status == 200 {
-            Ok(body)
-        } else {
-            let text = String::from_utf8_lossy(&body).into_owned();
-            let msg = json_find_string(&text, "error").unwrap_or(text);
-            Err(ClientError::Api(status, msg))
-        }
+            &[],
+        )
     }
 }
 

@@ -6,6 +6,7 @@
 //! server and [`crate::client`] speak through these same types, so the
 //! wire format cannot drift between the two.
 
+use pas_obs::json::quote;
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -76,7 +77,7 @@ impl Response {
 
     /// A JSON error envelope: `{"error": "..."}`.
     pub fn error(status: u16, message: &str) -> Response {
-        Response::json(status, format!("{{\"error\":{}}}", json_string(message)))
+        Response::json(status, format!("{{\"error\":{}}}", quote(message)))
     }
 
     fn reason(&self) -> &'static str {
@@ -111,27 +112,6 @@ impl Response {
         stream.write_all(&self.body)?;
         stream.flush()
     }
-}
-
-/// Quote a string as a JSON string literal.
-pub fn json_string(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len() + 2);
-    out.push('"');
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = std::fmt::Write::write_fmt(&mut out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Read one request from a stream. `Err` means the connection is broken
@@ -305,12 +285,6 @@ pub fn roundtrip_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
 
     #[test]
     fn response_serialises_with_length() {

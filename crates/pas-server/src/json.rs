@@ -1,82 +1,15 @@
-//! Minimal JSON field scanners for the API's flat envelopes.
-//!
-//! Every JSON body this workspace exchanges — job envelopes, worker
-//! registration, lease grants — is a single-level object with known keys,
-//! so a scanning decoder is sufficient and keeps everything std-only.
-//! Shared by [`crate::client`] and the `pas-dist` protocol so the two
-//! sides cannot drift.
+//! Top-level field lookups on a JSON object body, over
+//! [`pas_obs::json::parse`]. Code that reads more than one field parses
+//! once and uses the view directly.
 
-/// Extract `"key": <unsigned int>` from a flat JSON object.
+/// `"key": <unsigned int>` of a JSON object body.
 pub fn find_u64(json: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    rest[..end].parse().ok()
+    pas_obs::json::parse(json)?.get(key)?.as_u64()
 }
 
-/// Extract `"key": true|false` from a flat JSON object.
+/// `"key": true|false` of a JSON object body.
 pub fn find_bool(json: &str, key: &str) -> Option<bool> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// Extract `"key": "string"` (with JSON escapes) from a flat JSON object.
-pub fn find_string(json: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start().strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                'u' => {
-                    let code: String = chars.by_ref().take(4).collect();
-                    let v = u32::from_str_radix(&code, 16).ok()?;
-                    out.push(char::from_u32(v)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extract `"key": [1, 2, ...]` (unsigned ints) from a flat JSON object.
-pub fn find_u64_array(json: &str, key: &str) -> Option<Vec<u64>> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start().strip_prefix('[')?;
-    let end = rest.find(']')?;
-    let inner = rest[..end].trim();
-    if inner.is_empty() {
-        return Some(Vec::new());
-    }
-    inner
-        .split(',')
-        .map(|s| s.trim().parse().ok())
-        .collect::<Option<Vec<u64>>>()
+    pas_obs::json::parse(json)?.get(key)?.as_bool()
 }
 
 #[cfg(test)]
@@ -86,20 +19,14 @@ mod tests {
     #[test]
     fn scanners_decode_flat_envelopes() {
         let body = "{\"id\":42,\"phase\":\"running\",\"ok\":true,\"drain\":false,\
-                    \"indices\":[3, 5,8],\"empty\":[],\
-                    \"error\":\"boom \\\"quoted\\\"\\n\"}";
+                    \"nested\":{\"deep\":7},\"neg\":-1}";
         assert_eq!(find_u64(body, "id"), Some(42));
         assert_eq!(find_u64(body, "missing"), None);
+        assert_eq!(find_u64(body, "deep"), None, "top level only");
+        assert_eq!(find_u64(body, "neg"), None);
         assert_eq!(find_bool(body, "ok"), Some(true));
         assert_eq!(find_bool(body, "drain"), Some(false));
         assert_eq!(find_bool(body, "id"), None);
-        assert_eq!(find_string(body, "phase").as_deref(), Some("running"));
-        assert_eq!(
-            find_string(body, "error").as_deref(),
-            Some("boom \"quoted\"\n")
-        );
-        assert_eq!(find_u64_array(body, "indices"), Some(vec![3, 5, 8]));
-        assert_eq!(find_u64_array(body, "empty"), Some(Vec::new()));
-        assert_eq!(find_u64_array(body, "phase"), None);
+        assert_eq!(find_u64("{\"id\":42", "id"), None, "not JSON");
     }
 }

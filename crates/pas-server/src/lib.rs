@@ -20,6 +20,9 @@
 //! * [`client`] — the blocking client behind `pas submit`.
 //! * [`hash`] — the in-tree SHA-256 (FIPS 180-4) the cache keys use.
 //!
+//! JSON bodies are written and read with `pas_obs::json`; [`json`] keeps
+//! only two single-field lookups over it.
+//!
 //! ## Determinism guarantee
 //!
 //! Batch execution decomposes into [`pas_scenario::execute_point`] and

@@ -18,8 +18,9 @@
 //! on the queue's worker threads, never on connection threads.
 
 use crate::cache::ResultCache;
-use crate::http::{json_string, read_request, Request, Response};
+use crate::http::{read_request, Request, Response};
 use crate::queue::{JobPhase, JobQueue, SubmitError};
+use pas_obs::json::quote;
 use pas_scenario::{expand, matrix_size, registry, sink, ExecOptions, Manifest};
 use std::io::{self, Write as _};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -285,7 +286,7 @@ fn route(ctx: &Ctx, req: &Request) -> Response {
                 200,
                 format!(
                     "{{\"ok\":true,\"scenario\":{},\"runs\":{runs}}}",
-                    json_string(&m.name)
+                    quote(&m.name)
                 ),
             )
         }),
@@ -348,12 +349,12 @@ fn healthz(ctx: &Ctx) -> Response {
             "{{\"ok\":true,\"version\":{},\"uptime_s\":{},\"queue_depth\":{},\
              \"running_jobs\":{},\"workers\":{},\"mode\":{},\
              \"trace_dropped\":{},\"profile_dropped\":{}}}",
-            json_string(env!("CARGO_PKG_VERSION")),
+            quote(env!("CARGO_PKG_VERSION")),
             ctx.started.elapsed().as_secs(),
             ctx.queue.depth(),
             ctx.queue.running(),
             ctx.opts.workers.max(1),
-            json_string(if ctx.opts.local_exec {
+            quote(if ctx.opts.local_exec {
                 "local"
             } else {
                 "external"
@@ -589,9 +590,9 @@ fn scenarios() -> Response {
             let runs = expand(&m).map(|p| p.len()).unwrap_or(0);
             format!(
                 "{{\"name\":{},\"runs\":{runs},\"policies\":{},\"description\":{}}}",
-                json_string(name),
+                quote(name),
                 m.policies.len(),
-                json_string(&m.description)
+                quote(&m.description)
             )
         })
         .collect();
@@ -608,20 +609,20 @@ fn expansion_json(m: &Manifest, runs: usize) -> String {
                 .iter()
                 .map(|v| match v {
                     pas_scenario::AxisValue::Num(v) => format!("{v}"),
-                    pas_scenario::AxisValue::Name(n) => json_string(&n),
+                    pas_scenario::AxisValue::Name(n) => quote(&n),
                 })
                 .collect();
             format!(
                 "{{\"field\":{},\"values\":[{}]}}",
-                json_string(&a.field),
+                quote(&a.field),
                 vals.join(",")
             )
         })
         .collect();
-    let policies: Vec<String> = m.policies.iter().map(|p| json_string(&p.label)).collect();
+    let policies: Vec<String> = m.policies.iter().map(|p| quote(&p.label)).collect();
     format!(
         "{{\"scenario\":{},\"runs\":{runs},\"replicates\":{},\"axes\":[{}],\"policies\":[{}]}}",
-        json_string(&m.name),
+        quote(&m.name),
         m.run.replicates,
         axes.join(","),
         policies.join(",")
@@ -633,8 +634,8 @@ fn status_json(job: &crate::queue::Job) -> String {
         "{{\"id\":{},\"scenario\":{},\"phase\":{},\"done\":{},\"total\":{},\
          \"cache_hits\":{},\"cache_misses\":{},\"trace\":\"{:016x}\"",
         job.id,
-        json_string(&job.scenario),
-        json_string(job.phase.as_str()),
+        quote(&job.scenario),
+        quote(job.phase.as_str()),
         job.done,
         job.total,
         job.stats.hits,
@@ -642,7 +643,7 @@ fn status_json(job: &crate::queue::Job) -> String {
         job.trace.id,
     );
     if let Some(e) = &job.error {
-        s.push_str(&format!(",\"error\":{}", json_string(e)));
+        s.push_str(&format!(",\"error\":{}", quote(e)));
     }
     s.push('}');
     s

@@ -1175,38 +1175,32 @@ fn cmd_trace(o: TraceOpts) -> CmdResult {
     Ok(())
 }
 
-/// All `("ts", "dur")` value pairs (µs) of Chrome trace events named
-/// `name` — the tiny scan `pas submit -v` uses for its latency
-/// breakdown; the renderer emits `"name"` then `"ts"` then `"dur"`
-/// within each event.
-fn chrome_ts_durs(chrome: &str, name: &str) -> Vec<(u64, u64)> {
-    let field = |tail: &str, key: &str| -> Option<u64> {
-        let at = tail.find(key)? + key.len();
-        let num: String = tail[at..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        num.parse().ok()
+/// `pas submit -v`'s `(total, queued, execute)` µs from a job's Chrome
+/// trace: the wall-clock envelope of each phase's spans, 0 when absent.
+/// Execution is one `job.execute` span for a local job; for a distributed
+/// one, concurrent `worker.shard.execute` spans, not to be summed.
+fn latency_breakdown(chrome: &str) -> (u64, u64, u64) {
+    let events = pas_obs::json::parse(chrome).and_then(|d| d.get("traceEvents"));
+    let envelope = |name: &str| {
+        let named = events.into_iter().flat_map(|e| e.items());
+        let named =
+            named.filter(|e| e.get("name").and_then(|n| n.as_str()).as_deref() == Some(name));
+        let span = |e: pas_obs::json::Json| {
+            let ts = e.get("ts")?.as_u64()?;
+            Some((ts, ts.saturating_add(e.get("dur")?.as_u64()?)))
+        };
+        let (lo, hi) = named
+            .filter_map(span)
+            .fold((u64::MAX, 0), |(lo, hi), (start, end)| {
+                (lo.min(start), hi.max(end))
+            });
+        hi.saturating_sub(lo)
     };
-    let needle = format!("\"name\":\"{name}\"");
-    let mut out = Vec::new();
-    let mut rest = chrome;
-    while let Some(pos) = rest.find(&needle) {
-        let tail = &rest[pos + needle.len()..];
-        if let (Some(ts), Some(dur)) = (field(tail, "\"ts\":"), field(tail, "\"dur\":")) {
-            out.push((ts, dur));
-        }
-        rest = &rest[pos + needle.len()..];
-    }
-    out
-}
-
-/// All `"dur"` values (µs) of Chrome trace events named `name`.
-fn chrome_durs(chrome: &str, name: &str) -> Vec<u64> {
-    chrome_ts_durs(chrome, name)
-        .into_iter()
-        .map(|(_, d)| d)
-        .collect()
+    let execute = match envelope("job.execute") {
+        0 => envelope("worker.shard.execute"),
+        us => us,
+    };
+    (envelope("job"), envelope("job.queued"), execute)
 }
 
 // ---------------------------------------------------------------------------
@@ -1460,25 +1454,7 @@ fn cmd_submit(sub: SubmitOpts) -> CmdResult {
         // from the span tree; the download leg is measured client-side.
         match client.trace(id, TraceFormat::Chrome) {
             Ok(body) => {
-                let chrome = String::from_utf8_lossy(&body);
-                let total = chrome_durs(&chrome, "job").first().copied().unwrap_or(0);
-                let queued = chrome_durs(&chrome, "job.queued")
-                    .first()
-                    .copied()
-                    .unwrap_or(0);
-                // Local-exec jobs have one `job.execute`; distributed
-                // jobs spread execution over concurrent
-                // `worker.shard.execute` spans, so take their wall-clock
-                // envelope (first start → last end), not the sum.
-                let execute = chrome_durs(&chrome, "job.execute")
-                    .first()
-                    .copied()
-                    .unwrap_or_else(|| {
-                        let shards = chrome_ts_durs(&chrome, "worker.shard.execute");
-                        let lo = shards.iter().map(|(ts, _)| *ts).min().unwrap_or(0);
-                        let hi = shards.iter().map(|(ts, d)| ts + d).max().unwrap_or(0);
-                        hi.saturating_sub(lo)
-                    });
+                let (total, queued, execute) = latency_breakdown(&String::from_utf8_lossy(&body));
                 let trace_id = status.trace.as_deref().unwrap_or("?");
                 eprintln!(
                     "latency   total {total}us = queued {queued}us + execute {execute}us \
@@ -1896,8 +1872,9 @@ fn profile_region_json() -> String {
         .iter()
         .map(|(name, calls, self_ns, total_ns)| {
             format!(
-                "    {{\"region\": \"{name}\", \"calls\": {calls}, \
+                "    {{\"region\": {}, \"calls\": {calls}, \
                  \"self_us\": {}, \"total_us\": {}}}",
+                pas_obs::json::quote(name),
                 self_ns / 1_000,
                 total_ns / 1_000
             )
@@ -2380,6 +2357,46 @@ pas_q_gauge 2
         assert!(out.contains(
             "pas_t_microseconds{route=\"/jobs\"} count=3 sum=160 p50<=100 p95>100 p99>100\n"
         ));
+    }
+
+    #[test]
+    fn latency_breakdown_reads_local_and_dist_traces() {
+        // `(name, proc, start_us, dur_us)` spans, all children of the first.
+        let chrome = |spans: &[(&str, &str, u64, u64)]| {
+            let mut records = Vec::new();
+            for (id, &(name, proc, start_us, dur_us)) in (1..).zip(spans) {
+                records.push(pas_obs::trace::SpanRecord {
+                    trace: 7,
+                    span: id,
+                    parent: u64::from(id > 1),
+                    name: name.to_string(),
+                    // A label named like an event field is not read as one.
+                    labels: vec![("name".to_string(), "job".to_string())],
+                    proc: proc.to_string(),
+                    start_us,
+                    dur_us,
+                });
+            }
+            latency_breakdown(&pas_obs::trace::render_chrome(&records))
+        };
+        let local = [
+            ("job", "server", 1_000, 5_000),
+            ("job.queued", "server", 1_000, 300),
+            ("job.execute", "server", 1_300, 4_000),
+            ("exec.point", "server", 1_400, 90),
+        ];
+        assert_eq!(chrome(&local), (5_000, 300, 4_000));
+        // Overlapping shards on two workers: execute is their envelope,
+        // 2000 → 4000 µs, not the 2600 µs sum.
+        let dist = [
+            ("job", "server", 1_000, 3_500),
+            ("job.queued", "server", 1_000, 200),
+            ("worker.shard.execute", "worker:w1", 2_000, 1_000),
+            ("worker.shard.execute", "worker:w2", 2_500, 1_500),
+            ("worker.shard.execute", "worker:w1", 3_100, 100),
+        ];
+        assert_eq!(chrome(&dist), (3_500, 200, 2_000));
+        assert_eq!(latency_breakdown("not json"), (0, 0, 0));
     }
 
     #[test]
