@@ -183,7 +183,8 @@ pub struct ShardReport {
     pub worker: u64,
     /// One entry per executed point.
     pub points: Vec<PointReport>,
-    /// Spans recorded worker-side during this shard, piggybacked so the
+    /// The spans recorded under this shard's lease (the worker's lease
+    /// round trip, shard execution and points), piggybacked so the
     /// scheduler can stitch one tree per trace. Empty when the grant
     /// carried no trace id — which is every grant from a pre-trace
     /// scheduler, so old servers never see span stanzas.

@@ -389,9 +389,8 @@ impl Scheduler {
         let done = job.filled;
         let total = job.total;
         let finished = job.filled == job.total;
-        // Close the grant-to-report lease span, nest this report under
-        // it, and file the worker's piggybacked spans under the same
-        // trace.
+        // Close the grant-to-report lease span and nest this report
+        // under it.
         if let (Some(tr), Some(lease)) = (trace, &retired) {
             let outcome = if report.points.is_empty() {
                 "empty"
@@ -402,15 +401,6 @@ impl Scheduler {
             span = span
                 .parent(tr.id, lease.span)
                 .labels(&[("shard", &report.shard.to_string())]);
-        }
-        if trace.is_some() && !report.spans.is_empty() {
-            pas_obs::trace::ingest(report.spans.clone());
-        }
-        // Fold the worker's drained region profile into this process's
-        // table, so the scheduler's flamegraph attributes fleet-wide
-        // execute time, not just its own bookkeeping.
-        if !report.profile.is_empty() {
-            pas_obs::profile::ingest(&report.profile);
         }
         pas_obs::add(
             "pas.dist.report.points.count",
@@ -448,6 +438,23 @@ impl Scheduler {
             assembled
         });
         drop(s);
+        // File the worker's piggybacked spans under the job's trace and
+        // fold its drained region profile into this process's table, so
+        // the scheduler's flamegraph attributes fleet-wide execute time.
+        // Both run outside the state lock, which every lease and
+        // heartbeat takes, but before the job publishes, so a finished
+        // job's trace is complete.
+        if trace.is_some() && !report.spans.is_empty() {
+            pas_obs::trace::ingest(&report.spans);
+            pas_obs::add(
+                "pas.dist.report.spans.count",
+                &[],
+                report.spans.len() as u64,
+            );
+        }
+        if !report.profile.is_empty() {
+            pas_obs::profile::ingest(&report.profile);
+        }
         {
             let _ctx = span.ctx().map(|(t, p)| pas_obs::trace::enter(t, p));
             for (key, record) in &to_store {

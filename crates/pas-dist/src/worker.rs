@@ -352,11 +352,14 @@ fn execute_shard(
         .busy_us
         .fetch_add(shard_us as u64, Ordering::Relaxed);
 
-    // Drain this trace's worker-side spans into the report, piggybacking
-    // them on the result upload — no extra round trip, and a worker that
-    // dies before reporting simply loses its spans along with its shard.
+    // Drain the spans recorded under this lease (its `worker.lease.rtt`,
+    // `worker.shard.execute` and the points under it) into the report,
+    // piggybacking them on the result upload — no extra round trip, and a
+    // worker that dies before reporting simply loses its spans along with
+    // its shard. Only the lease's subtree ships, so a worker sharing the
+    // server's process and store never re-ships the server's spans.
     let spans = if grant.trace != 0 {
-        pas_obs::trace::take(grant.trace)
+        pas_obs::trace::take_under(grant.trace, grant.span)
     } else {
         Vec::new()
     };

@@ -14,13 +14,20 @@
 //! the profile region and histogram of the same seam from one timing.
 //!
 //! The store follows the registry's discipline: collection is cheap
-//! (one id mint + one sharded lock push), always-on-able behind the
+//! (one id mint + one locked push), always-on-able behind the
 //! global [`enabled`](crate::enabled) switch (plus its own
 //! [`set_tracing`] toggle so `pas bench` can price tracing alone), and
 //! strictly observational — nothing reads a span back into a result.
-//! Capacity is bounded: each of [`SHARDS`](crate::SHARDS) ring shards
-//! holds at most [`DEFAULT_SPANS_PER_SHARD`] spans; when full the
-//! oldest span in that shard is evicted and counted in [`dropped`].
+//! Spans are kept per trace, so reading or shipping one trace costs
+//! O(its spans), not O(every resident span). Capacity is bounded: the
+//! store holds at most [`DEFAULT_CAPACITY`] spans over all traces; when
+//! full, the oldest span of the oldest trace (by first push) is evicted
+//! and counted in [`dropped`].
+//!
+//! A worker ships exactly the spans recorded under its lease
+//! ([`take_under`] the grant's span) on each shard report, so every
+//! span crosses the wire once, even when the worker shares the
+//! server's process and store.
 //!
 //! Span ids are minted from a per-process random seed mixed through
 //! SplitMix64, so ids from different processes (server, each worker)
@@ -28,20 +35,19 @@
 //! reserved to mean "no parent" (a trace root).
 
 use std::cell::Cell;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::json::quote;
-use crate::SHARDS;
 
-/// Per-shard span capacity of the global store: 16 shards × 4096 =
-/// 65 536 resident spans, comfortably above a full paper-default batch
-/// (540 points ≈ 1 100 point-level spans) and bounded enough that a
-/// runaway producer evicts old spans instead of growing the heap.
-pub const DEFAULT_SPANS_PER_SHARD: usize = 4096;
+/// Span capacity of the global store: 65 536 resident spans,
+/// comfortably above a full paper-default batch (540 points ≈ 1 100
+/// point-level spans) and bounded enough that a runaway producer
+/// evicts old spans instead of growing the heap.
+pub const DEFAULT_CAPACITY: usize = 65_536;
 
 /// One recorded span. `parent == 0` marks a trace root.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,84 +71,161 @@ pub struct SpanRecord {
     pub dur_us: u64,
 }
 
-/// A bounded, lock-sharded span store. The process-global instance is
-/// behind the free functions below; tests build their own.
+/// A bounded span store indexed by trace id. The process-global
+/// instance is behind the free functions below; tests build their own.
 pub struct TraceStore {
-    shards: Vec<Mutex<VecDeque<SpanRecord>>>,
-    per_shard_cap: usize,
-    next_shard: AtomicUsize,
-    dropped: AtomicU64,
+    resident: Mutex<Resident>,
+    cap: usize,
 }
 
-impl TraceStore {
-    /// An empty store holding at most `per_shard_cap` spans per shard.
-    pub fn new(per_shard_cap: usize) -> TraceStore {
-        TraceStore {
-            shards: (0..SHARDS).map(|_| Mutex::new(VecDeque::new())).collect(),
-            per_shard_cap: per_shard_cap.max(1),
-            next_shard: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
+/// The spans a [`TraceStore`] holds, under its one lock.
+#[derive(Default)]
+struct Resident {
+    /// Each trace's first-push sequence number and spans, in push order.
+    traces: HashMap<u64, (u64, VecDeque<SpanRecord>)>,
+    /// Trace ids by first-push sequence number: the eviction order.
+    order: BTreeMap<u64, u64>,
+    next_seq: u64,
+    len: usize,
+    dropped: u64,
+}
+
+impl Resident {
+    /// Append `rec` to its trace, indexing a trace not resident yet as
+    /// the newest.
+    fn push(&mut self, rec: SpanRecord) {
+        let (order, seq) = (&mut self.order, &mut self.next_seq);
+        let (_, spans) = self.traces.entry(rec.trace).or_insert_with(|| {
+            *seq += 1;
+            order.insert(*seq, rec.trace);
+            (*seq, VecDeque::new())
+        });
+        spans.push_back(rec);
+        self.len += 1;
+    }
+
+    /// Evict the oldest trace's oldest span, counting it as dropped.
+    fn evict_oldest(&mut self) {
+        let Some((_, &trace)) = self.order.first_key_value() else {
+            return;
+        };
+        let (_, spans) = self
+            .traces
+            .get_mut(&trace)
+            .expect("ordered trace is resident");
+        spans.pop_front();
+        self.len -= 1;
+        self.dropped += 1;
+        if spans.is_empty() {
+            self.forget(trace);
         }
     }
 
-    /// Append one span, evicting the shard's oldest span (and counting
-    /// it as dropped) when the shard is full.
-    pub fn push(&self, rec: SpanRecord) {
-        let i = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let mut shard = self.shards[i].lock().unwrap();
-        if shard.len() >= self.per_shard_cap {
-            shard.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+    /// Drop `trace`'s (empty) entry from the index.
+    fn forget(&mut self, trace: u64) {
+        if let Some((seq, _)) = self.traces.remove(&trace) {
+            self.order.remove(&seq);
         }
-        shard.push_back(rec);
+    }
+}
+
+impl TraceStore {
+    /// An empty store holding at most `cap` spans over all traces.
+    pub fn new(cap: usize) -> TraceStore {
+        TraceStore {
+            resident: Mutex::new(Resident::default()),
+            cap: cap.max(1),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Resident> {
+        self.resident
+            .lock()
+            .expect("no thread panics while holding the span store")
+    }
+
+    /// Append one span, evicting the oldest trace's oldest span (and
+    /// counting it as dropped) when the store is full.
+    pub fn push(&self, rec: SpanRecord) {
+        self.extend([rec]);
+    }
+
+    /// [`TraceStore::push`] each span, under one lock.
+    fn extend(&self, spans: impl IntoIterator<Item = SpanRecord>) {
+        let mut r = self.lock();
+        for rec in spans {
+            if r.len >= self.cap {
+                r.evict_oldest();
+            }
+            r.push(rec);
+        }
     }
 
     /// All spans of `trace`, sorted by `(start_us, span)` — the
     /// canonical order every renderer consumes.
     pub fn spans_for(&self, trace: u64) -> Vec<SpanRecord> {
-        let mut out: Vec<SpanRecord> = Vec::new();
-        for shard in &self.shards {
-            out.extend(
-                shard
-                    .lock()
-                    .unwrap()
-                    .iter()
-                    .filter(|s| s.trace == trace)
-                    .cloned(),
-            );
-        }
+        let mut out: Vec<SpanRecord> = match self.lock().traces.get(&trace) {
+            Some((_, spans)) => spans.iter().cloned().collect(),
+            None => Vec::new(),
+        };
         out.sort_by_key(|s| (s.start_us, s.span));
         out
     }
 
-    /// Remove and return all spans of `trace` (sorted). Workers use
-    /// this to ship a shard's spans exactly once per report.
-    pub fn take(&self, trace: u64) -> Vec<SpanRecord> {
-        let mut out: Vec<SpanRecord> = Vec::new();
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap();
-            let mut kept = VecDeque::with_capacity(shard.len());
-            for s in shard.drain(..) {
-                if s.trace == trace {
-                    out.push(s);
-                } else {
-                    kept.push_back(s);
+    /// Remove and return (sorted) the spans of `trace` that descend from
+    /// span `root`, at any depth and in any push order. `root` itself,
+    /// its siblings and every other trace stay. Workers ship a lease's
+    /// spans with this, so each span crosses the wire once per report.
+    pub fn take_under(&self, trace: u64, root: u64) -> Vec<SpanRecord> {
+        let mut r = self.lock();
+        let Some((_, spans)) = r.traces.get_mut(&trace) else {
+            return Vec::new();
+        };
+        let mut under = vec![false; spans.len()];
+        let mut children: HashMap<u64, Vec<usize>> = HashMap::new();
+        for (i, s) in spans.iter().enumerate() {
+            children.entry(s.parent).or_default().push(i);
+        }
+        let mut frontier = vec![root];
+        while let Some(parent) = frontier.pop() {
+            for &i in children.get(&parent).into_iter().flatten() {
+                if !under[i] && spans[i].span != root {
+                    under[i] = true;
+                    frontier.push(spans[i].span);
                 }
             }
-            *shard = kept;
         }
+        if !under.contains(&true) {
+            return Vec::new();
+        }
+        let mut out = Vec::new();
+        let mut kept = VecDeque::new();
+        for (s, take) in spans.drain(..).zip(under) {
+            if take {
+                out.push(s);
+            } else {
+                kept.push_back(s);
+            }
+        }
+        let emptied = kept.is_empty();
+        *spans = kept;
+        r.len -= out.len();
+        if emptied {
+            r.forget(trace);
+        }
+        drop(r);
         out.sort_by_key(|s| (s.start_us, s.span));
         out
     }
 
     /// Spans evicted so far.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.lock().dropped
     }
 
     /// Resident spans.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
+        self.lock().len
     }
 
     /// Whether no spans are resident.
@@ -215,7 +298,7 @@ static TRACING: AtomicBool = AtomicBool::new(true);
 
 /// The process-global span store.
 pub fn global() -> &'static TraceStore {
-    GLOBAL.get_or_init(|| TraceStore::new(DEFAULT_SPANS_PER_SHARD))
+    GLOBAL.get_or_init(|| TraceStore::new(DEFAULT_CAPACITY))
 }
 
 /// Whether span collection is on (both switches).
@@ -230,13 +313,9 @@ pub fn set_tracing(on: bool) {
 
 /// Ingest spans recorded by another process (a worker's report
 /// piggyback), verbatim — they keep their own `proc` tags and ids.
-pub fn ingest(spans: Vec<SpanRecord>) {
-    if !tracing() {
-        return;
-    }
-    let store = global();
-    for s in spans {
-        store.push(s);
+pub fn ingest(spans: &[SpanRecord]) {
+    if tracing() {
+        global().extend(spans.iter().cloned());
     }
 }
 
@@ -245,9 +324,10 @@ pub fn spans_for(trace: u64) -> Vec<SpanRecord> {
     global().spans_for(trace)
 }
 
-/// Drain `trace`'s spans out of the global store (worker shipping).
-pub fn take(trace: u64) -> Vec<SpanRecord> {
-    global().take(trace)
+/// Remove the spans of `trace` under span `root` from the global store
+/// (a worker shipping its lease's spans).
+pub fn take_under(trace: u64, root: u64) -> Vec<SpanRecord> {
+    global().take_under(trace, root)
 }
 
 /// Spans evicted from the global store so far.
@@ -512,10 +592,14 @@ mod tests {
         }
     }
 
+    fn ids(spans: &[SpanRecord]) -> Vec<u64> {
+        spans.iter().map(|s| s.span).collect()
+    }
+
     #[test]
     fn ring_overflow_counts_drops_and_keeps_survivors_intact() {
-        let store = TraceStore::new(4); // 16 shards × 4 = 64 spans
-        let cap = SHARDS * 4;
+        let cap = 64;
+        let store = TraceStore::new(cap);
         let n = cap + 37;
         for i in 0..n {
             store.push(rec(7, 1000 + i as u64, 0, "s", i as u64, 5));
@@ -523,34 +607,134 @@ mod tests {
         assert_eq!(store.dropped(), 37, "evictions are counted exactly");
         assert_eq!(store.len(), cap, "store stays at capacity");
         // Survivors are uncorrupted: every resident span still carries
-        // its original id-derived fields, and the newest spans (pushed
-        // after the evicted ones, round-robin) are all present.
+        // its original id-derived fields, and they are exactly the
+        // newest `cap` spans.
         let got = store.spans_for(7);
-        assert_eq!(got.len(), cap);
         for s in &got {
             assert_eq!(s.start_us, s.span - 1000, "span fields intact");
             assert_eq!(s.dur_us, 5);
             assert_eq!(s.name, "s");
         }
         let newest: Vec<u64> = (n - cap..n).map(|i| 1000 + i as u64).collect();
-        for id in newest {
-            assert!(
-                got.iter().any(|s| s.span == id),
-                "newest span {id} survives"
-            );
-        }
+        assert_eq!(ids(&got), newest, "the oldest spans went first");
     }
 
     #[test]
     fn take_drains_only_the_requested_trace() {
         let store = TraceStore::new(8);
-        store.push(rec(1, 10, 0, "a", 0, 1));
-        store.push(rec(2, 20, 0, "b", 0, 1));
         store.push(rec(1, 11, 10, "c", 1, 1));
-        let taken = store.take(1);
-        assert_eq!(taken.len(), 2);
+        store.push(rec(2, 21, 10, "b", 0, 1));
+        store.push(rec(1, 12, 10, "d", 2, 1));
+        let taken = store.take_under(1, 10);
+        assert_eq!(ids(&taken), [11, 12]);
         assert!(store.spans_for(1).is_empty());
-        assert_eq!(store.spans_for(2).len(), 1);
+        assert_eq!(
+            ids(&store.spans_for(2)),
+            [21],
+            "same parent id, other trace"
+        );
+        assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    fn take_under_takes_a_subtree_pushed_children_first() {
+        // Spans are pushed when they close, so a subtree arrives
+        // leaves first: point → shard execute → (lease root, open).
+        let store = TraceStore::new(64);
+        store.push(rec(1, 5, 4, "exec.point", 30, 1)); // depth 3
+        store.push(rec(1, 4, 3, "exec.point", 20, 9)); // depth 2
+        store.push(rec(1, 6, 3, "exec.point", 25, 2)); // depth 2
+        store.push(rec(1, 2, 1, "worker.lease.rtt", 0, 5)); // depth 1
+        store.push(rec(1, 3, 1, "worker.shard.execute", 10, 40)); // depth 1
+        let taken = store.take_under(1, 1);
+        assert_eq!(ids(&taken), [2, 3, 4, 6, 5], "sorted by start");
+        assert!(store.is_empty());
+        assert!(store.take_under(1, 1).is_empty(), "a span ships once");
+    }
+
+    #[test]
+    fn take_under_leaves_root_siblings_and_other_traces() {
+        let store = TraceStore::new(64);
+        store.push(rec(1, 1, 0, "job", 0, 100)); // the root's parent
+        store.push(rec(1, 10, 1, "sched.lease", 1, 50)); // the root
+        store.push(rec(1, 11, 10, "worker.shard.execute", 2, 30));
+        store.push(rec(1, 12, 11, "exec.point", 3, 20));
+        store.push(rec(1, 20, 1, "sched.lease", 1, 50)); // sibling lease
+        store.push(rec(1, 21, 20, "worker.shard.execute", 2, 30));
+        store.push(rec(2, 30, 10, "exec.point", 3, 20)); // other trace
+        assert_eq!(ids(&store.take_under(1, 10)), [11, 12]);
+        assert_eq!(ids(&store.spans_for(1)), [1, 10, 20, 21]);
+        assert_eq!(ids(&store.spans_for(2)), [30]);
+        assert!(store.take_under(1, 99).is_empty(), "unknown root");
+        assert!(store.take_under(3, 10).is_empty(), "unknown trace");
+        assert_eq!(store.len(), 5);
+        assert_eq!(store.dropped(), 0);
+    }
+
+    #[test]
+    fn take_under_survives_a_parent_cycle() {
+        let store = TraceStore::new(8);
+        store.push(rec(1, 2, 3, "a", 0, 1));
+        store.push(rec(1, 3, 2, "b", 0, 1));
+        store.push(rec(1, 4, 3, "c", 0, 1));
+        assert_eq!(ids(&store.take_under(1, 3)), [2, 4], "root 3 stays");
+        assert_eq!(ids(&store.spans_for(1)), [3]);
+    }
+
+    #[test]
+    fn store_stays_bounded_across_interleaved_traces() {
+        let cap = 100;
+        let store = TraceStore::new(cap);
+        let mut pushed: Vec<Vec<u64>> = vec![Vec::new(); 11];
+        let mut next = 1u64;
+        let mut push = |trace: u64| {
+            store.push(rec(trace, next, 0, "s", next, 1));
+            pushed[trace as usize].push(next);
+            next += 1;
+            assert!(store.len() <= cap);
+        };
+        // 7 traces, 14 spans each, interleaved: under capacity.
+        for i in 0..98 {
+            push(i % 7);
+        }
+        assert_eq!(store.dropped(), 0);
+        // 30 more for the newest trace: the 28 evictions empty the two
+        // oldest traces (by first push), oldest first, before touching
+        // any other.
+        for _ in 0..30 {
+            push(6);
+        }
+        assert_eq!(store.dropped(), 28);
+        let resident: Vec<usize> = (0..7).map(|t| store.spans_for(t).len()).collect();
+        assert_eq!(resident, [0, 0, 14, 14, 14, 14, 44]);
+        // Many more, interleaved over 11 traces (0 and 1 come back as
+        // the newest traces): the bound holds and every drop is counted.
+        for i in 0..1000 {
+            push(i % 11);
+        }
+        assert_eq!(store.len(), cap);
+        assert_eq!(
+            store.dropped(),
+            98 + 30 + 1000 - cap as u64,
+            "exact drop count"
+        );
+        // Each trace keeps its newest spans.
+        for (t, mine) in pushed.iter().enumerate() {
+            let got = ids(&store.spans_for(t as u64));
+            assert_eq!(got, mine[mine.len() - got.len()..], "trace {t}");
+        }
+        // A take frees room without counting as a drop, and an emptied
+        // trace comes back as the newest.
+        let before = store.dropped();
+        store.push(rec(12, 5000, 77, "x", 0, 1));
+        assert_eq!(ids(&store.take_under(12, 77)), [5000]);
+        assert_eq!(store.dropped(), before + 1);
+        store.push(rec(12, 5001, 0, "y", 0, 1));
+        assert_eq!(store.dropped(), before + 1, "room left by the take");
+        store.push(rec(12, 5002, 0, "z", 0, 1));
+        assert_eq!(store.dropped(), before + 2);
+        assert_eq!(ids(&store.spans_for(12)), [5001, 5002]);
+        assert_eq!(store.len(), cap);
     }
 
     #[test]

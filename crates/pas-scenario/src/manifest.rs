@@ -1746,8 +1746,10 @@ impl Manifest {
     }
 }
 
-/// Quote a string as a TOML basic string, using exactly the escapes the
-/// in-tree reader understands (`\"`, `\\`, `\n`, `\t`, `\r`).
+/// Quote a string as a TOML basic string, using only escapes the
+/// in-tree reader understands (`\"`, `\\`, `\n`, `\t`, `\r`, and
+/// `\uXXXX` for the other control characters, which the reader rejects
+/// raw).
 fn toml_str(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len() + 2);
     out.push('"');
@@ -1758,6 +1760,9 @@ fn toml_str(raw: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
+            c if c < ' ' || c == '\u{7f}' => {
+                let _ = write!(out, "\\u{:04X}", c as u32);
+            }
             c => out.push(c),
         }
     }

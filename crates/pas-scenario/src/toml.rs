@@ -334,6 +334,8 @@ impl<'a> Cursor<'a> {
                     Some(b'n') => out.push(b'\n'),
                     Some(b't') => out.push(b'\t'),
                     Some(b'r') => out.push(b'\r'),
+                    Some(b'u') => self.unicode_escape(4, &mut out)?,
+                    Some(b'U') => self.unicode_escape(8, &mut out)?,
                     other => {
                         return Err(self.err(format!(
                             "unsupported escape `\\{}`",
@@ -352,6 +354,27 @@ impl<'a> Cursor<'a> {
                 Some(b) => out.push(b),
             }
         }
+    }
+
+    /// The `digits` hex digits of a `\uXXXX` or `\UXXXXXXXX` escape,
+    /// appended to `out` as UTF-8. Surrogates and values past U+10FFFF
+    /// are not characters and are rejected.
+    fn unicode_escape(&mut self, digits: usize, out: &mut Vec<u8>) -> Result<(), ParseError> {
+        let hex = self
+            .src
+            .get(self.pos..self.pos + digits)
+            .unwrap_or_default();
+        if hex.len() < digits || !hex.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err(format!("a unicode escape needs {digits} hex digits")));
+        }
+        let code = hex
+            .iter()
+            .fold(0u32, |n, &b| n << 4 | (b as char).to_digit(16).unwrap_or(0));
+        let c = char::from_u32(code)
+            .ok_or_else(|| self.err(format!("escape U+{code:X} is not a Unicode scalar value")))?;
+        self.pos += digits;
+        out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+        Ok(())
     }
 
     fn number(&mut self) -> Result<Value, ParseError> {
@@ -591,6 +614,29 @@ mod tests {
     fn unterminated_string_errors_with_line() {
         let err = parse("a = 1\nb = \"oops\n").unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn unicode_escapes_decode_and_non_characters_are_rejected() {
+        let t = parse("a = \"\\u00e9\\U0001F600\\u0000\\u007F\\U0010FFFF\"\n").unwrap();
+        assert_eq!(
+            t.get("a").and_then(Value::as_str),
+            Some("\u{e9}\u{1F600}\0\u{7f}\u{10FFFF}")
+        );
+        for bad in [
+            "\\uD800", // surrogates are not characters
+            "\\uDFFF",
+            "\\U00110000", // past U+10FFFF
+            "\\UFFFFFFFF",
+            "\\u12", // too few digits before the quote
+            "\\U0001F60",
+            "\\u+123", // a sign is not a hex digit
+            "\\u12G4",
+        ] {
+            let err = parse(&format!("a = \"{bad}\"\n")).unwrap_err();
+            assert!(err.msg.contains("escape"), "{bad}: {err}");
+        }
+        assert!(parse("a = \"\\u00").is_err(), "escape cut by end of input");
     }
 
     #[test]

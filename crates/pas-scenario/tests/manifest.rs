@@ -223,6 +223,30 @@ fn string_escapes_round_trip_and_control_chars_are_rejected() {
     assert!(e.msg.contains("control character"), "{e}");
 }
 
+/// Every control character round-trips: `to_toml` writes the ones the
+/// reader rejects raw (all of U+0000–U+001F but `\t`, `\n`, `\r`, and
+/// U+007F) as `\uXXXX`, so a manifest a client serialised itself always
+/// parses.
+#[test]
+fn control_characters_round_trip_as_unicode_escapes() {
+    let controls: String = ('\u{0}'..='\u{1f}').chain(['\u{7f}']).collect();
+    let mut m = registry::builtin("paper-default").unwrap();
+    m.name = format!("ctl{controls}");
+    m.description = format!("<{controls}>");
+    let toml = m.to_toml();
+    assert!(
+        toml.contains("\\u0001") && toml.contains("\\u007F"),
+        "{toml}"
+    );
+    assert!(
+        !toml
+            .chars()
+            .any(|c| c != '\n' && (c < ' ' || c == '\u{7f}')),
+        "no raw control character but newlines"
+    );
+    assert_eq!(Manifest::parse(&toml).unwrap(), m);
+}
+
 #[test]
 fn expansion_counts_axes_times_policies_times_seeds() {
     let m = registry::builtin("paper-default").unwrap();

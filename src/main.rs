@@ -2776,6 +2776,7 @@ pas_e_count 0
                 profile: true,
                 out: out("BENCH_batch.json"),
             })),
+            Ok(gate(35.0, &["BENCH_batch.json"])),
             Ok(Command::Bench(BenchOpts::Dist {
                 workers: 2,
                 out: out("BENCH_dist.json"),
@@ -2783,14 +2784,7 @@ pas_e_count 0
             Ok(Command::Bench(BenchOpts::Predictors {
                 out: out("BENCH_predictors.json"),
             })),
-            Ok(gate(
-                35.0,
-                &[
-                    "BENCH_batch.json",
-                    "BENCH_dist.json",
-                    "BENCH_predictors.json",
-                ],
-            )),
+            Ok(gate(60.0, &["BENCH_dist.json", "BENCH_predictors.json"])),
             Ok(serve(8484, "hist-cache", |o| {
                 metrics(o);
                 o.server.history_interval = ms(200);

@@ -93,7 +93,7 @@ fn metric_catalog_matches_code() {
     assert_same(
         "metrics",
         documented.filter(|n| n.starts_with("pas.")).collect(),
-        26,
+        27,
         recorded.collect(),
     );
 }
