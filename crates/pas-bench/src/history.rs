@@ -51,7 +51,7 @@ pub struct HistoryEntry {
 /// A bench file's full history.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchHistory {
-    /// Bench kind: `batch`, `queue`, `dist`, `predictors`, or `server`.
+    /// Bench kind: `batch`, `dist`, `predictors`, or `server`.
     pub bench: String,
     /// Scenario the bench runs.
     pub scenario: String,
@@ -257,10 +257,6 @@ pub fn throughput_by_key(bench: &str, payload: &str) -> Vec<(String, f64)> {
             }
             out
         }
-        // One sample per queue configuration (`calendar-n1000`-style
-        // keys), so `pas bench --queue` regressions gate per impl and
-        // pending-count, never mixing the two implementations.
-        "queue" => keyed(p, "configs", "config", "ops_per_s", ""),
         // Two samples per fleet size: raw throughput
         // (`workers=N` ← `runs_per_s`) and the scaling gate key
         // (`dist-wN` ← `speedup`), so a speedup collapse at one fleet
@@ -522,17 +518,6 @@ mod tests {
             vec![
                 ("sequential".to_string(), 24.0 * 1e6 / 9000.0),
                 ("sequential-expand".to_string(), 1e9 / 50000.0)
-            ]
-        );
-        // Queue payloads key per implementation and pending count.
-        let queue = "{\"bench\":\"queue\",\"configs\":[\
-             {\"config\": \"calendar-n1000\", \"ns_per_op\": 40, \"ops_per_s\": 25000000.0},\
-             {\"config\": \"heap-n1000\", \"ns_per_op\": 80, \"ops_per_s\": 12500000.0}]}";
-        assert_eq!(
-            throughput_by_key("queue", queue),
-            vec![
-                ("calendar-n1000".to_string(), 25000000.0),
-                ("heap-n1000".to_string(), 12500000.0)
             ]
         );
         // Server saturation payloads key per ramp step plus the peak.

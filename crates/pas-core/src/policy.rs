@@ -93,34 +93,53 @@ impl fmt::Debug for AdaptiveParams {
 }
 
 impl AdaptiveParams {
+    /// The first invariant the parameters break, if any: every field
+    /// finite, the intervals positive, `max_sleep_s >= base_sleep_s`, and
+    /// the predictor's own rules ([`PredictorSpec::check`]). The one list
+    /// of rules, which [`AdaptiveParams::validate`] and manifest validation
+    /// both read.
+    pub fn check(&self) -> Result<(), String> {
+        let positive = [
+            ("base_sleep_s", self.base_sleep_s),
+            ("response_window_s", self.response_window_s),
+            ("rebroadcast_rel_change", self.rebroadcast_rel_change),
+            ("alert_review_interval_s", self.alert_review_interval_s),
+            ("alert_overdue_timeout_s", self.alert_overdue_timeout_s),
+            ("detection_timeout_s", self.detection_timeout_s),
+        ];
+        // (field, value, floor, the floor's name)
+        let at_least = [
+            ("delta_t_s", self.delta_t_s, 0.0, "0"),
+            (
+                "max_sleep_s",
+                self.max_sleep_s,
+                self.base_sleep_s,
+                "base_sleep_s",
+            ),
+            ("alert_threshold_s", self.alert_threshold_s, 0.0, "0"),
+            ("min_broadcast_gap_s", self.min_broadcast_gap_s, 0.0, "0"),
+        ];
+        for (field, value) in positive {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(format!("{field} must be finite and > 0"));
+            }
+        }
+        for (field, value, floor, name) in at_least {
+            if !(value.is_finite() && value >= floor) {
+                return Err(format!("{field} must be finite and >= {name}"));
+            }
+        }
+        self.predictor.check()
+    }
+
     /// Validate invariants.
     ///
     /// # Panics
-    /// Panics on non-positive or inconsistent parameters.
+    /// Panics with [`AdaptiveParams::check`]'s message.
     pub fn validate(&self) {
-        assert!(self.base_sleep_s > 0.0, "base_sleep_s must be > 0");
-        assert!(self.delta_t_s >= 0.0, "delta_t_s must be >= 0");
-        assert!(
-            self.max_sleep_s >= self.base_sleep_s,
-            "max_sleep_s must be >= base_sleep_s"
-        );
-        assert!(self.alert_threshold_s >= 0.0, "alert_threshold_s >= 0");
-        assert!(self.response_window_s > 0.0, "response_window_s > 0");
-        assert!(
-            self.rebroadcast_rel_change > 0.0,
-            "rebroadcast_rel_change > 0"
-        );
-        assert!(self.min_broadcast_gap_s >= 0.0, "min_broadcast_gap_s >= 0");
-        assert!(
-            self.alert_review_interval_s > 0.0,
-            "alert_review_interval_s > 0"
-        );
-        assert!(
-            self.alert_overdue_timeout_s > 0.0,
-            "alert_overdue_timeout_s > 0"
-        );
-        assert!(self.detection_timeout_s > 0.0, "detection_timeout_s > 0");
-        self.predictor.validate();
+        if let Err(msg) = self.check() {
+            panic!("{msg}");
+        }
     }
 
     /// The next sleep interval after an uneventful wake-up: grow linearly,

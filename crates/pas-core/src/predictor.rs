@@ -149,27 +149,31 @@ impl PredictorSpec {
         !matches!(self, PredictorSpec::NonDirectional)
     }
 
+    /// The first rule the parameters break, if any: every number finite
+    /// and in range.
+    pub fn check(&self) -> Result<(), String> {
+        let broken = |rule: &str| Err(rule.to_string());
+        match self {
+            PredictorSpec::Kalman(k) if !(k.process_var.is_finite() && k.process_var >= 0.0) => {
+                broken("kalman process_var must be finite and >= 0")
+            }
+            PredictorSpec::Kalman(k)
+                if !(k.measurement_var.is_finite() && k.measurement_var > 0.0) =>
+            {
+                broken("kalman measurement_var must be finite and > 0")
+            }
+            PredictorSpec::RobustQuantile(q) if q.k < 1 => broken("quantile k must be >= 1"),
+            _ => Ok(()),
+        }
+    }
+
     /// Validate parameters.
     ///
     /// # Panics
-    /// Panics on non-finite or out-of-range parameters.
+    /// Panics with [`PredictorSpec::check`]'s message.
     pub fn validate(&self) {
-        match self {
-            PredictorSpec::Default | PredictorSpec::PlanarFront | PredictorSpec::NonDirectional => {
-            }
-            PredictorSpec::Kalman(k) => {
-                assert!(
-                    k.process_var.is_finite() && k.process_var >= 0.0,
-                    "kalman process_var must be finite and >= 0"
-                );
-                assert!(
-                    k.measurement_var.is_finite() && k.measurement_var > 0.0,
-                    "kalman measurement_var must be finite and > 0"
-                );
-            }
-            PredictorSpec::RobustQuantile(q) => {
-                assert!(q.k >= 1, "quantile k must be >= 1");
-            }
+        if let Err(msg) = self.check() {
+            panic!("{msg}");
         }
     }
 

@@ -29,7 +29,7 @@
 //!
 //! * **Frame slab** — a broadcast's [`Msg`] payload is written once into a
 //!   free-list slab and `Deliver` events carry a `u32` slot index, keeping
-//!   [`Ev`] small enough for the calendar queue's inline storage. Every
+//!   [`Ev`] small enough for the event queue's inline storage. Every
 //!   `Deliver` dispatch (heard or not) drops the slot's reference count;
 //!   the slot recycles when the last scheduled delivery lands.
 //! * **Flat neighbour table** — the per-node neighbour lists are packed at
@@ -122,7 +122,7 @@ impl From<ChannelKind> for ChannelImpl {
 }
 
 /// Simulation events. Kept to 12 bytes (node ids as `u32`, message payloads
-/// in the frame slab) so a calendar-queue entry stays within 32 bytes.
+/// in the frame slab) so an event-queue entry stays within 32 bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Ev {
     Arrival(u32),
@@ -1109,6 +1109,21 @@ mod tests {
         assert!(r.delay.reached < 30);
     }
 
+    /// A manifest may ask for sleep intervals of 1e30 s. Every first wake
+    /// then lies far past the horizon: the run still ends there, with every
+    /// reached node asleep through its arrival.
+    #[test]
+    fn astronomical_sleep_intervals_complete() {
+        let params = AdaptiveParams {
+            base_sleep_s: 1e30,
+            max_sleep_s: 1e30,
+            ..Default::default()
+        };
+        let cfg = RunConfig::new(Policy::Sas(params));
+        let r = run(&small_scenario(3), &corner_front(), &cfg);
+        assert_eq!((r.delay.reached, r.delay.detected), (30, 0));
+    }
+
     #[test]
     fn grid_deployment_runs() {
         let s = Scenario {
@@ -1361,7 +1376,7 @@ mod tests {
 
     #[test]
     fn event_payloads_fit_inline_queue_storage() {
-        // The calendar queue stores (time, seq, Ev) entries inline; keeping
+        // The event queue stores (time, seq, Ev) entries inline; keeping
         // Ev at 12 bytes (32-byte entries) is the point of the frame slab.
         assert!(
             std::mem::size_of::<Ev>() <= 12,

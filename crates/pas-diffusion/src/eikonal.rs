@@ -99,15 +99,6 @@ impl SpeedGrid {
         self.speeds[iy * self.nx + ix]
     }
 
-    /// Position of grid node `(ix, iy)`.
-    #[inline]
-    pub fn node_pos(&self, ix: usize, iy: usize) -> Vec2 {
-        Vec2::new(
-            self.region.min.x + ix as f64 * self.dx,
-            self.region.min.y + iy as f64 * self.dy,
-        )
-    }
-
     /// Nearest grid node to `p` (clamped into the region).
     pub fn nearest_node(&self, p: Vec2) -> (usize, usize) {
         let q = self.region.clamp_point(p);

@@ -84,11 +84,6 @@ impl DelayTracker {
         Some(det.since(*arr).max(0.0))
     }
 
-    /// Number of nodes with recorded arrivals.
-    pub fn reached_count(&self) -> usize {
-        self.arrivals.len()
-    }
-
     /// Reduce to the paper's statistics.
     pub fn stats(&self) -> DelayStats {
         let mut s = OnlineStats::new();

@@ -616,57 +616,6 @@ pub fn set_param(p: &mut AdaptiveParams, field: &str, value: f64) -> Result<(), 
     Ok(())
 }
 
-/// Non-panicking mirror of [`AdaptiveParams::validate`].
-fn check_params(p: &AdaptiveParams, context: &str) -> Result<(), ManifestError> {
-    let checks: [(bool, &str); 8] = [
-        (p.base_sleep_s > 0.0, "base_sleep_s must be > 0"),
-        (p.delta_t_s >= 0.0, "delta_t_s must be >= 0"),
-        (
-            p.max_sleep_s >= p.base_sleep_s,
-            "max_sleep_s must be >= base_sleep_s",
-        ),
-        (p.alert_threshold_s >= 0.0, "alert_threshold_s must be >= 0"),
-        (p.response_window_s > 0.0, "response_window_s must be > 0"),
-        (
-            p.rebroadcast_rel_change > 0.0,
-            "rebroadcast_rel_change must be > 0",
-        ),
-        (
-            p.alert_review_interval_s > 0.0 && p.alert_overdue_timeout_s > 0.0,
-            "alert review/overdue intervals must be > 0",
-        ),
-        (
-            p.detection_timeout_s > 0.0,
-            "detection_timeout_s must be > 0",
-        ),
-    ];
-    for (ok, msg) in checks {
-        if !ok {
-            return Err(err(format!("{context}: {msg}")));
-        }
-    }
-    // Mirror of `PredictorSpec::validate`'s panics.
-    match p.predictor {
-        PredictorSpec::Kalman(k) => {
-            if !(k.process_var.is_finite() && k.process_var >= 0.0) {
-                return Err(err(format!(
-                    "{context}: kalman process_var must be finite and >= 0"
-                )));
-            }
-            if !(k.measurement_var.is_finite() && k.measurement_var > 0.0) {
-                return Err(err(format!(
-                    "{context}: kalman measurement_var must be finite and > 0"
-                )));
-            }
-        }
-        PredictorSpec::RobustQuantile(q) if q.k < 1 => {
-            return Err(err(format!("{context}: quantile k must be >= 1")));
-        }
-        _ => {}
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
 // decoding helpers
 // ---------------------------------------------------------------------------
@@ -1455,7 +1404,9 @@ impl Manifest {
                     .map(|(axis, v)| (axis.field.clone(), v.clone()))
                     .collect();
                 if let Some(params) = self.adaptive_params(spec, &assignments)? {
-                    check_params(&params, &format!("policy `{}`", spec.label))?;
+                    params
+                        .check()
+                        .map_err(|msg| err(format!("policy `{}`: {msg}", spec.label)))?;
                 }
             }
         }

@@ -2,7 +2,8 @@
 //! rejection across sections, matrix expansion counts, and semantic
 //! validation errors.
 
-use pas_core::{Policy, Scenario};
+use pas_core::{AdaptiveParams, Policy, Scenario};
+use pas_scenario::manifest::{set_param, PARAM_FIELDS};
 use pas_scenario::{expand, registry, Manifest};
 
 #[test]
@@ -186,6 +187,25 @@ fn validation_mirrors_runtime_constructor_panics() {
     let e = Manifest::parse(&bad).unwrap_err();
     assert!(e.msg.contains("delay_s"), "{e}");
 
+    // Adaptive parameters: manifest validation and the runner read one
+    // list of rules (`AdaptiveParams::check`). A negative broadcast gap
+    // trips an assert in the runner; an overflowing literal reads as +inf
+    // and cannot become a `SimTime` or an RNG range, in a policy key or
+    // at one end of a sweep axis.
+    let pas = "alert_threshold_s = 15.0";
+    let bad = paper_src().replace(pas, &format!("{pas}\nmin_broadcast_gap_s = -1.0"));
+    let e = Manifest::parse(&bad).unwrap_err();
+    assert!(e.msg.contains("min_broadcast_gap_s"), "{e}");
+    let bad = paper_src().replace(pas, &format!("{pas}\nresponse_window_s = 1e309"));
+    let e = Manifest::parse(&bad).unwrap_err();
+    assert!(e.msg.contains("response_window_s must be finite"), "{e}");
+    let bad = paper_src().replace(
+        "max_sleep_s = [1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0]",
+        "max_sleep_s = [4.0, 1e309]",
+    );
+    let e = Manifest::parse(&bad).unwrap_err();
+    assert!(e.msg.contains("max_sleep_s must be finite"), "{e}");
+
     // Poisson-disk separation must be positive.
     let src = registry::raw("plume-monitoring").unwrap();
     let bad = src.replace("min_dist = 6.0", "min_dist = 0.0");
@@ -200,6 +220,20 @@ fn validation_mirrors_runtime_constructor_panics() {
     );
     let e = Manifest::parse(&bad).unwrap_err();
     assert!(e.msg.contains("both `speed` and `profile`"), "{e}");
+}
+
+/// Every adaptive parameter must be finite: +inf and NaN break the rule
+/// list, and the message names the field.
+#[test]
+fn every_adaptive_parameter_must_be_finite() {
+    for field in PARAM_FIELDS {
+        for value in [f64::INFINITY, f64::NAN] {
+            let mut p = AdaptiveParams::default();
+            set_param(&mut p, field, value).unwrap();
+            let msg = p.check().unwrap_err();
+            assert!(msg.starts_with(field), "{field} = {value}: {msg}");
+        }
+    }
 }
 
 /// Strings survive the round-trip even with characters that need escaping;

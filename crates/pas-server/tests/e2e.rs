@@ -106,6 +106,19 @@ fn api_rejects_bad_input_and_unknown_jobs() {
         other => panic!("expected 400, got {other}"),
     }
 
+    // So is an adaptive parameter past f64's range, sent as raw text: it
+    // reads as +inf, which no event can be scheduled at.
+    let infinite = registry::raw("paper-default").unwrap().replace(
+        "alert_threshold_s = 15.0",
+        "alert_threshold_s = 15.0\nresponse_window_s = 1e309",
+    );
+    match client.submit(&infinite).unwrap_err() {
+        pas_server::ClientError::Api(400, msg) => {
+            assert!(msg.contains("response_window_s"), "{msg}")
+        }
+        other => panic!("expected 400, got {other}"),
+    }
+
     // Unknown jobs are 404; results of unfinished jobs are 409.
     match client.status(999).unwrap_err() {
         pas_server::ClientError::Api(404, _) => {}

@@ -107,8 +107,6 @@ impl<E> Engine<E> {
         F: FnMut(&mut Engine<E>, E),
     {
         loop {
-            // One combined settle-and-pop per event: a peek + pop pair
-            // would advance the calendar queue's cursor state twice.
             let popped = {
                 let _prof = pas_obs::profile::scope_detail("sim.queue.pop");
                 self.queue.pop_at_or_before(horizon)

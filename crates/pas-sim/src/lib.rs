@@ -5,8 +5,9 @@
 //!
 //! * [`SimTime`] — simulation time in seconds with a *total* order (NaN is
 //!   rejected at construction), so events can live in ordered collections.
-//! * [`EventQueue`] — a stable priority queue: events at equal timestamps pop
-//!   in insertion order (FIFO), which makes runs bit-for-bit reproducible.
+//! * [`EventQueue`] — a stable priority queue, a binary heap over
+//!   `(time, seq)`: events at equal timestamps pop in insertion order
+//!   (FIFO), which makes runs bit-for-bit reproducible.
 //! * [`Engine`] — the pop-advance-dispatch loop with scheduling helpers,
 //!   run-until-horizon, and built-in queue statistics.
 //! * [`rng`] — our own seedable PRNG (SplitMix64 + Xoshiro256++) with
@@ -44,14 +45,14 @@ pub mod rng;
 pub mod time;
 
 pub use engine::{Engine, StopReason};
-pub use queue::{EventQueue, HeapEventQueue};
+pub use queue::EventQueue;
 pub use rng::Rng;
 pub use time::SimTime;
 
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::engine::{Engine, StopReason};
-    pub use crate::queue::{EventQueue, HeapEventQueue};
+    pub use crate::queue::EventQueue;
     pub use crate::rng::Rng;
     pub use crate::time::SimTime;
 }

@@ -1,27 +1,35 @@
 //! Property-based tests for the DES kernel and PRNG.
 
-use pas_sim::{Engine, EventQueue, HeapEventQueue, Rng, SimTime};
+use pas_sim::{Engine, EventQueue, Rng, SimTime};
 use proptest::prelude::*;
+
+/// The order the queue must keep, by definition: `model` holds the pending
+/// `(time, id)` pairs, where ids count pushes (an id is its push's sequence
+/// number), and the least pair pops first.
+fn pop_least(model: &mut Vec<(SimTime, u32)>) -> Option<(SimTime, u32)> {
+    let least = (0..model.len()).min_by_key(|&i| model[i])?;
+    Some(model.remove(least))
+}
 
 proptest! {
     // --- event queue ---------------------------------------------------------
 
-    /// The calendar queue must pop in *exactly* the reference heap's order on
-    /// arbitrary interleaved push/pop streams. Ops are drawn so times cluster
-    /// (heavy equal-time FIFO ties), jump far ahead (overflow ring window),
-    /// and occasionally rewind behind times already popped.
+    /// The queue pops in exactly the model's order on arbitrary interleaved
+    /// push/pop streams. Ops are drawn so times cluster (heavy equal-time
+    /// FIFO ties), sit milliseconds apart against push order, jump far
+    /// ahead, and land behind times already popped.
     #[test]
-    fn calendar_matches_heap_on_arbitrary_streams(
+    fn queue_matches_model_on_arbitrary_streams(
         ops in prop::collection::vec((0u8..4, 0u16..2048, 0u8..8), 0..400),
     ) {
-        let mut cal = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
+        let mut q = EventQueue::new();
+        let mut model = Vec::new();
         let mut id = 0u32;
         for (kind, coarse, fine) in ops {
             match kind {
                 // 0: push with tie-prone clustered time (quarter-second grid).
-                // 1: push with sub-tick offsets (forces intra-bucket sorting).
-                // 2: push far ahead (exercises the overflow map).
+                // 1: push with sub-quarter-second offsets.
+                // 2: push far ahead.
                 0..=2 => {
                     let secs = match kind {
                         0 => (coarse % 64) as f64 * 0.25,
@@ -29,19 +37,19 @@ proptest! {
                         _ => 20.0 + coarse as f64 * 0.5,
                     };
                     let t = SimTime::from_secs(secs);
-                    cal.push(t, id);
-                    heap.push(t, id);
+                    q.push(t, id);
+                    model.push((t, id));
                     id += 1;
                 }
                 _ => {
-                    prop_assert_eq!(cal.peek_time(), heap.peek_time());
-                    prop_assert_eq!(cal.pop(), heap.pop());
+                    prop_assert_eq!(q.peek_time(), model.iter().min().map(|&(t, _)| t));
+                    prop_assert_eq!(q.pop(), pop_least(&mut model));
                 }
             }
-            prop_assert_eq!(cal.len(), heap.len());
+            prop_assert_eq!(q.len(), model.len());
         }
         loop {
-            let (a, b) = (cal.pop(), heap.pop());
+            let (a, b) = (q.pop(), pop_least(&mut model));
             prop_assert_eq!(a, b);
             if a.is_none() { break; }
         }
@@ -51,32 +59,32 @@ proptest! {
     /// and just after the popped timestamp (the Engine's dominant pattern —
     /// Deliver fan-out scheduled from inside a dispatch).
     #[test]
-    fn calendar_matches_heap_under_reentrant_pushes(
+    fn queue_matches_model_under_reentrant_pushes(
         seeds in prop::collection::vec((0u16..256, 0u8..4), 1..120),
     ) {
-        let mut cal = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
+        let mut q = EventQueue::new();
+        let mut model = Vec::new();
         let mut id = 0u32;
         for &(coarse, _) in seeds.iter().take(20) {
             let t = SimTime::from_secs(coarse as f64 * 0.125);
-            cal.push(t, id);
-            heap.push(t, id);
+            q.push(t, id);
+            model.push((t, id));
             id += 1;
         }
         for &(_, fanout) in &seeds {
-            let (a, b) = (cal.pop(), heap.pop());
+            let (a, b) = (q.pop(), pop_least(&mut model));
             prop_assert_eq!(a, b);
             let Some((t, _)) = a else { break };
             for k in 0..fanout {
-                // Same instant (FIFO tie), same tick, and next tick.
+                // The same instant (FIFO tie), then 6 ms steps after it.
                 let t2 = t + k as f64 * 6.0e-3;
-                cal.push(t2, id);
-                heap.push(t2, id);
+                q.push(t2, id);
+                model.push((t2, id));
                 id += 1;
             }
         }
         loop {
-            let (a, b) = (cal.pop(), heap.pop());
+            let (a, b) = (q.pop(), pop_least(&mut model));
             prop_assert_eq!(a, b);
             if a.is_none() { break; }
         }

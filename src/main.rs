@@ -149,8 +149,7 @@ PROFILE OPTIONS:
 BENCH OPTIONS:
     --out FILE           output JSON path (default BENCH_batch.json,
                          BENCH_dist.json with --dist,
-                         BENCH_predictors.json with --predictors,
-                         BENCH_queue.json with --queue, or
+                         BENCH_predictors.json with --predictors, or
                          BENCH_server.json with --server); results
                          append to the file's versioned history with
                          commit/date metadata (legacy files upgrade in place)
@@ -170,10 +169,7 @@ BENCH OPTIONS:
                          workers vs the single-process baseline
     --predictors         per-predictor hot-path bench: sequential point
                          throughput of every arrival-predictor variant on
-                         the paper workload
-    --queue              event-queue microbench: steady-state push+pop
-                         throughput of the calendar queue vs the heap
-                         reference at 1k/100k/1M pending events
+                         the paper workload, interleaved over 41 rounds
     --profile            batch bench only: also time the sequential grid
                          with region profiling off, record the derived
                          profile_overhead_pct and a per-region self-time
@@ -181,7 +177,7 @@ BENCH OPTIONS:
     --gate [FILES...]    regression gate: compare each history's newest
                          entry against the previous one; exit non-zero on a
                          throughput drop beyond the tolerance (default
-                         files: the five BENCH_*.json)
+                         files: the four BENCH_*.json)
     --max-drop PCT       gate tolerance, percent (default 35)
 "
 }
@@ -1524,7 +1520,6 @@ fn cmd_bench_gate(max_drop_pct: f64, files: &[PathBuf]) -> CmdResult {
         "BENCH_batch.json",
         "BENCH_dist.json",
         "BENCH_predictors.json",
-        "BENCH_queue.json",
         "BENCH_server.json",
     ];
     let files: Vec<PathBuf> = if files.is_empty() {
@@ -1584,9 +1579,6 @@ enum BenchOpts {
     Predictors {
         out: PathBuf,
     },
-    Queue {
-        out: PathBuf,
-    },
     Server {
         addr: Option<String>,
         max_clients: usize,
@@ -1608,7 +1600,7 @@ fn parse_bench(args: &[String]) -> Result<BenchOpts, String> {
     let (mut max_drop_pct, mut files) = (pas_bench::DEFAULT_MAX_DROP_PCT, Vec::new());
     Cursor::each("bench", args, |c, arg| {
         match arg {
-            "--dist" | "--predictors" | "--queue" | "--server" | "--gate" => {
+            "--dist" | "--predictors" | "--server" | "--gate" => {
                 if let Some(first) = mode.replace(arg) {
                     return Err(format!("{first} and {arg} are two bench modes; give one"));
                 }
@@ -1637,8 +1629,8 @@ fn parse_bench(args: &[String]) -> Result<BenchOpts, String> {
         let owner = match arg {
             "--profile" => "batch",
             "--addr" | "--max-clients" | "--step-ms" => "--server",
-            "--out" if mode == "--gate" => "batch/dist/predictors/queue/server",
-            "--out" | "--dist" | "--predictors" | "--queue" | "--server" | "--gate" => continue,
+            "--out" if mode == "--gate" => "batch/dist/predictors/server",
+            "--out" | "--dist" | "--predictors" | "--server" | "--gate" => continue,
             _ => "--gate", // --max-drop and the history files
         };
         if owner != mode {
@@ -1662,9 +1654,6 @@ fn parse_bench(args: &[String]) -> Result<BenchOpts, String> {
         "--predictors" => BenchOpts::Predictors {
             out: out("BENCH_predictors.json"),
         },
-        "--queue" => BenchOpts::Queue {
-            out: out("BENCH_queue.json"),
-        },
         "--server" => BenchOpts::Server {
             addr,
             max_clients,
@@ -1683,7 +1672,6 @@ fn cmd_bench(opts: BenchOpts) -> CmdResult {
         BenchOpts::Batch { profile, out } => cmd_bench_batch(profile, out),
         BenchOpts::Dist { workers, out } => cmd_bench_dist(workers, out),
         BenchOpts::Predictors { out } => cmd_bench_predictors(out),
-        BenchOpts::Queue { out } => cmd_bench_queue(out),
         BenchOpts::Server {
             addr,
             max_clients,
@@ -1722,12 +1710,10 @@ fn cmd_bench_batch(profile: bool, out: PathBuf) -> CmdResult {
     // record), region profiling and the history sampler (at an aggressive
     // 100 ms interval, so its pair is a worst-case bound) all on. The
     // others turn off tracing, profiling (`--profile` only), the whole
-    // registry, or the sampler. One sample is one batch. The
-    // configurations run interleaved over `BENCH_ROUNDS` rounds, each
-    // round in an order rotated by one, so drift in machine speed falls
-    // on all of them alike. A configuration's time is the median of its
-    // samples; an overhead is the median over rounds of that round's
-    // shipping/off ratio.
+    // registry, or the sampler. One sample is one batch, and the
+    // configurations run `interleaved`. A configuration's time is the
+    // median of its samples; an overhead is the median over rounds of
+    // that round's shipping/off ratio.
     let mut small = manifest.clone();
     small.sweep[0].values = vec![4.0, 12.0].into();
     small.run.replicates = 4;
@@ -1770,25 +1756,20 @@ fn cmd_bench_batch(profile: bool, out: PathBuf) -> CmdResult {
     let mut sampler = Some(start_sampler());
     let (_, batch) = run_once(SHIPPING)?;
     let regions = profile.then(profile_region_json);
-    let mut samples = vec![Vec::with_capacity(BENCH_ROUNDS); configs.len()];
-    for round in 0..BENCH_ROUNDS {
-        for k in 0..configs.len() {
-            let c = (round + k) % configs.len();
-            if configs[c].3 != sampler.is_some() {
-                // Dropping the sampler stops and joins its thread. A start
-                // (with its immediate first snapshot) or a join slows the
-                // batch right after it, so that batch runs untimed.
-                sampler = configs[c].3.then(start_sampler);
-                run_once(configs[c])?;
-            }
-            samples[c].push(run_once(configs[c])?.0);
+    let samples = interleaved(configs.len(), |c| {
+        if configs[c].3 != sampler.is_some() {
+            // Dropping the sampler stops and joins its thread. A start
+            // (with its immediate first snapshot) or a join slows the
+            // batch right after it, so that batch runs untimed.
+            sampler = configs[c].3.then(start_sampler);
+            run_once(configs[c])?;
         }
-    }
+        Ok::<_, pas_scenario::ManifestError>(run_once(configs[c])?.0)
+    })?;
     drop(sampler);
     pas_obs::set_enabled(true);
     pas_obs::trace::set_tracing(true);
     pas_obs::profile::set_profiling(true);
-    let median_us = |c: usize| median(samples[c].iter().map(|&us| us as f64).collect()) as u64;
     let overhead = |off: usize| {
         let ratios = samples[0]
             .iter()
@@ -1797,11 +1778,11 @@ fn cmd_bench_batch(profile: bool, out: PathBuf) -> CmdResult {
             .collect();
         (median(ratios) - 1.0) * 100.0
     };
-    let exec_us = median_us(0);
-    let exec_us_trace_off = median_us(trace_off);
-    let exec_us_off = median_us(obs_off);
-    let exec_us_history_off = median_us(history_off);
-    let exec_us_profile_off = profile.then(|| median_us(profile_off));
+    let exec_us = median_us(&samples[0]);
+    let exec_us_trace_off = median_us(&samples[trace_off]);
+    let exec_us_off = median_us(&samples[obs_off]);
+    let exec_us_history_off = median_us(&samples[history_off]);
+    let exec_us_profile_off = profile.then(|| median_us(&samples[profile_off]));
     let overhead_pct = overhead(obs_off);
     let trace_overhead_pct = overhead(trace_off);
     let history_overhead_pct = overhead(history_off);
@@ -1844,10 +1825,35 @@ fn cmd_bench_batch(profile: bool, out: PathBuf) -> CmdResult {
 const BENCH_ROUNDS: usize = 41;
 const _: () = assert!(BENCH_ROUNDS % 2 == 1);
 
+/// Each configuration's samples over `BENCH_ROUNDS` rounds; `sample(c)`
+/// times configuration `c` once. Every round runs each configuration
+/// once, in an order rotated by one per round, so drift in machine speed
+/// falls on all of them alike.
+fn interleaved<T, E>(
+    configs: usize,
+    mut sample: impl FnMut(usize) -> Result<T, E>,
+) -> Result<Vec<Vec<T>>, E> {
+    let mut samples: Vec<Vec<T>> = (0..configs)
+        .map(|_| Vec::with_capacity(BENCH_ROUNDS))
+        .collect();
+    for round in 0..BENCH_ROUNDS {
+        for k in 0..configs {
+            let c = (round + k) % configs;
+            samples[c].push(sample(c)?);
+        }
+    }
+    Ok(samples)
+}
+
 /// Median of an odd-length sample.
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(f64::total_cmp);
     v[v.len() / 2]
+}
+
+/// Median of an odd-length sample of microsecond timings.
+fn median_us(samples: &[u64]) -> u64 {
+    median(samples.iter().map(|&us| us as f64).collect()) as u64
 }
 
 /// The global profile table folded down to a per-region JSON array:
@@ -1891,102 +1897,61 @@ fn profile_region_json() -> String {
 /// arrival-predictor variant on a fixed paper-workload sub-grid, so the
 /// perf trajectory tracks the estimation path itself — the code inside
 /// the wake-decision loop — not just batch/dist plumbing
-/// (BENCH_predictors.json).
+/// (BENCH_predictors.json). The variants run interleaved like the batch
+/// bench's configurations, and each records its median batch.
 fn cmd_bench_predictors(out: PathBuf) -> CmdResult {
     let base = registry::builtin("paper-default").expect("builtin parses");
-    let mut entries = Vec::new();
-    let mut runs_per_predictor = 0usize;
-    for name in pas_core::PREDICTOR_NAMES {
-        // One PAS policy mounting the variant, over the Fig. 4 operating
-        // slice: 2 axis points x 8 seeds, sequential for comparability.
-        let mut m = base.clone();
-        m.name = "bench-predictors".to_string();
-        m.policies.retain(|p| p.kind == "pas");
-        m.policies[0].predictor = pas_core::PredictorSpec::from_name(name);
-        m.sweep[0].values = vec![4.0, 12.0].into();
-        m.run.replicates = 8;
-        let n_runs = expand(&m)?.len();
-        runs_per_predictor = n_runs;
-        let t0 = std::time::Instant::now();
-        let batch = execute(&m, ExecOptions { threads: 1 })?;
-        let us = t0.elapsed().as_micros() as u64;
-        let events: u64 = batch.records.iter().map(|r| r.events_processed).sum();
-        entries.push(format!(
-            "    {{\"predictor\": \"{name}\", \"execute_us\": {us}, \
-             \"us_per_run\": {}, \"runs_per_s\": {:.1}, \"events_total\": {events}}}",
-            us / n_runs as u64,
-            n_runs as f64 / (us as f64 / 1e6),
-        ));
+    // One PAS policy mounting each variant, over the Fig. 4 operating
+    // slice: 2 axis points x 8 seeds, sequential for comparability.
+    let manifests: Vec<Manifest> = pas_core::PREDICTOR_NAMES
+        .iter()
+        .map(|name| {
+            let mut m = base.clone();
+            m.name = "bench-predictors".to_string();
+            m.policies.retain(|p| p.kind == "pas");
+            m.policies[0].predictor = pas_core::PredictorSpec::from_name(name);
+            m.sweep[0].values = vec![4.0, 12.0].into();
+            m.run.replicates = 8;
+            m
+        })
+        .collect();
+    let n_runs = expand(&manifests[0])?.len();
+    let run_once = |m: &Manifest| execute(m, ExecOptions { threads: 1 });
+    // One untimed batch per variant warms up and counts its events.
+    let mut events = Vec::new();
+    for m in &manifests {
+        let batch = run_once(m)?;
+        events.push(
+            batch
+                .records
+                .iter()
+                .map(|r| r.events_processed)
+                .sum::<u64>(),
+        );
     }
+    let samples = interleaved(manifests.len(), |c| {
+        let t0 = std::time::Instant::now();
+        run_once(&manifests[c])?;
+        Ok::<_, pas_scenario::ManifestError>(t0.elapsed().as_micros() as u64)
+    })?;
+    let entries: Vec<String> = pas_core::PREDICTOR_NAMES
+        .iter()
+        .zip(&samples)
+        .zip(events)
+        .map(|((name, samples), events)| {
+            let us = median_us(samples);
+            format!(
+                "    {{\"predictor\": \"{name}\", \"execute_us\": {us}, \
+                 \"us_per_run\": {}, \"runs_per_s\": {:.1}, \"events_total\": {events}}}",
+                us / n_runs as u64,
+                n_runs as f64 / (us as f64 / 1e6),
+            )
+        })
+        .collect();
     let json = format!(
         "{{\n  \"bench\": \"predictors\",\n  \"scenario\": \"paper-default\",\n  \
-         \"runs_per_predictor\": {runs_per_predictor},\n  \"predictors\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n"),
-    );
-    record_bench(&out, &json)
-}
-
-/// Event-queue microbench: steady-state push+pop throughput of the
-/// calendar queue against the heap reference, at several pending-set
-/// sizes. The workload mirrors the simulator's access pattern: hold N
-/// events pending and repeatedly pop the earliest, then push a
-/// replacement 0–20 s ahead of the popped time (an LCG supplies the
-/// jitter so both implementations see the identical sequence).
-fn cmd_bench_queue(out: PathBuf) -> CmdResult {
-    use pas_sim::{EventQueue, HeapEventQueue, SimTime};
-    const OPS: u64 = 200_000;
-    fn next_time(x: &mut u64, now: f64) -> f64 {
-        *x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-        now + ((*x >> 40) as f64) * (20.0 / 16777216.0)
-    }
-    fn bench<Q>(
-        n: usize,
-        mut push: impl FnMut(&mut Q, SimTime),
-        mut pop: impl FnMut(&mut Q) -> SimTime,
-        q: &mut Q,
-    ) -> u64 {
-        let mut x: u64 = 12345;
-        for _ in 0..n {
-            push(q, SimTime::from_secs(next_time(&mut x, 0.0)));
-        }
-        let t0 = std::time::Instant::now();
-        for _ in 0..OPS {
-            let now = pop(q).as_secs();
-            push(q, SimTime::from_secs(next_time(&mut x, now)));
-        }
-        (t0.elapsed().as_nanos() as u64).max(1) / OPS
-    }
-    let mut entries = Vec::new();
-    for &n in &[1_000usize, 100_000, 1_000_000] {
-        let label = match n {
-            1_000 => "n1k",
-            100_000 => "n100k",
-            _ => "n1m",
-        };
-        let mut cq: EventQueue<u32> = EventQueue::new();
-        let cal = bench(
-            n,
-            |q: &mut EventQueue<u32>, t| q.push(t, 0),
-            |q| q.pop().expect("queue holds n pending").0,
-            &mut cq,
-        );
-        let mut hq: HeapEventQueue<u32> = HeapEventQueue::new();
-        let heap = bench(
-            n,
-            |q: &mut HeapEventQueue<u32>, t| q.push(t, 0),
-            |q| q.pop().expect("queue holds n pending").0,
-            &mut hq,
-        );
-        for (impl_name, ns) in [("calendar", cal), ("heap", heap)] {
-            entries.push(format!(
-                "    {{\"config\": \"{impl_name}-{label}\", \"pending\": {n}, \
-                 \"ns_per_op\": {ns}, \"ops_per_s\": {:.1}}}",
-                1e9 / ns.max(1) as f64,
-            ));
-        }
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"queue\",\n  \"ops\": {OPS},\n  \"configs\": [\n{}\n  ]\n}}\n",
+         \"runs_per_predictor\": {n_runs},\n  \"execute_rounds\": {BENCH_ROUNDS},\n  \
+         \"predictors\": [\n{}\n  ]\n}}\n",
         entries.join(",\n"),
     );
     record_bench(&out, &json)
@@ -2781,10 +2746,11 @@ pas_e_count 0
                 workers: 2,
                 out: out("BENCH_dist.json"),
             })),
+            Ok(gate(60.0, &["BENCH_dist.json"])),
             Ok(Command::Bench(BenchOpts::Predictors {
                 out: out("BENCH_predictors.json"),
             })),
-            Ok(gate(60.0, &["BENCH_dist.json", "BENCH_predictors.json"])),
+            Ok(gate(35.0, &["BENCH_predictors.json"])),
             Ok(serve(8484, "hist-cache", |o| {
                 metrics(o);
                 o.server.history_interval = ms(200);
@@ -2800,10 +2766,7 @@ pas_e_count 0
             Ok(status(8484, true)),
             Ok(serve(8485, "nohist-cache", |_| {})),
             Ok(top(8485, 1000, 1)),
-            Ok(Command::Bench(BenchOpts::Queue {
-                out: out("BENCH_queue.json"),
-            })),
-            Ok(gate(15.0, &["BENCH_batch.json", "BENCH_queue.json"])),
+            Ok(gate(15.0, &["BENCH_batch.json"])),
             Ok(profile(
                 ProfileSource::Local {
                     scenario: "paper-default".into(),

@@ -48,8 +48,12 @@ fn unread_arguments_fail() {
             "`--threads`",
         ),
         (&["bench", "--gate", "--profile", "FILE"], "--profile"),
-        (&["bench", "--queue", "--max-clients", "3"], "--max-clients"),
-        (&["bench", "--dist", "2", "--queue"], "--queue"),
+        (
+            &["bench", "--predictors", "--max-clients", "3"],
+            "--max-clients",
+        ),
+        (&["bench", "--dist", "2", "--predictors"], "--predictors"),
+        (&["bench", "--queue"], "--queue"),
     ] {
         let out = pas(args, Stdio::piped());
         let stderr = String::from_utf8_lossy(&out.stderr);
