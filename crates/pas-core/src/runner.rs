@@ -82,6 +82,7 @@ use pas_platform::{
     telos_profile, telos_profile_ref, EnergyBreakdown, FrameSpec, MessageKind, NodeMode,
 };
 use pas_sim::{Engine, Rng, SimTime};
+use std::time::Instant;
 
 /// Substream label: deployment positions.
 pub const STREAM_DEPLOY: u64 = 0x01;
@@ -132,6 +133,32 @@ enum Ev {
     AlertReview(u32),
     CoveredCheck(u32),
     Fail(u32),
+}
+
+/// The detail profile region of each event kind, indexed by [`Ev::kind`].
+const EVENT_REGIONS: [&str; 7] = [
+    "sim.event.arrival",
+    "sim.event.wake",
+    "sim.event.window_end",
+    "sim.event.deliver",
+    "sim.event.alert_review",
+    "sim.event.covered_check",
+    "sim.event.fail",
+];
+
+impl Ev {
+    /// This event's kind, as an index into [`EVENT_REGIONS`].
+    fn kind(self) -> usize {
+        match self {
+            Ev::Arrival(_) => 0,
+            Ev::Wake(_) => 1,
+            Ev::WindowEnd(..) => 2,
+            Ev::Deliver { .. } => 3,
+            Ev::AlertReview(_) => 4,
+            Ev::CoveredCheck(_) => 5,
+            Ev::Fail(_) => 6,
+        }
+    }
 }
 
 /// One in-flight broadcast payload in the frame slab.
@@ -278,8 +305,8 @@ fn simulate(
     elide_asleep: bool,
 ) -> RunResult {
     // Coarse profile region over the whole simulation (one per matrix
-    // point, µs-scale); the per-event regions below it are detail-level
-    // and inert unless `pas_obs::profile::set_detail(true)`.
+    // point, µs-scale); the per-event-kind regions under it are recorded
+    // only with `pas_obs::profile::set_detail(true)` (see `run_profiled`).
     let _prof = pas_obs::profile::scope("sim.run");
     config.policy.validate();
     let topology = scenario.topology();
@@ -402,10 +429,13 @@ fn simulate(
         }
     }
 
-    engine.run_until(horizon, |eng, ev| world.handle(eng, ev));
+    if pas_obs::profile::detail() {
+        run_profiled(&mut engine, &mut world, horizon);
+    } else {
+        engine.run_until(horizon, |eng, ev| world.handle(eng, ev));
+    }
 
     // Reduce.
-    let _prof_stats = pas_obs::profile::scope_detail("sim.stats");
     let duration_s = horizon.as_secs();
     let per_node_energy: Vec<EnergyBreakdown> = (0..n)
         .map(|i| {
@@ -432,6 +462,28 @@ fn simulate(
             .count(),
         alerted_ever: world.nodes.alerted_ever.iter().filter(|&&a| a).count(),
         timeline: world.timeline,
+    }
+}
+
+/// The event loop with per-event-kind attribution: one clock read after
+/// each event charges the time since the previous read, which covers that
+/// event's pop and its handler (the pushes and broadcasts it makes
+/// included), to the event's kind. At the end, each kind's sums become one
+/// child region of the open `sim.run` region, named from [`EVENT_REGIONS`].
+fn run_profiled(engine: &mut Engine<Ev>, world: &mut World<'_>, horizon: SimTime) {
+    let mut spent = [(0u64, 0u64); EVENT_REGIONS.len()];
+    let mut last = Instant::now();
+    engine.run_until(horizon, |eng, ev| {
+        let kind = ev.kind();
+        world.handle(eng, ev);
+        let now = Instant::now();
+        let (calls, ns) = &mut spent[kind];
+        *calls += 1;
+        *ns += now.duration_since(last).as_nanos() as u64;
+        last = now;
+    });
+    for (name, (calls, ns)) in EVENT_REGIONS.into_iter().zip(spent) {
+        pas_obs::profile::add_child(name, calls, ns);
     }
 }
 
@@ -525,7 +577,6 @@ impl<'f> World<'f> {
     // --- wake-up ------------------------------------------------------
 
     fn on_wake(&mut self, eng: &mut Engine<Ev>, i: usize) {
-        let _prof = pas_obs::profile::scope_detail("sim.wake_decision");
         let now = eng.now();
         debug_assert_eq!(self.wake_at[i], now, "node {i}: Wake off its recorded time");
         if !self.nodes.alive[i] || self.nodes.awake[i] {
@@ -565,7 +616,6 @@ impl<'f> World<'f> {
     // --- listening-window decisions ------------------------------------
 
     fn on_window_end(&mut self, eng: &mut Engine<Ev>, i: usize, purpose: Purpose) {
-        let _prof = pas_obs::profile::scope_detail("sim.window_end");
         let now = eng.now();
         if !self.nodes.alive[i] || self.nodes.window[i] != Some(purpose) {
             return; // superseded (e.g. went Covered mid-window)
@@ -639,7 +689,6 @@ impl<'f> World<'f> {
     // --- frame reception -------------------------------------------------
 
     fn on_deliver(&mut self, eng: &mut Engine<Ev>, i: usize, frame: u32) {
-        let _prof = pas_obs::profile::scope_detail("sim.delivery");
         let now = eng.now();
         let msg = self.take_frame(frame);
         // Half-duplex: a transmitting node cannot hear.
@@ -772,7 +821,6 @@ impl<'f> World<'f> {
     /// self` because stateful predictors update the node's
     /// [`crate::predictor::PredictorState`].
     fn estimate_for(&mut self, i: usize, now: SimTime) -> (SimTime, Option<pas_geom::Vec2>) {
-        let _prof = pas_obs::profile::scope_detail("sim.predictor");
         let Some(predictor) = self.predictor else {
             return (SimTime::NEVER, None); // NS/Oracle never estimate
         };
@@ -854,7 +902,6 @@ impl<'f> World<'f> {
     /// per delivered frame, whether or not its `Deliver` is then skipped
     /// for an asleep receiver.
     fn broadcast(&mut self, eng: &mut Engine<Ev>, i: usize, msg: Msg, forced: bool) {
-        let _prof = pas_obs::profile::scope_detail("sim.channel");
         let now = eng.now();
         let airtime = match msg.kind() {
             MessageKind::Request => self.airtime_request_s,

@@ -32,7 +32,7 @@ use pas_obs::json::quote;
 use pas_scenario::{expand, reduce, BatchResult, Manifest, RunRecord};
 use pas_server::http::{Request, Response};
 use pas_server::json;
-use pas_server::{CacheStats, JobQueue, JobTrace, ResultCache, Router};
+use pas_server::{CacheStats, JobQueue, JobTrace, KeyPrefix, ResultCache, Router};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -516,8 +516,9 @@ impl Scheduler {
         // Ambient trace context so the cache probes below record
         // `cache.probe` spans under the job's root.
         let _trace_ctx = trace.map(|tr| pas_obs::trace::enter(tr.id, tr.root));
+        let key_prefix = KeyPrefix::new(&manifest);
         for pt in &points {
-            let key = ResultCache::key(&manifest, pt);
+            let key = key_prefix.key(pt);
             match self.cache.load(&key) {
                 Some(r) => {
                     records.push(Some(r));

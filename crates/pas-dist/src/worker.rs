@@ -14,7 +14,7 @@ use pas_diffusion::StimulusField;
 use pas_scenario::{expand_indices, Manifest, RunPoint};
 use pas_server::http::roundtrip;
 use pas_server::json;
-use pas_server::{ClientError, ResultCache, RetryPolicy};
+use pas_server::{ClientError, KeyPrefix, RetryPolicy};
 use pas_sweep::WorkerPool;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -115,6 +115,7 @@ fn register(addr: &str, opts: &WorkerOptions) -> Result<Registered, ClientError>
 struct JobCtx {
     manifest: Manifest,
     field: Box<dyn StimulusField>,
+    keys: KeyPrefix,
 }
 
 /// Cumulative execute telemetry, shared between the shard loop (which
@@ -295,7 +296,12 @@ fn execute_shard(
             let manifest = Manifest::parse(&grant.manifest_toml)
                 .map_err(|e| ClientError::Protocol(format!("bad manifest in lease: {e}")))?;
             let field = manifest.build_field();
-            let c = Arc::new(JobCtx { manifest, field });
+            let keys = KeyPrefix::new(&manifest);
+            let c = Arc::new(JobCtx {
+                manifest,
+                field,
+                keys,
+            });
             *ctx = Some((grant.job, Arc::clone(&c)));
             c
         }
@@ -381,7 +387,7 @@ fn execute_shard(
             .zip(records)
             .map(|(pt, record)| PointReport {
                 index: pt.index,
-                key: ResultCache::key(&job_ctx.manifest, pt),
+                key: job_ctx.keys.key(pt),
                 record,
             })
             .collect(),

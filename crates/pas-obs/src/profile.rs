@@ -16,10 +16,12 @@
 //! The design follows the registry's discipline:
 //!
 //! * **Cheap when off.** [`scope`] costs one relaxed atomic load when
-//!   profiling is disabled; [`scope_detail`] (the per-event sim-loop
-//!   regions) additionally hides behind its own [`detail`] switch that
-//!   is off by default, so the ~90 ns/event hot loop never pays for
-//!   instrumentation it didn't ask for.
+//!   profiling is disabled. The simulation loop's per-event attribution
+//!   sits behind its own [`detail`] switch, off by default, which the
+//!   runner reads once per run: with it off the event loop carries no
+//!   profiler code at all. With it on, the runner reads the clock once
+//!   per event, sums per event kind locally and hands the sums over with
+//!   one [`add_child`] per kind at the end of the run.
 //! * **Lock-free when hot.** Region and path ids are interned once
 //!   under short mutexes; after that, accumulation is plain atomic adds
 //!   into a fixed slab indexed by path id.
@@ -376,8 +378,8 @@ static GLOBAL: OnceLock<ProfileTable> = OnceLock::new();
 /// profiling separately from metrics and spans.
 static PROFILING: AtomicBool = AtomicBool::new(true);
 
-/// Detail-level switch for [`scope_detail`] (per-event sim-loop
-/// regions). Off by default: the hot loop is ~90 ns/event, so these
+/// Detail-level switch for the simulation loop's per-event-kind regions.
+/// Off by default: the hot loop is well under 100 ns/event, so these
 /// regions are opt-in (`pas profile <manifest>` turns them on).
 static DETAIL: AtomicBool = AtomicBool::new(false);
 
@@ -396,12 +398,13 @@ pub fn set_profiling(on: bool) {
     PROFILING.store(on, Ordering::Relaxed);
 }
 
-/// Whether detail-level regions are also collected.
+/// Whether detail-level regions are also collected. Read once per run by
+/// the code that records them, not once per event.
 pub fn detail() -> bool {
     DETAIL.load(Ordering::Relaxed) && profiling()
 }
 
-/// Toggle detail-level regions (see [`scope_detail`]).
+/// Toggle detail-level regions (see [`detail`]).
 pub fn set_detail(on: bool) {
     DETAIL.store(on, Ordering::Relaxed);
 }
@@ -509,7 +512,7 @@ thread_local! {
 
 /// A live region: times from construction, records on drop (including
 /// panic unwind, so a panicking region is still counted exactly once).
-/// Obtain via [`scope`] / [`scope_detail`] / [`ProfileTable::scope`].
+/// Obtain via [`scope`] / [`ProfileTable::scope`].
 #[must_use = "a profile scope measures until it is dropped"]
 pub struct Scope {
     /// 1-based stack depth of this scope's frame; 0 = inert.
@@ -540,15 +543,17 @@ pub(crate) fn scope_at(name: &str, start: Instant) -> Scope {
     global().enter_at(name, start)
 }
 
-/// Enter a detail-level region (per-event sim-loop granularity) on the
-/// global table. Inert unless [`set_detail`]`(true)` — one relaxed
-/// load on the hot path.
-#[inline]
-pub fn scope_detail(name: &str) -> Scope {
-    if !DETAIL.load(Ordering::Relaxed) || !profiling() {
-        return Scope::INERT;
+/// Add `calls` visits of region `name`, `ns` nanoseconds in all, as a
+/// child of this thread's innermost open region on the global table, for
+/// code that times many short visits itself and hands over their sums (the
+/// simulation runner's per-event-kind regions). The open region counts
+/// `ns` as child time, so `total == self + Σ children` still holds when
+/// it closes, provided the visits were timed inside it. Does nothing when
+/// profiling is off, `calls` is zero or no region is open.
+pub fn add_child(name: &str, calls: u64, ns: u64) {
+    if profiling() {
+        global().add_child(name, calls, ns);
     }
-    global().scope(name)
 }
 
 impl ProfileTable {
@@ -595,6 +600,28 @@ impl ProfileTable {
             }
         })
     }
+
+    /// [`add_child`] on this table: the child hangs under the innermost
+    /// open region of this table on this thread.
+    pub(crate) fn add_child(&'static self, name: &str, calls: u64, ns: u64) {
+        if calls == 0 {
+            return;
+        }
+        let Some(region) = self.region(name) else {
+            return;
+        };
+        let _ = CTX.try_with(|ctx| {
+            let mut ctx = ctx.borrow_mut();
+            let mut open = ctx.frames.iter_mut().rev();
+            let Some(parent) = open.find(|f| std::ptr::eq(f.table, self)) else {
+                return;
+            };
+            if let Some(path) = self.path_of(parent.path, region) {
+                self.add(path, calls, ns, 0, 0);
+                parent.child_ns += ns;
+            }
+        });
+    }
 }
 
 impl Scope {
@@ -635,8 +662,8 @@ impl Scope {
 
 impl Drop for Scope {
     fn drop(&mut self) {
-        // Inert scopes (the hot loop's detail regions when off) must not
-        // read the clock.
+        // Inert scopes (profiling off, or a full table) must not read the
+        // clock.
         if self.depth != 0 {
             self.exit_at(Instant::now());
         }
@@ -1031,6 +1058,37 @@ mod tests {
         );
         assert!(outer.total_ns >= inner.total_ns);
         assert!(inner.total_ns >= 1_000_000, "inner slept 2ms");
+    }
+
+    #[test]
+    fn added_children_hang_under_the_open_region_and_keep_the_identity() {
+        let t = table();
+        t.add_child("a.orphan", 3, 30); // no region open: dropped
+        {
+            let _outer = t.scope("a.outer");
+            {
+                let _inner = t.scope("a.inner");
+                t.add_child("a.leaf", 2, 500);
+            }
+            std::thread::sleep(Duration::from_millis(1));
+            t.add_child("a.kind", 4, 700_000);
+            t.add_child("a.kind", 1, 100_000);
+            t.add_child("a.unvisited", 0, 0);
+        }
+        let snap = t.snapshot();
+        let get = |key: &str| snap.iter().find(|e| e.key() == key);
+        let (outer, inner) = (get("a.outer").unwrap(), get("a.outer;a.inner").unwrap());
+        let (kind, leaf) = (
+            get("a.outer;a.kind").unwrap(),
+            get("a.outer;a.inner;a.leaf").unwrap(),
+        );
+        assert_eq!((kind.calls, kind.total_ns, kind.child_ns), (5, 800_000, 0));
+        assert_eq!((leaf.calls, leaf.total_ns), (2, 500));
+        assert_eq!(inner.child_ns, 500);
+        assert_eq!(outer.child_ns, inner.total_ns + kind.total_ns);
+        assert!(outer.total_ns >= outer.child_ns, "slept 1 ms past the sums");
+        assert!(get("a.orphan").is_none() && get("a.outer;a.unvisited").is_none());
+        assert_eq!(t.len(), 4, "zero-call and orphan children intern nothing");
     }
 
     #[test]

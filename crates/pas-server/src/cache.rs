@@ -90,38 +90,11 @@ impl ResultCache {
         self.len() == 0
     }
 
-    /// The content key of one run, as lowercase hex.
+    /// The content key of one run, as lowercase hex: [`KeyPrefix::key`]
+    /// for a lone point. To key many points of one manifest, build its
+    /// [`KeyPrefix`] once instead.
     pub fn key(manifest: &Manifest, pt: &RunPoint) -> String {
-        let mut h = Sha256::new();
-        h.update(CACHE_VERSION.as_bytes());
-        h.update(b"\x00");
-        h.update(environment_toml(manifest).as_bytes());
-        h.update(b"\x00");
-        // Policy Debug covers the kind and every resolved parameter
-        // (shortest-roundtrip f64 formatting is stable across platforms).
-        h.update(format!("{:?}", pt.policy).as_bytes());
-        h.update(b"\x00");
-        h.update(pt.policy_label.as_bytes());
-        h.update(b"\x00");
-        for (field, value) in &pt.assignments {
-            h.update(field.as_bytes());
-            match value {
-                AxisValue::Num(v) => {
-                    h.update(b"=");
-                    h.update(&v.to_bits().to_be_bytes());
-                }
-                AxisValue::Name(n) => {
-                    // Disjoint separator: a named assignment can never
-                    // collide with any numeric bit pattern.
-                    h.update(b"$");
-                    h.update(n.as_bytes());
-                }
-            }
-            h.update(b";");
-        }
-        h.update(b"\x00");
-        h.update(&pt.seed.to_be_bytes());
-        hex(&h.finish())
+        KeyPrefix::new(manifest).key(pt)
     }
 
     fn entry_path(&self, key: &str) -> PathBuf {
@@ -176,6 +149,55 @@ impl ResultCache {
         pas_obs::inc("pas.cache.store.count", &[]);
         pas_obs::add("pas.cache.write.bytes", &[], text.len() as u64);
         Ok(())
+    }
+}
+
+/// A manifest's share of every cache key: the SHA-256 state after
+/// `CACHE_VERSION ‖ 0 ‖ environment TOML ‖ 0`. Built once per manifest,
+/// so each point's key costs a copy of that state and the point's own
+/// bytes.
+#[derive(Clone)]
+pub struct KeyPrefix(Sha256);
+
+impl KeyPrefix {
+    /// Hash `manifest`'s environment ([`environment_toml`]).
+    pub fn new(manifest: &Manifest) -> KeyPrefix {
+        let mut h = Sha256::new();
+        h.update(CACHE_VERSION.as_bytes());
+        h.update(b"\x00");
+        h.update(environment_toml(manifest).as_bytes());
+        h.update(b"\x00");
+        KeyPrefix(h)
+    }
+
+    /// The content key of one run of the manifest, as lowercase hex.
+    pub fn key(&self, pt: &RunPoint) -> String {
+        let mut h = self.0.clone();
+        // Policy Debug covers the kind and every resolved parameter
+        // (shortest-roundtrip f64 formatting is stable across platforms).
+        h.update(format!("{:?}", pt.policy).as_bytes());
+        h.update(b"\x00");
+        h.update(pt.policy_label.as_bytes());
+        h.update(b"\x00");
+        for (field, value) in &pt.assignments {
+            h.update(field.as_bytes());
+            match value {
+                AxisValue::Num(v) => {
+                    h.update(b"=");
+                    h.update(&v.to_bits().to_be_bytes());
+                }
+                AxisValue::Name(n) => {
+                    // Disjoint separator: a named assignment can never
+                    // collide with any numeric bit pattern.
+                    h.update(b"$");
+                    h.update(n.as_bytes());
+                }
+            }
+            h.update(b";");
+        }
+        h.update(b"\x00");
+        h.update(&pt.seed.to_be_bytes());
+        hex(&h.finish())
     }
 }
 
@@ -362,10 +384,11 @@ pub fn execute_with_cache_traced(
     let misses = AtomicU64::new(0);
     let total = points.len();
     let done = std::sync::atomic::AtomicUsize::new(0);
+    let keys = KeyPrefix::new(manifest);
 
     let records: Vec<RunRecord> = parallel_map_with(&points, opts.sweep_options(manifest), |pt| {
         let _trace = trace_ctx.map(|(t, p)| pas_obs::trace::enter(t, p));
-        let key = ResultCache::key(manifest, pt);
+        let key = keys.key(pt);
         let record = match cache.load(&key) {
             Some(r) => {
                 hits.fetch_add(1, Ordering::Relaxed);

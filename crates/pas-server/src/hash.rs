@@ -78,10 +78,11 @@ impl Sha256 {
     /// Finish and return the 32-byte digest.
     pub fn finish(mut self) -> [u8; 32] {
         let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
+        // 0x80, then zeros up to 56 bytes into a block: 1..=64 bytes.
+        let mut pad = [0u8; 64];
+        pad[0] = 0x80;
+        self.update(&pad[..1 + (119 - self.buf_len) % 64]);
+        debug_assert_eq!(self.buf_len, 56);
         // Length goes straight into the buffer tail; update() would count it.
         self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;

@@ -42,7 +42,9 @@ pub mod json;
 pub mod queue;
 pub mod server;
 
-pub use cache::{execute_with_cache, execute_with_cache_traced, CacheStats, ResultCache};
+pub use cache::{
+    execute_with_cache, execute_with_cache_traced, CacheStats, KeyPrefix, ResultCache,
+};
 pub use client::{
     retry_cause, Client, ClientError, HistoryFormat, JobStatus, ProfileFormat, ReportFormat,
     ResultFormat, RetryPolicy, TraceFormat,

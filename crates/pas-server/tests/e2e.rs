@@ -193,6 +193,11 @@ fn healthz_metrics_and_sse_events() {
         assert!(health.contains(field), "healthz missing {field}: {health}");
     }
 
+    // A larger job ahead of ours in the one-worker queue keeps ours from
+    // finishing before its stream attaches: a finished job gets only the
+    // `done` frame, and 12 points can finish within the connect.
+    let ahead = registry::builtin("paper-default").unwrap().to_toml();
+    client.submit(&ahead).unwrap();
     let id = client.submit(&toml).unwrap();
 
     // Stream the job's events over raw HTTP: chunked SSE, phase +

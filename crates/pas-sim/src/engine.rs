@@ -78,7 +78,6 @@ impl<E> Engine<E> {
             self.now,
             at
         );
-        let _prof = pas_obs::profile::scope_detail("sim.queue.push");
         self.queue.push(at, event);
     }
 
@@ -88,7 +87,6 @@ impl<E> Engine<E> {
             delay_secs >= 0.0 && !delay_secs.is_nan(),
             "delay must be non-negative, got {delay_secs}"
         );
-        let _prof = pas_obs::profile::scope_detail("sim.queue.push");
         self.queue.push(self.now + delay_secs, event);
     }
 
@@ -107,11 +105,7 @@ impl<E> Engine<E> {
         F: FnMut(&mut Engine<E>, E),
     {
         loop {
-            let popped = {
-                let _prof = pas_obs::profile::scope_detail("sim.queue.pop");
-                self.queue.pop_at_or_before(horizon)
-            };
-            let Some((t, event)) = popped else {
+            let Some((t, event)) = self.queue.pop_at_or_before(horizon) else {
                 return if self.queue.is_empty() {
                     StopReason::QueueEmpty
                 } else {

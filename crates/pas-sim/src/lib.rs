@@ -5,11 +5,14 @@
 //!
 //! * [`SimTime`] — simulation time in seconds with a *total* order (NaN is
 //!   rejected at construction), so events can live in ordered collections.
-//! * [`EventQueue`] — a stable priority queue, a binary heap over
-//!   `(time, seq)`: events at equal timestamps pop in insertion order
-//!   (FIFO), which makes runs bit-for-bit reproducible.
-//! * [`Engine`] — the pop-advance-dispatch loop with scheduling helpers,
-//!   run-until-horizon, and built-in queue statistics.
+//! * [`EventQueue`] — a stable priority queue ordered by `(time, seq)`,
+//!   packed into one `u128` key per event: events at equal timestamps pop
+//!   in insertion order (FIFO), which makes runs bit-for-bit
+//!   reproducible.
+//! * [`Engine`] — the pop-advance-dispatch loop with scheduling helpers
+//!   and run-until-horizon. It does no profiling of its own: a caller
+//!   that wants per-event attribution times its handler (as `pas-core`'s
+//!   runner does under detail profiling).
 //! * [`rng`] — our own seedable PRNG (SplitMix64 + Xoshiro256++) with
 //!   substream derivation, so every node gets an independent deterministic
 //!   stream regardless of how many other streams were consumed. We do not use

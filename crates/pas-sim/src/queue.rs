@@ -5,26 +5,43 @@
 //! with a monotone sequence number so equal-time events pop FIFO — the
 //! insertion order is part of the simulation's definition.
 //!
-//! The queue is a `BinaryHeap` ordered by `(time, seq)`. The worlds it runs
-//! keep at most a few hundred events pending, where the heap's O(log n) is a
-//! handful of comparisons and its one buffer is its only allocation
-//! ([`EventQueue::with_capacity`] pre-sizes it).
+//! The queue is a `BinaryHeap` ordered by one integer key per event: the
+//! time's `f64` bits in the high half of a `u128` and the push sequence
+//! number in the low half. Non-negative, non-NaN `f64`s order like their
+//! bit patterns, so one integer comparison of keys orders `(time, seq)`.
+//! The worlds it runs keep at most a few hundred events pending, where the
+//! heap's O(log n) is a handful of comparisons and its one buffer is its
+//! only allocation ([`EventQueue::with_capacity`] pre-sizes it).
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-/// An event scheduled at a time, carrying its tie-break sequence number.
+/// The ordering key of an event at `time` pushed `seq`-th.
+#[inline]
+fn key(time: SimTime, seq: u64) -> u128 {
+    // Adding +0.0 turns −0.0, whose bits would sort after +∞, into +0.0
+    // and leaves every other time as it is.
+    let bits = (time.as_secs() + 0.0).to_bits();
+    (u128::from(bits) << 64) | u128::from(seq)
+}
+
+/// The time a key was built from (−0.0 reads back as +0.0).
+#[inline]
+fn time_of(key: u128) -> SimTime {
+    SimTime::from_bits((key >> 64) as u64)
+}
+
+/// An event with its ordering key.
 #[derive(Debug)]
 struct Scheduled<E> {
-    time: SimTime,
-    seq: u64,
+    key: u128,
     event: E,
 }
 
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Scheduled<E> {}
@@ -36,13 +53,10 @@ impl<E> PartialOrd for Scheduled<E> {
 }
 
 impl<E> Ord for Scheduled<E> {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest
-        // (time, seq) on top.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        // Reversed: BinaryHeap is a max-heap, we want the least key on top.
+        other.key.cmp(&self.key)
     }
 }
 
@@ -93,20 +107,20 @@ impl<E> EventQueue<E> {
     /// a logic error and would otherwise silently leak queue memory.
     pub fn push(&mut self, time: SimTime, event: E) {
         assert!(time.is_finite(), "cannot schedule an event at NEVER");
-        let seq = self.next_seq;
+        let key = key(time, self.next_seq);
         self.next_seq += 1;
-        self.heap.push(Scheduled { time, seq, event });
+        self.heap.push(Scheduled { key, event });
     }
 
     /// Timestamp of the next event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
+        self.heap.peek().map(|s| time_of(s.key))
     }
 
     /// Pop the earliest event (FIFO among ties).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|s| (s.time, s.event))
+        self.heap.pop().map(|s| (time_of(s.key), s.event))
     }
 
     /// Pop the earliest event iff its timestamp is `<= horizon`.
@@ -115,9 +129,10 @@ impl<E> EventQueue<E> {
     /// is strictly after `horizon` (check [`EventQueue::is_empty`] to tell
     /// the cases apart).
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        let next = self.heap.peek_mut().filter(|s| s.time <= horizon)?;
+        let limit = key(horizon, u64::MAX);
+        let next = self.heap.peek_mut().filter(|s| s.key <= limit)?;
         let s = PeekMut::pop(next);
-        Some((s.time, s.event))
+        Some((time_of(s.key), s.event))
     }
 }
 
@@ -250,6 +265,87 @@ mod tests {
         assert_eq!(q.pop_at_or_before(SimTime::from_secs(2.0)), None);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(order, vec![(huge, "huge"), (max, "max")]);
+    }
+
+    #[test]
+    fn signed_zeros_are_one_instant() {
+        // −0.0 is a valid time; its bits would sort after +∞, so the key
+        // must treat it as +0.0: both zeros pop in push order, before 1 s.
+        let (neg, pos, one) = (
+            SimTime::from_secs(-0.0),
+            SimTime::ZERO,
+            SimTime::from_secs(1.0),
+        );
+        let mut q = EventQueue::new();
+        q.push(one, "one");
+        q.push(neg, "neg");
+        q.push(pos, "pos");
+        q.push(neg, "neg2");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["neg", "pos", "neg2", "one"]);
+
+        q.push(one, "one");
+        q.push(pos, "pos");
+        q.push(neg, "neg");
+        assert_eq!(q.peek_time(), Some(pos));
+        assert_eq!(q.pop_at_or_before(neg).map(|(_, e)| e), Some("pos"));
+        assert_eq!(q.pop_at_or_before(neg).map(|(_, e)| e), Some("neg"));
+        assert_eq!(q.pop_at_or_before(neg), None);
+        assert_eq!(q.pop().map(|(_, e)| e), Some("one"));
+    }
+
+    #[test]
+    fn extreme_times_pop_in_numeric_order_from_any_push_order() {
+        let times = [
+            f64::from_bits(1), // the smallest subnormal
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0f64.next_up(),
+            1e30,
+            f64::MAX,
+        ]
+        .map(SimTime::from_secs);
+        let want: Vec<_> = times.iter().copied().zip(0..).collect();
+        let mut order: Vec<usize> = (0..times.len()).collect();
+        let mut permutations = 0;
+        loop {
+            let mut q = EventQueue::new();
+            for &i in &order {
+                q.push(times[i], i);
+            }
+            let popped: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            assert_eq!(popped, want, "push order {order:?}");
+            permutations += 1;
+            if !next_permutation(&mut order) {
+                break;
+            }
+        }
+        assert_eq!(permutations, 720);
+    }
+
+    /// Step `v` to its next lexicographic permutation; `false` after the
+    /// last.
+    fn next_permutation(v: &mut [usize]) -> bool {
+        let Some(i) = (1..v.len()).rev().find(|&i| v[i - 1] < v[i]) else {
+            return false;
+        };
+        let j = (i..v.len()).rev().find(|&j| v[j] > v[i - 1]).unwrap();
+        v.swap(i - 1, j);
+        v[i..].reverse();
+        true
+    }
+
+    #[test]
+    fn horizon_takes_its_instant_and_leaves_the_next_float() {
+        let t = SimTime::from_secs(2.5);
+        let after = SimTime::from_secs(2.5f64.next_up());
+        let mut q = EventQueue::new();
+        q.push(after, "after");
+        q.push(t, "at");
+        assert_eq!(q.pop_at_or_before(t), Some((t, "at")));
+        assert_eq!(q.pop_at_or_before(t), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_at_or_before(after), Some((after, "after")));
     }
 
     #[test]

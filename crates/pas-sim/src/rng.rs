@@ -119,7 +119,6 @@ impl Rng {
     /// See the module docs — per-entity substreams keep paired experiments
     /// noise-free.
     pub fn substream(seed: u64, label: u64) -> Self {
-        let _prof = pas_obs::profile::scope_detail("sim.rng");
         Rng::new(derive_seed(seed, label))
     }
 

@@ -34,6 +34,13 @@ impl SimTime {
         SimTime(secs)
     }
 
+    /// The time with these `f64` bits, unchecked: only for bits read from
+    /// a `SimTime` (the event queue's keys).
+    #[inline]
+    pub(crate) fn from_bits(bits: u64) -> Self {
+        SimTime(f64::from_bits(bits))
+    }
+
     /// Construct from milliseconds.
     #[inline]
     pub fn from_millis(ms: f64) -> Self {

@@ -11,37 +11,57 @@ fn pop_least(model: &mut Vec<(SimTime, u32)>) -> Option<(SimTime, u32)> {
     Some(model.remove(least))
 }
 
+/// Valid times at the edges of the `f64` range: both zeros, the smallest
+/// subnormal and normal, 1 and the next float up, and two far-future times.
+const EDGE_TIMES: [f64; 8] = [
+    0.0,
+    -0.0,
+    f64::from_bits(1),
+    f64::MIN_POSITIVE,
+    1.0,
+    f64::from_bits(0x3FF0_0000_0000_0001), // the float after 1.0
+    1e30,
+    f64::MAX,
+];
+
+/// The time one generated queue op pushes at, or `None` for a pop.
+fn op_time(kind: u8, coarse: u16, fine: u8) -> Option<SimTime> {
+    let secs = match kind {
+        // Tie-prone clustered time (quarter-second grid).
+        0 => (coarse % 64) as f64 * 0.25,
+        // Sub-quarter-second offsets.
+        1 => (coarse % 64) as f64 * 0.25 + fine as f64 * 1.9e-3,
+        // Far ahead.
+        2 => 20.0 + coarse as f64 * 0.5,
+        3 => EDGE_TIMES[fine as usize % EDGE_TIMES.len()],
+        _ => return None,
+    };
+    Some(SimTime::from_secs(secs))
+}
+
 proptest! {
     // --- event queue ---------------------------------------------------------
 
     /// The queue pops in exactly the model's order on arbitrary interleaved
     /// push/pop streams. Ops are drawn so times cluster (heavy equal-time
     /// FIFO ties), sit milliseconds apart against push order, jump far
-    /// ahead, and land behind times already popped.
+    /// ahead, land behind times already popped, and hit the edges of the
+    /// `f64` range ([`EDGE_TIMES`]).
     #[test]
     fn queue_matches_model_on_arbitrary_streams(
-        ops in prop::collection::vec((0u8..4, 0u16..2048, 0u8..8), 0..400),
+        ops in prop::collection::vec((0u8..5, 0u16..2048, 0u8..8), 0..400),
     ) {
         let mut q = EventQueue::new();
         let mut model = Vec::new();
         let mut id = 0u32;
         for (kind, coarse, fine) in ops {
-            match kind {
-                // 0: push with tie-prone clustered time (quarter-second grid).
-                // 1: push with sub-quarter-second offsets.
-                // 2: push far ahead.
-                0..=2 => {
-                    let secs = match kind {
-                        0 => (coarse % 64) as f64 * 0.25,
-                        1 => (coarse % 64) as f64 * 0.25 + fine as f64 * 1.9e-3,
-                        _ => 20.0 + coarse as f64 * 0.5,
-                    };
-                    let t = SimTime::from_secs(secs);
+            match op_time(kind, coarse, fine) {
+                Some(t) => {
                     q.push(t, id);
                     model.push((t, id));
                     id += 1;
                 }
-                _ => {
+                None => {
                     prop_assert_eq!(q.peek_time(), model.iter().min().map(|&(t, _)| t));
                     prop_assert_eq!(q.pop(), pop_least(&mut model));
                 }

@@ -1272,7 +1272,8 @@ fn parse_profile(args: &[String]) -> Result<ProfileOpts, String> {
 /// `pas profile`: render a region profile as folded stacks, an SVG
 /// flamegraph, or JSON. Remote mode (`--serve-url`) fetches a running
 /// server's `/profile`; local mode executes a scenario in-process with
-/// the detail regions (per-event sim hot-loop scopes) switched on.
+/// the detail regions (the simulation loop's per-event-kind regions)
+/// switched on.
 fn cmd_profile(pa: ProfileOpts) -> CmdResult {
     let body: Vec<u8> = match pa.source {
         ProfileSource::Remote { addr, seconds } => Client::new(addr.clone())
@@ -2775,6 +2776,15 @@ pas_e_count 0
                 },
                 "ci-profile.folded",
             )),
+            Ok(Command::Profile(ProfileOpts {
+                source: ProfileSource::Local {
+                    scenario: "paper-default".into(),
+                    hz: None,
+                    threads: 1,
+                },
+                format: ProfileFormat::Json,
+                out: None,
+            })),
         ];
         let ci = ci_invocations();
         assert_eq!(ci.len(), want.len(), "{ci:#?}");

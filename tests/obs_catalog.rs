@@ -5,8 +5,8 @@
 //! comment lines skipped): metrics are its `"pas.…"` literals, spans the
 //! names passed to `pas_obs::span` / `span_since`, coarse regions those
 //! passed to `pas_obs::span` (which enters a region) or
-//! `profile::scope`, and detail regions those passed to
-//! `profile::scope_detail`.
+//! `profile::scope`, and detail regions the `"sim.event.…"` literals the
+//! simulation runner records its per-event-kind regions under.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -119,11 +119,14 @@ fn region_catalog_matches_code() {
     coarse.extend(literals_after(&lines, "scope("));
     assert_same("coarse regions", first_column(catalog), 13, coarse);
     let detail = &catalog[catalog.find("Detail regions").expect("detail paragraph")..];
-    let detail = backticked(detail.split("\n\n").next().unwrap()).filter(|n| n.starts_with("sim."));
-    assert_same(
-        "detail regions",
-        detail.collect(),
-        9,
-        literals_after(&lines, "scope_detail("),
-    );
+    let detail = backticked(detail.split("\n\n").next().unwrap()).filter(|n| n.starts_with(EVENT));
+    let quoted = format!("\"{EVENT}");
+    let recorded = lines.iter().flat_map(|l| {
+        let literals = l.split(quoted.as_str()).skip(1);
+        literals.map(|rest| format!("{EVENT}{}", rest.split('"').next().unwrap()))
+    });
+    assert_same("detail regions", detail.collect(), 7, recorded.collect());
 }
+
+/// The prefix of the detail regions: one per simulation event kind.
+const EVENT: &str = "sim.event.";

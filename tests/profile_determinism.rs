@@ -2,10 +2,9 @@
 //! scenario with region profiling on — detail regions included, the
 //! most invasive configuration the profiler has — must reproduce the
 //! exact bytes `tests/golden/*.csv` pins for the uninstrumented path.
-//! Scope guards sit inside the simulation hot loop (`sim.queue.*`,
-//! `sim.rng`, `sim.wake_decision`, ...), so any profiler side effect on
-//! event order, RNG draws, or float accumulation would surface here as
-//! a byte diff.
+//! Detail profiling swaps in the runner's timed event loop (the
+//! `sim.event.*` regions), so any profiler side effect on event order,
+//! RNG draws, or float accumulation would surface here as a byte diff.
 
 use pas_scenario::{execute, registry, summary_csv, ExecOptions};
 
@@ -42,7 +41,7 @@ fn golden_csvs_are_byte_identical_with_profiling_on() {
     // The equality above only means something if the profiler was live:
     // the scenario seams must actually have recorded into the table.
     let folded = pas_obs::profile::render_folded();
-    for region in ["exec.point", "exec.reduce", "sim.run", "sim.wake_decision"] {
+    for region in ["exec.point", "exec.reduce", "sim.run", "sim.event.wake"] {
         assert!(
             folded.contains(region),
             "profile table is missing `{region}`:\n{folded}"
