@@ -65,10 +65,6 @@ pub struct Nodes {
     pub predictor_state: Vec<PredictorState>,
     /// Current predicted stimulus arrival ([`SimTime::NEVER`] = unknown).
     pub expected_arrival: Vec<SimTime>,
-    /// Latest report received per neighbour, sorted by sender id. A sorted
-    /// vec with binary-search insert: same iteration order as the old
-    /// `BTreeMap<usize, Report>` without per-entry heap nodes.
-    pub reports: Vec<Vec<(u32, Report)>>,
     /// Open listening window, if any.
     pub window: Vec<Option<Purpose>>,
     /// End of the last transmission (sender side).
@@ -107,7 +103,6 @@ impl Nodes {
             velocity: vec![None; n],
             predictor_state: vec![PredictorState::default(); n],
             expected_arrival: vec![SimTime::NEVER; n],
-            reports: vec![Vec::new(); n],
             window: vec![None; n],
             last_tx_end: vec![SimTime::ZERO; n],
             last_broadcast: vec![None; n],
@@ -194,20 +189,75 @@ impl Nodes {
         }
     }
 
-    /// Store a neighbour's report on node `i` (latest wins).
-    pub fn store_report(&mut self, i: usize, from: u32, report: Report) {
-        let slot = &mut self.reports[i];
-        match slot.binary_search_by_key(&from, |&(k, _)| k) {
-            Ok(at) => slot[at].1 = report,
-            Err(at) => slot.insert(at, (from, report)),
-        }
-    }
-
     /// Final energy of node `i`: frozen at death, else metered up to `end`.
     pub fn final_energy(&mut self, i: usize, end: SimTime) -> EnergyBreakdown {
         match self.death_energy[i] {
             Some(e) => e,
             None => self.meter[i].sample(end),
+        }
+    }
+}
+
+/// Every node's latest report from each neighbour that has sent one, in
+/// one flat array shaped like the runner's CSR neighbour table: node `i`'s
+/// row spans `off[i]..off[i + 1]`, one slot per neighbour, and its first
+/// `len[i]` slots hold reports in ascending sender id, with the sender ids
+/// beside them in `from`. An estimator borrows a row in place
+/// ([`ReportTable::row`]); nothing is copied or allocated per report.
+#[derive(Debug, Clone)]
+pub struct ReportTable {
+    off: Vec<u32>,
+    len: Vec<u32>,
+    from: Vec<u32>,
+    reports: Vec<Report>,
+}
+
+impl ReportTable {
+    /// An empty table over CSR row offsets: `off` has one entry per node
+    /// plus one, and node `i` has room for `off[i + 1] - off[i]` reports.
+    pub fn new(off: &[u32]) -> Self {
+        let slots = off.last().map_or(0, |&end| end as usize);
+        let blank = Report {
+            pos: Vec2::ZERO,
+            state: NodeState::Safe,
+            velocity: None,
+            ref_time: SimTime::ZERO,
+        };
+        ReportTable {
+            off: off.to_vec(),
+            len: vec![0; off.len().saturating_sub(1)],
+            from: vec![0; slots],
+            reports: vec![blank; slots],
+        }
+    }
+
+    /// Node `i`'s stored reports, in ascending sender id.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[Report] {
+        let lo = self.off[i] as usize;
+        &self.reports[lo..lo + self.len[i] as usize]
+    }
+
+    /// Store `from`'s report on node `i`; a later report from the same
+    /// sender replaces the earlier one.
+    ///
+    /// # Panics
+    /// Panics if node `i`'s row is already full with other senders: `from`
+    /// is then not one of its neighbours.
+    pub fn store(&mut self, i: usize, from: u32, report: Report) {
+        let (lo, end) = (self.off[i] as usize, self.off[i + 1] as usize);
+        let hi = lo + self.len[i] as usize;
+        match self.from[lo..hi].binary_search(&from) {
+            Ok(at) => self.reports[lo + at] = report,
+            Err(at) => {
+                assert!(hi < end, "node {i}'s row is full: {from} is no neighbour");
+                let at = lo + at;
+                self.from.copy_within(at..hi, at + 1);
+                self.reports.copy_within(at..hi, at + 1);
+                self.from[at] = from;
+                self.reports[at] = report;
+                self.len[i] += 1;
+            }
         }
     }
 }
@@ -285,28 +335,42 @@ mod tests {
         assert_eq!(r.ref_time, SimTime::from_secs(6.0));
     }
 
-    #[test]
-    fn reports_latest_wins_and_stay_sorted() {
-        let mut n = nodes_at(Vec2::ZERO, true);
-        let r1 = Report {
+    fn report_at(t: f64) -> Report {
+        Report {
             pos: Vec2::UNIT_X,
             state: NodeState::Alert,
             velocity: None,
-            ref_time: SimTime::from_secs(1.0),
-        };
-        let r2 = Report {
-            ref_time: SimTime::from_secs(2.0),
-            ..r1
-        };
-        n.store_report(0, 7, r1);
-        n.store_report(0, 7, r2);
-        assert_eq!(n.reports[0].len(), 1);
-        assert_eq!(n.reports[0][0].1.ref_time, SimTime::from_secs(2.0));
-        // Inserts keep ascending sender order (the BTreeMap contract).
-        n.store_report(0, 3, r1);
-        n.store_report(0, 9, r1);
-        let keys: Vec<u32> = n.reports[0].iter().map(|&(k, _)| k).collect();
-        assert_eq!(keys, vec![3, 7, 9]);
+            ref_time: SimTime::from_secs(t),
+        }
+    }
+
+    #[test]
+    fn reports_latest_wins_and_stay_sorted() {
+        // Node 0 has room for three reports, node 1 for two.
+        let mut t = ReportTable::new(&[0, 3, 5]);
+        t.store(0, 7, report_at(1.0));
+        t.store(0, 7, report_at(2.0));
+        assert_eq!(t.row(0), &[report_at(2.0)]);
+        // Inserts keep ascending sender order (the BTreeMap contract):
+        // senders 3, 7 and 9.
+        t.store(0, 3, report_at(3.0));
+        t.store(0, 9, report_at(9.0));
+        assert_eq!(t.row(0), &[report_at(3.0), report_at(2.0), report_at(9.0)]);
+        // Rows are independent; a full row still takes updates.
+        assert!(t.row(1).is_empty());
+        t.store(1, 4, report_at(4.0));
+        assert_eq!(t.row(1), &[report_at(4.0)]);
+        t.store(0, 3, report_at(5.0));
+        t.store(0, 9, report_at(6.0));
+        assert_eq!(t.row(0), &[report_at(5.0), report_at(2.0), report_at(6.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no neighbour")]
+    fn a_full_row_refuses_a_new_sender() {
+        let mut t = ReportTable::new(&[0, 1]);
+        t.store(0, 1, report_at(1.0));
+        t.store(0, 2, report_at(2.0));
     }
 
     #[test]

@@ -36,8 +36,9 @@
 //!   setup into one CSR array of `(id, distance)` pairs, so `broadcast()`
 //!   walks a contiguous slice and schedules deliveries directly instead of
 //!   collecting a delivery list per send.
-//! * **Report scratch** — estimator calls copy a node's stored reports into
-//!   one reusable `Vec<Report>` owned by the world.
+//! * **Report table** — each node's stored reports sit in its row of one
+//!   flat array shaped like the neighbour table ([`ReportTable`]), so the
+//!   estimators borrow them in place.
 //!
 //! ## Asleep receivers
 //!
@@ -69,8 +70,8 @@
 
 use crate::config::{ChannelKind, RunConfig, Scenario};
 use crate::estimate;
-use crate::msg::{Msg, Report};
-use crate::node::{Nodes, Purpose};
+use crate::msg::Msg;
+use crate::node::{Nodes, Purpose, ReportTable};
 use crate::policy::{AdaptiveParams, Policy};
 use crate::predictor::PredictorSpec;
 use crate::state::NodeState;
@@ -270,7 +271,8 @@ struct World<'f> {
     rng: Rng,
     frames: Vec<Frame>,
     free_frame: u32,
-    reports_scratch: Vec<Report>,
+    /// Each node's latest report per neighbour, in its CSR row.
+    reports: ReportTable,
     requests_sent: u64,
     responses_sent: u64,
     frames_delivered: u64,
@@ -328,7 +330,7 @@ fn simulate(
             .unwrap_or(QUIET_HORIZON_S)
     }));
 
-    let mut tracker = DelayTracker::new();
+    let mut tracker = DelayTracker::with_nodes(n);
     for (i, arr) in arrivals.iter().enumerate() {
         if let Some(t) = arr {
             if *t <= horizon {
@@ -349,7 +351,7 @@ fn simulate(
     // precomputed link distances (same distance expression the radio layer
     // used per broadcast, so the channel sees bit-identical inputs).
     let mut nbr_off = Vec::with_capacity(n + 1);
-    let mut nbr = Vec::new();
+    let mut nbr = Vec::with_capacity((0..n).map(|i| topology.degree(i)).sum());
     nbr_off.push(0u32);
     for i in 0..n {
         let pos_i = topology.position(i);
@@ -359,6 +361,7 @@ fn simulate(
         nbr_off.push(nbr.len() as u32);
     }
 
+    let reports = ReportTable::new(&nbr_off);
     let frame_spec = FrameSpec::default();
     let mut world = World {
         nodes,
@@ -377,7 +380,7 @@ fn simulate(
         rng: Rng::substream(scenario.seed, STREAM_CHANNEL),
         frames: Vec::new(),
         free_frame: NO_FRAME,
-        reports_scratch: Vec::new(),
+        reports,
         requests_sent: 0,
         responses_sent: 0,
         frames_delivered: 0,
@@ -389,8 +392,9 @@ fn simulate(
         horizon,
     };
 
-    // Initial schedule.
-    let mut engine: Engine<Ev> = Engine::with_capacity(4 * n);
+    // Initial schedule. The lane holds the deliveries in flight: room
+    // for one broadcast from every node at once.
+    let mut engine: Engine<Ev> = Engine::with_capacity(4 * n, world.nbr.len());
     let mut node_rng = Rng::substream(scenario.seed, STREAM_NODES);
     match config.policy {
         Policy::Ns => { /* always awake: Arrival events do the detecting */ }
@@ -653,13 +657,9 @@ impl<'f> World<'f> {
                 // they keep whatever expected-velocity estimate they held
                 // while alert rather than erasing it — a None here would
                 // sever the prediction relay at its root.
-                self.fill_reports_scratch(i);
                 let detect_time = self.nodes.detect_time[i].expect("covered ⇒ detected");
-                let v = estimate::actual_velocity(
-                    self.nodes.pos[i],
-                    detect_time,
-                    &self.reports_scratch,
-                );
+                let v =
+                    estimate::actual_velocity(self.nodes.pos[i], detect_time, self.reports.row(i));
                 self.nodes.velocity[i] = v.or(self.nodes.velocity[i]);
                 // Announce the new state + estimate (§3.2: "finally it sends
                 // a RESPONSE message to deliver the new changes").
@@ -716,7 +716,14 @@ impl<'f> World<'f> {
                 }
             }
             Msg::Response { from, report } => {
-                self.nodes.store_report(i, from as u32, report);
+                // The topology is symmetric: whoever `i` hears is in its row.
+                debug_assert!(
+                    self.nbr[self.nbr_off[i] as usize..self.nbr_off[i + 1] as usize]
+                        .binary_search_by_key(&(from as u32), |&(id, _)| id)
+                        .is_ok(),
+                    "node {i} heard {from}, which is not its neighbour"
+                );
+                self.reports.store(i, from as u32, report);
                 // Inside a window: accumulate only; the decision happens at
                 // WindowEnd. Otherwise alert nodes re-estimate immediately
                 // (§3.2: "re-calculates the expected arrival time").
@@ -809,13 +816,6 @@ impl<'f> World<'f> {
 
     // --- helpers -----------------------------------------------------------
 
-    /// Copy node `i`'s stored reports into the reusable scratch buffer.
-    fn fill_reports_scratch(&mut self, i: usize) {
-        self.reports_scratch.clear();
-        self.reports_scratch
-            .extend(self.nodes.reports[i].iter().map(|&(_, r)| r));
-    }
-
     /// Run the policy's mounted predictor over node `i`'s stored reports
     /// (see [`crate::predictor`] for the dispatch design). Takes `&mut
     /// self` because stateful predictors update the node's
@@ -824,11 +824,10 @@ impl<'f> World<'f> {
         let Some(predictor) = self.predictor else {
             return (SimTime::NEVER, None); // NS/Oracle never estimate
         };
-        self.fill_reports_scratch(i);
         predictor.estimate(
             self.nodes.pos[i],
             now,
-            &self.reports_scratch,
+            self.reports.row(i),
             &mut self.nodes.predictor_state[i],
         )
     }
@@ -947,7 +946,7 @@ impl<'f> World<'f> {
                     self.elided += u64::from(at <= self.horizon);
                     continue;
                 }
-                eng.schedule_at(at, Ev::Deliver { to, frame });
+                eng.schedule_soon(at, Ev::Deliver { to, frame });
                 scheduled += 1;
             }
         }
@@ -1423,12 +1422,16 @@ mod tests {
 
     #[test]
     fn event_payloads_fit_inline_queue_storage() {
-        // The event queue stores (time, seq, Ev) entries inline; keeping
+        // The event queue stores (u128 key, Ev) entries inline; keeping
         // Ev at 12 bytes (32-byte entries) is the point of the frame slab.
         assert!(
             std::mem::size_of::<Ev>() <= 12,
             "Ev grew to {} bytes",
             std::mem::size_of::<Ev>()
         );
+        // A heap slot holds `Option<Ev>` (`None` once its event is
+        // popped); the enum's tag leaves room for `None`, so the slot is
+        // no larger than the event.
+        assert_eq!(std::mem::size_of::<Option<Ev>>(), std::mem::size_of::<Ev>());
     }
 }

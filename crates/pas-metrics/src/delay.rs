@@ -16,7 +16,6 @@
 use crate::online::OnlineStats;
 use pas_sim::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Per-run delay summary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -35,32 +34,47 @@ pub struct DelayStats {
     pub std_dev_s: f64,
 }
 
-/// Records arrivals and detections per node id.
+/// One node's record: its ground-truth first arrival and its first
+/// detection, each once known.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeDelay {
+    arrival: Option<SimTime>,
+    detection: Option<SimTime>,
+}
+
+/// Records arrivals and detections per node id, in one array indexed by
+/// node id.
 #[derive(Debug, Clone, Default)]
 pub struct DelayTracker {
-    /// node id -> ground-truth first arrival.
-    arrivals: BTreeMap<usize, SimTime>,
-    /// node id -> first detection time.
-    detections: BTreeMap<usize, SimTime>,
+    nodes: Vec<NodeDelay>,
 }
 
 impl DelayTracker {
-    /// Empty tracker.
+    /// Empty tracker; it grows to the largest node id recorded.
     pub fn new() -> Self {
         DelayTracker::default()
+    }
+
+    /// Empty tracker with room for node ids below `n`.
+    pub fn with_nodes(n: usize) -> Self {
+        DelayTracker {
+            nodes: vec![NodeDelay::default(); n],
+        }
+    }
+
+    /// Node `node`'s record, growing the array to hold it.
+    fn slot(&mut self, node: usize) -> &mut NodeDelay {
+        if node >= self.nodes.len() {
+            self.nodes.resize(node + 1, NodeDelay::default());
+        }
+        &mut self.nodes[node]
     }
 
     /// Record the ground-truth first arrival at `node`. Idempotent: the
     /// earliest recorded arrival wins (arrivals are facts, not events).
     pub fn record_arrival(&mut self, node: usize, at: SimTime) {
-        self.arrivals
-            .entry(node)
-            .and_modify(|t| {
-                if at < *t {
-                    *t = at;
-                }
-            })
-            .or_insert(at);
+        let arrival = &mut self.slot(node).arrival;
+        *arrival = Some(arrival.map_or(at, |t| t.min(at)));
     }
 
     /// Record that `node` detected the stimulus at `at`. Only the first
@@ -70,32 +84,36 @@ impl DelayTracker {
     /// Panics (debug) if a detection is recorded for a node with no arrival —
     /// detecting a stimulus that never arrived is a simulator bug.
     pub fn record_detection(&mut self, node: usize, at: SimTime) {
+        let slot = self.slot(node);
         debug_assert!(
-            self.arrivals.contains_key(&node),
+            slot.arrival.is_some(),
             "node {node} detected before any recorded arrival"
         );
-        self.detections.entry(node).or_insert(at);
+        slot.detection.get_or_insert(at);
     }
 
     /// Delay for one node, if it was reached and detected.
     pub fn delay_of(&self, node: usize) -> Option<f64> {
-        let arr = self.arrivals.get(&node)?;
-        let det = self.detections.get(&node)?;
-        Some(det.since(*arr).max(0.0))
+        let slot = self.nodes.get(node)?;
+        Some(slot.detection?.since(slot.arrival?).max(0.0))
     }
 
-    /// Reduce to the paper's statistics.
+    /// Reduce to the paper's statistics, over reached nodes in ascending
+    /// id order.
     pub fn stats(&self) -> DelayStats {
         let mut s = OnlineStats::new();
+        let mut reached = 0usize;
         let mut missed = 0usize;
-        for (node, arr) in &self.arrivals {
-            match self.detections.get(node) {
-                Some(det) => s.push(det.since(*arr).max(0.0)),
+        for slot in &self.nodes {
+            let Some(arr) = slot.arrival else { continue };
+            reached += 1;
+            match slot.detection {
+                Some(det) => s.push(det.since(arr).max(0.0)),
                 None => missed += 1,
             }
         }
         DelayStats {
-            reached: self.arrivals.len(),
+            reached,
             detected: s.count() as usize,
             missed,
             mean_delay_s: s.mean(),
@@ -187,6 +205,31 @@ mod tests {
         let s = d.stats();
         assert_eq!(s.reached, 1);
         assert_eq!(d.delay_of(99), None);
+    }
+
+    #[test]
+    fn stats_reduce_in_ascending_id_order_whatever_the_record_order() {
+        // Delays whose float sum depends on the order they are added in.
+        let delays = [1e-3, 0.1, 7.3, 1e6, 0.2, 3.3, 1e-9, 42.0];
+        let ids = [5usize, 2, 7, 0, 3, 6, 1, 4];
+        let mut want = OnlineStats::new();
+        for id in 0..ids.len() {
+            let k = ids.iter().position(|&i| i == id).unwrap();
+            want.push(t(10.0 + delays[k]).since(t(10.0)));
+        }
+        for mut d in [DelayTracker::new(), DelayTracker::with_nodes(3)] {
+            for (&id, &delay) in ids.iter().zip(&delays) {
+                d.record_arrival(id, t(10.0));
+                d.record_detection(id, t(10.0 + delay));
+            }
+            d.record_arrival(9, t(1.0)); // reached, never detected
+            let s = d.stats();
+            assert_eq!((s.reached, s.detected, s.missed), (9, 8, 1));
+            assert_eq!(s.mean_delay_s.to_bits(), want.mean().to_bits());
+            assert_eq!(s.std_dev_s.to_bits(), want.std_dev().to_bits());
+            assert_eq!(s.max_delay_s, want.max());
+            assert_eq!(d.delay_of(8), None, "id 8 was never recorded");
+        }
     }
 
     #[test]

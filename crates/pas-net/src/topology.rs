@@ -13,8 +13,11 @@ use serde::{Deserialize, Serialize};
 pub struct Topology {
     positions: Vec<Vec2>,
     range: f64,
-    /// Sorted neighbour ids per node (excluding the node itself).
-    neighbors: Vec<Vec<usize>>,
+    /// Node `i`'s neighbours are `neighbors[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+    /// Sorted neighbour ids per node (excluding the node itself), all
+    /// nodes' lists in one array.
+    neighbors: Vec<usize>,
 }
 
 impl Topology {
@@ -39,41 +42,33 @@ impl Topology {
         // squared comparison the grid uses, so both paths produce identical
         // neighbour sets even at the range boundary; the scan visits j in
         // ascending order, so no sort is needed.
-        let neighbors: Vec<Vec<usize>> = if positions.len() <= 256 {
+        let mut offsets = Vec::with_capacity(positions.len() + 1);
+        let mut neighbors = Vec::new();
+        offsets.push(0);
+        if positions.len() <= 256 {
             let r_sq = range * range;
-            positions
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| {
-                    positions
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, q)| j != i && p.distance_sq(*q) <= r_sq)
-                        .map(|(j, _)| j)
-                        .collect()
-                })
-                .collect()
+            for (i, &p) in positions.iter().enumerate() {
+                let near = positions.iter().enumerate();
+                let near = near.filter(|&(j, q)| j != i && p.distance_sq(*q) <= r_sq);
+                neighbors.extend(near.map(|(j, _)| j));
+                offsets.push(neighbors.len());
+            }
         } else {
             // Spatial hash sized to the query radius (guide idiom: cell ≈
             // range).
             let grid = SpatialGrid::from_points(range, positions.iter().copied().enumerate());
-            positions
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| {
-                    let mut ns: Vec<usize> = grid
-                        .query_radius(p, range)
-                        .map(|(id, _)| id)
-                        .filter(|&id| id != i)
-                        .collect();
-                    ns.sort_unstable();
-                    ns
-                })
-                .collect()
-        };
+            for (i, &p) in positions.iter().enumerate() {
+                let start = neighbors.len();
+                let near = grid.query_radius(p, range).map(|(id, _)| id);
+                neighbors.extend(near.filter(|&id| id != i));
+                neighbors[start..].sort_unstable();
+                offsets.push(neighbors.len());
+            }
+        }
         Topology {
             positions,
             range,
+            offsets,
             neighbors,
         }
     }
@@ -111,7 +106,7 @@ impl Topology {
     /// Sorted neighbour ids of node `i` (excluding `i`).
     #[inline]
     pub fn neighbors(&self, i: usize) -> &[usize] {
-        &self.neighbors[i]
+        &self.neighbors[self.offsets[i]..self.offsets[i + 1]]
     }
 
     /// Euclidean distance between nodes `a` and `b`.
@@ -128,7 +123,7 @@ impl Topology {
     /// Degree (neighbour count) of node `i`.
     #[inline]
     pub fn degree(&self, i: usize) -> usize {
-        self.neighbors[i].len()
+        self.offsets[i + 1] - self.offsets[i]
     }
 
     /// (min, mean, max) node degree.
@@ -136,10 +131,10 @@ impl Topology {
         let mut min = usize::MAX;
         let mut max = 0usize;
         let mut sum = 0usize;
-        for ns in &self.neighbors {
-            min = min.min(ns.len());
-            max = max.max(ns.len());
-            sum += ns.len();
+        for degree in self.offsets.windows(2).map(|w| w[1] - w[0]) {
+            min = min.min(degree);
+            max = max.max(degree);
+            sum += degree;
         }
         (min, sum as f64 / self.len() as f64, max)
     }

@@ -33,18 +33,16 @@ impl<E> Default for Engine<E> {
 impl<E> Engine<E> {
     /// Create an engine with the clock at zero.
     pub fn new() -> Self {
-        Engine {
-            now: SimTime::ZERO,
-            queue: EventQueue::new(),
-            processed: 0,
-        }
+        Self::with_capacity(0, 0)
     }
 
-    /// Create an engine with pre-allocated queue capacity.
-    pub fn with_capacity(cap: usize) -> Self {
+    /// Create an engine with room for `heap` pending events in its queue's
+    /// heap and `lane` in its lane (see [`Engine::schedule_soon`]).
+    pub fn with_capacity(heap: usize, lane: usize) -> Self {
         Engine {
-            queue: EventQueue::with_capacity(cap),
-            ..Engine::new()
+            now: SimTime::ZERO,
+            queue: EventQueue::with_capacity(heap, lane),
+            processed: 0,
         }
     }
 
@@ -72,13 +70,30 @@ impl<E> Engine<E> {
     /// Panics if `at` is in the past (before [`Engine::now`]) — causality
     /// violations are logic errors we refuse to mask.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
+        self.check_not_past(at);
+        self.queue.push(at, event);
+    }
+
+    /// [`Engine::schedule_at`] for an event due shortly after now, such as
+    /// a frame's delivery: it waits in the queue's sorted lane instead of
+    /// its heap (see [`EventQueue::push_soon`]). The dispatch order is the
+    /// same either way.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past.
+    pub fn schedule_soon(&mut self, at: SimTime, event: E) {
+        self.check_not_past(at);
+        self.queue.push_soon(at, event);
+    }
+
+    #[inline]
+    fn check_not_past(&self, at: SimTime) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: now={}, at={}",
             self.now,
             at
         );
-        self.queue.push(at, event);
     }
 
     /// Schedule `event` after a non-negative delay in seconds.
@@ -193,6 +208,38 @@ mod tests {
     }
 
     #[test]
+    fn soon_and_at_dispatch_in_time_then_schedule_order() {
+        let mut eng: Engine<Ev> = Engine::new();
+        eng.schedule_at(SimTime::from_secs(1.0), Ev::Chain(0));
+        let mut log = Vec::new();
+        eng.run(|e, ev| {
+            log.push((e.now().as_secs(), ev));
+            if ev == Ev::Chain(0) {
+                e.schedule_soon(SimTime::from_secs(1.002), Ev::Tick(2));
+                e.schedule_at(SimTime::from_secs(1.001), Ev::Tick(1));
+                e.schedule_soon(SimTime::from_secs(1.001), Ev::Tick(3));
+            }
+        });
+        assert_eq!(
+            log,
+            vec![
+                (1.0, Ev::Chain(0)),
+                (1.001, Ev::Tick(1)),
+                (1.001, Ev::Tick(3)),
+                (1.002, Ev::Tick(2)),
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "past")]
+    fn scheduling_soon_into_past_panics() {
+        let mut eng: Engine<Ev> = Engine::new();
+        eng.schedule_in(5.0, Ev::Tick(0));
+        eng.run(|e, _| e.schedule_soon(SimTime::from_secs(4.0), Ev::Tick(9)));
+    }
+
+    #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_delay_panics() {
         let mut eng: Engine<Ev> = Engine::new();
@@ -201,7 +248,7 @@ mod tests {
 
     #[test]
     fn queue_stats_tracked() {
-        let mut eng: Engine<Ev> = Engine::with_capacity(16);
+        let mut eng: Engine<Ev> = Engine::with_capacity(16, 4);
         for i in 0..8 {
             eng.schedule_in(i as f64, Ev::Tick(i));
         }

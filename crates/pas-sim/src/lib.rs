@@ -8,11 +8,16 @@
 //! * [`EventQueue`] — a stable priority queue ordered by `(time, seq)`,
 //!   packed into one `u128` key per event: events at equal timestamps pop
 //!   in insertion order (FIFO), which makes runs bit-for-bit
-//!   reproducible.
+//!   reproducible. Events wait in a binary heap or, when pushed with
+//!   [`EventQueue::push_soon`], in a short sorted lane beside it; a pop
+//!   takes the lesser front. A popped heap slot stays in place until the
+//!   next heap push overwrites it, so a handler's follow-up costs one
+//!   sift.
 //! * [`Engine`] — the pop-advance-dispatch loop with scheduling helpers
-//!   and run-until-horizon. It does no profiling of its own: a caller
-//!   that wants per-event attribution times its handler (as `pas-core`'s
-//!   runner does under detail profiling).
+//!   ([`Engine::schedule_soon`] for events due shortly, such as frame
+//!   deliveries) and run-until-horizon. It does no profiling of its own:
+//!   a caller that wants per-event attribution times its handler (as
+//!   `pas-core`'s runner does under detail profiling).
 //! * [`rng`] — our own seedable PRNG (SplitMix64 + Xoshiro256++) with
 //!   substream derivation, so every node gets an independent deterministic
 //!   stream regardless of how many other streams were consumed. We do not use

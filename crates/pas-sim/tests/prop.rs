@@ -24,6 +24,25 @@ const EDGE_TIMES: [f64; 8] = [
     f64::MAX,
 ];
 
+/// Check the queue's `len()` and `peek_time()` against the model.
+fn check_view(q: &EventQueue<u32>, model: &[(SimTime, u32)]) {
+    prop_assert_eq!(q.len(), model.len());
+    prop_assert_eq!(q.peek_time(), model.iter().min().map(|&(t, _)| t));
+}
+
+/// Pop the queue and the model until both are empty, checking each pop
+/// and the view after it.
+fn drain(q: &mut EventQueue<u32>, model: &mut Vec<(SimTime, u32)>) {
+    loop {
+        let (a, b) = (q.pop(), pop_least(model));
+        prop_assert_eq!(a, b);
+        check_view(q, model);
+        if a.is_none() {
+            return;
+        }
+    }
+}
+
 /// The time one generated queue op pushes at, or `None` for a pop.
 fn op_time(kind: u8, coarse: u16, fine: u8) -> Option<SimTime> {
     let secs = match kind {
@@ -43,71 +62,85 @@ proptest! {
     // --- event queue ---------------------------------------------------------
 
     /// The queue pops in exactly the model's order on arbitrary interleaved
-    /// push/pop streams. Ops are drawn so times cluster (heavy equal-time
-    /// FIFO ties), sit milliseconds apart against push order, jump far
+    /// push/pop streams, with heap and lane pushes mixed. Ops are drawn so
+    /// times cluster (heavy equal-time FIFO ties, also across the heap and
+    /// the lane), sit milliseconds apart against push order, jump far
     /// ahead, land behind times already popped, and hit the edges of the
-    /// `f64` range ([`EDGE_TIMES`]).
+    /// `f64` range ([`EDGE_TIMES`]). `len()` and `peek_time()` match the
+    /// model after every op, including while the heap's top is spent.
     #[test]
     fn queue_matches_model_on_arbitrary_streams(
-        ops in prop::collection::vec((0u8..5, 0u16..2048, 0u8..8), 0..400),
+        ops in prop::collection::vec((0u8..5, any::<bool>(), 0u16..2048, 0u8..8), 0..400),
     ) {
         let mut q = EventQueue::new();
         let mut model = Vec::new();
         let mut id = 0u32;
-        for (kind, coarse, fine) in ops {
+        for (kind, soon, coarse, fine) in ops {
             match op_time(kind, coarse, fine) {
                 Some(t) => {
-                    q.push(t, id);
+                    if soon {
+                        q.push_soon(t, id);
+                    } else {
+                        q.push(t, id);
+                    }
                     model.push((t, id));
                     id += 1;
                 }
-                None => {
-                    prop_assert_eq!(q.peek_time(), model.iter().min().map(|&(t, _)| t));
-                    prop_assert_eq!(q.pop(), pop_least(&mut model));
-                }
+                None => prop_assert_eq!(q.pop(), pop_least(&mut model)),
             }
-            prop_assert_eq!(q.len(), model.len());
+            check_view(&q, &model);
         }
-        loop {
-            let (a, b) = (q.pop(), pop_least(&mut model));
-            prop_assert_eq!(a, b);
-            if a.is_none() { break; }
-        }
+        drain(&mut q, &mut model);
     }
 
-    /// Handler-style re-entrancy: every pop immediately pushes fresh events at
-    /// and just after the popped timestamp (the Engine's dominant pattern —
-    /// Deliver fan-out scheduled from inside a dispatch).
+    /// Handler-style re-entrancy (the Engine's dominant pattern): every pop
+    /// is followed by zero, one or several heap pushes at and just after
+    /// the popped time (follow-up timers) and lane pushes a fraction of a
+    /// millisecond to a few milliseconds after it, or at it (deliveries
+    /// scheduled from inside a dispatch), in either order.
     #[test]
     fn queue_matches_model_under_reentrant_pushes(
-        seeds in prop::collection::vec((0u16..256, 0u8..4), 1..120),
+        seeds in prop::collection::vec((0u16..256, 0u8..4, 0u8..5, any::<bool>()), 1..120),
     ) {
         let mut q = EventQueue::new();
         let mut model = Vec::new();
         let mut id = 0u32;
-        for &(coarse, _) in seeds.iter().take(20) {
+        for &(coarse, ..) in seeds.iter().take(20) {
             let t = SimTime::from_secs(coarse as f64 * 0.125);
             q.push(t, id);
             model.push((t, id));
             id += 1;
         }
-        for &(_, fanout) in &seeds {
+        for &(coarse, heap_pushes, lane_pushes, lane_first) in &seeds {
             let (a, b) = (q.pop(), pop_least(&mut model));
             prop_assert_eq!(a, b);
+            check_view(&q, &model);
             let Some((t, _)) = a else { break };
-            for k in 0..fanout {
-                // The same instant (FIFO tie), then 6 ms steps after it.
-                let t2 = t + k as f64 * 6.0e-3;
-                q.push(t2, id);
-                model.push((t2, id));
-                id += 1;
+            for round in 0..2 {
+                if (round == 0) == lane_first {
+                    for k in 0..lane_pushes {
+                        // Jittered deliveries: at the instant itself, then
+                        // scattered over the next ~4 ms against push order.
+                        let step = (coarse as u32 * 7 + k as u32 * 13) % 40;
+                        let jitter = if k == 0 { 0.0 } else { step as f64 * 1.0e-4 };
+                        q.push_soon(t + jitter, id);
+                        model.push((t + jitter, id));
+                        id += 1;
+                        check_view(&q, &model);
+                    }
+                } else {
+                    for k in 0..heap_pushes {
+                        // The same instant (FIFO tie), then 6 ms steps after it.
+                        let t2 = t + k as f64 * 6.0e-3;
+                        q.push(t2, id);
+                        model.push((t2, id));
+                        id += 1;
+                        check_view(&q, &model);
+                    }
+                }
             }
         }
-        loop {
-            let (a, b) = (q.pop(), pop_least(&mut model));
-            prop_assert_eq!(a, b);
-            if a.is_none() { break; }
-        }
+        drain(&mut q, &mut model);
     }
 
     #[test]

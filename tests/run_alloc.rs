@@ -1,6 +1,7 @@
 //! A run allocates the same whatever its horizon: simulated time that
-//! passes costs events, not memory. A test binary of its own, so that its
-//! counting allocator sees only this test.
+//! passes costs events, not memory. And it allocates no more than a named
+//! ceiling. A test binary of its own, so that its counting allocator sees
+//! only this test.
 
 use pas_core::RunConfig;
 use pas_scenario::{expand, registry};
@@ -10,9 +11,14 @@ mod counting;
 #[global_allocator]
 static ALLOC: counting::Counting = counting::Counting;
 
+/// The most allocation calls one paper-default PAS point may make. Setup
+/// allocates the world's arrays once; the event loop allocates nothing, so
+/// a change that raises this count adds per-run work to every point.
+const PAS_POINT_ALLOCATIONS: usize = 40;
+
 /// One paper-default PAS point run to 100 s and to 1600 s of simulated
 /// time: the 1,500 s of sleep/wake cycles the longer run adds must not
-/// allocate.
+/// allocate, and the run stays under [`PAS_POINT_ALLOCATIONS`].
 #[test]
 fn a_runs_allocations_do_not_grow_with_its_horizon() {
     let manifest = registry::builtin("paper-default").expect("builtin parses");
@@ -35,5 +41,9 @@ fn a_runs_allocations_do_not_grow_with_its_horizon() {
     assert_eq!(
         short, long,
         "100 s run: {short} allocations, 1600 s: {long}"
+    );
+    assert!(
+        short <= PAS_POINT_ALLOCATIONS,
+        "a PAS point made {short} allocation calls, over {PAS_POINT_ALLOCATIONS}"
     );
 }
