@@ -1,10 +1,9 @@
 //! Unified, versioned bench-result files with trend history and a
 //! regression gate.
 //!
-//! The three bench commands (`pas bench`, `--dist`, `--predictors`)
-//! used to overwrite three ad-hoc single-snapshot JSON files, so the
-//! perf trajectory between PRs lived only in git archaeology. This
-//! module gives them one schema:
+//! The bench modes (`pas bench`, `--predictors`, `--server`) record
+//! into one schema, so the perf trajectory between commits lives in the
+//! files rather than in git archaeology:
 //!
 //! ```json
 //! {
@@ -51,7 +50,7 @@ pub struct HistoryEntry {
 /// A bench file's full history.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchHistory {
-    /// Bench kind: `batch`, `dist`, `predictors`, or `server`.
+    /// Bench kind: `batch`, `predictors`, or `server`.
     pub bench: String,
     /// Scenario the bench runs.
     pub scenario: String,
@@ -222,9 +221,10 @@ pub fn append(
 
 /// Throughput samples of one payload (runs/s; higher is better), keyed
 /// by the measured configuration so the gate only ever compares like
-/// with like: a `--dist 8` entry and a `--dist 2` entry share only
-/// their common fleet sizes, and adding or removing a predictor
-/// variant changes the key set rather than silently shifting a mean.
+/// with like: a `--max-clients 32` entry and a `--max-clients 4` entry
+/// share only their common ramp steps, and adding or removing a
+/// predictor variant changes the key set rather than silently shifting
+/// a mean. Payloads of any other kind yield no keys.
 pub fn throughput_by_key(bench: &str, payload: &str) -> Vec<(String, f64)> {
     let Some(p) = json::parse(payload) else {
         return Vec::new();
@@ -257,16 +257,6 @@ pub fn throughput_by_key(bench: &str, payload: &str) -> Vec<(String, f64)> {
             }
             out
         }
-        // Two samples per fleet size: raw throughput
-        // (`workers=N` ← `runs_per_s`) and the scaling gate key
-        // (`dist-wN` ← `speedup`), so a speedup collapse at one fleet
-        // size fails the gate even when absolute throughput jitter
-        // would mask it.
-        "dist" => [
-            keyed(p, "fleets", "workers", "runs_per_s", "workers="),
-            keyed(p, "fleets", "workers", "speedup", "dist-w"),
-        ]
-        .concat(),
         // One sample per predictor variant.
         "predictors" => keyed(p, "predictors", "predictor", "runs_per_s", ""),
         // One sample per ramp step (`clients=N` ← `jobs_per_s`) plus
@@ -323,9 +313,9 @@ pub struct GateOutcome {
 }
 
 /// Compare the newest entry against the previous one, configuration by
-/// configuration (only keys both entries measured — a `--dist 8` run
-/// vs a `--dist 2` run compares just their shared fleet sizes, never a
-/// larger fleet's throughput against a smaller one's). Fails on a drop
+/// configuration (only keys both entries measured — a long server ramp
+/// vs a short one compares just their shared steps, never one step's
+/// throughput against another's). Fails on a drop
 /// beyond `max_drop_pct` at any shared configuration. Histories with
 /// fewer than two entries, or with no shared configuration, pass
 /// trivially.
@@ -435,8 +425,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_batch.json");
         std::fs::write(&path, LEGACY).unwrap();
-        let dist = LEGACY.replace("\"batch\"", "\"dist\"");
-        assert!(append(&path, &dist, None, None).is_err());
+        let server = LEGACY.replace("\"batch\"", "\"server\"");
+        assert!(append(&path, &server, None, None).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -482,32 +472,13 @@ mod tests {
                 ("sequential-obs-off".to_string(), 24.0 * 1e6 / 8000.0)
             ]
         );
-        // Pre-speedup dist payloads yield only throughput keys...
+        // The retired `pas bench --dist` kind gates nothing: its old
+        // payloads yield no keys.
         let dist = "{\"bench\":\"dist\",\"fleets\":[\
-             {\"workers\": 1, \"runs_per_s\": 100.5},\
-             {\"workers\": 2, \"runs_per_s\": 220.0}]}";
-        assert_eq!(
-            throughput_by_key("dist", dist),
-            vec![
-                ("workers=1".to_string(), 100.5),
-                ("workers=2".to_string(), 220.0)
-            ]
-        );
-        assert_eq!(throughput("dist", dist), Some(220.0));
-        // ...while payloads carrying `speedup` gain per-fleet scaling
-        // keys the gate can hold independently of absolute throughput.
-        let dist_sp = "{\"bench\":\"dist\",\"fleets\":[\
              {\"workers\": 1, \"runs_per_s\": 100.5, \"speedup\": 1.0},\
              {\"workers\": 2, \"runs_per_s\": 220.0, \"speedup\": 2.19}]}";
-        assert_eq!(
-            throughput_by_key("dist", dist_sp),
-            vec![
-                ("workers=1".to_string(), 100.5),
-                ("workers=2".to_string(), 220.0),
-                ("dist-w1".to_string(), 1.0),
-                ("dist-w2".to_string(), 2.19)
-            ]
-        );
+        assert!(throughput_by_key("dist", dist).is_empty());
+        assert_eq!(throughput("dist", dist), None);
         // Payloads carrying expansion timing gain the expand key.
         let with_expand = LEGACY.replace(
             "\"expand_runs\": 540",
@@ -543,79 +514,47 @@ mod tests {
         assert_eq!(throughput("mystery", "{}"), None);
     }
 
-    /// The gate never compares across configurations: a big-fleet entry
-    /// followed by a small-fleet entry only compares the shared sizes,
+    /// The gate never compares across configurations: a long-ramp entry
+    /// followed by a short-ramp entry only compares the shared steps,
     /// and with nothing shared it passes trivially.
     #[test]
     fn gate_compares_like_with_like() {
-        let fleet = |pairs: &[(u64, f64)]| HistoryEntry {
+        let ramp = |pairs: &[(u64, f64)]| HistoryEntry {
             commit: None,
             date: None,
             payload: format!(
-                "{{\"bench\": \"dist\", \"fleets\": [{}]}}",
+                "{{\"bench\": \"server\", \"steps\": [{}]}}",
                 pairs
                     .iter()
-                    .map(|(w, v)| format!("{{\"workers\": {w}, \"runs_per_s\": {v}}}"))
+                    .map(|(c, v)| format!("{{\"clients\": {c}, \"jobs_per_s\": {v}}}"))
                     .collect::<Vec<_>>()
                     .join(", ")
             ),
         };
         let mut h = BenchHistory {
-            bench: "dist".to_string(),
+            bench: "server".to_string(),
             scenario: "paper-default".to_string(),
-            // --dist 8 style entry: big fleet, high headline number.
-            entries: vec![fleet(&[(1, 1000.0), (2, 2000.0), (8, 5000.0)])],
+            // --max-clients 8 style entry: long ramp, high headline number.
+            entries: vec![ramp(&[(1, 1000.0), (2, 2000.0), (4, 3500.0), (8, 5000.0)])],
         };
-        // --dist 2 follow-up: same per-fleet numbers, no 8-worker run.
-        // Headline-vs-headline would read a 56% "drop"; keyed comparison
-        // sees no regression.
-        h.entries.push(fleet(&[(1, 1010.0), (2, 1990.0)]));
+        // --max-clients 2 follow-up: same per-step numbers, no 4- or
+        // 8-client step. Headline-vs-headline would read a 60% "drop";
+        // keyed comparison sees no regression.
+        h.entries.push(ramp(&[(1, 1010.0), (2, 1990.0)]));
         let out = gate(&h, 35.0);
         assert!(out.ok, "configuration change is not a regression: {out:?}");
         assert!(out.drop_pct < 5.0);
 
-        // A real cliff at a shared size still fails.
-        h.entries.push(fleet(&[(1, 1000.0), (2, 900.0)]));
+        // A real cliff at a shared step still fails.
+        h.entries.push(ramp(&[(1, 1000.0), (2, 900.0)]));
         let out = gate(&h, 35.0);
         assert!(!out.ok, "shared-key cliff must fail: {out:?}");
-        assert_eq!(out.key.as_deref(), Some("workers=2"));
+        assert_eq!(out.key.as_deref(), Some("clients=2"));
 
         // Disjoint configurations pass trivially.
-        h.entries.push(fleet(&[(16, 8000.0)]));
+        h.entries.push(ramp(&[(16, 8000.0)]));
         let out = gate(&h, 35.0);
         assert!(out.ok && out.key.is_none());
-    }
-
-    /// A scaling collapse at one fleet size trips the gate via its
-    /// `dist-wN` speedup key even when raw throughput stays flat
-    /// (e.g. the single-worker baseline got slower too).
-    #[test]
-    fn gate_catches_speedup_collapse_per_fleet() {
-        let fleet = |pairs: &[(u64, f64, f64)]| HistoryEntry {
-            commit: None,
-            date: None,
-            payload: format!(
-                "{{\"bench\": \"dist\", \"fleets\": [{}]}}",
-                pairs
-                    .iter()
-                    .map(|(w, r, s)| format!(
-                        "{{\"workers\": {w}, \"runs_per_s\": {r}, \"speedup\": {s}}}"
-                    ))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
-        };
-        let mut h = BenchHistory {
-            bench: "dist".to_string(),
-            scenario: "paper-default".to_string(),
-            entries: vec![fleet(&[(1, 1000.0, 1.0), (2, 1950.0, 1.95)])],
-        };
-        // Two-worker throughput holds (and the baseline even improves),
-        // but scaling is gone: 2 workers no longer beat 1.
-        h.entries.push(fleet(&[(1, 1950.0, 1.0), (2, 1950.0, 1.0)]));
-        let out = gate(&h, 35.0);
-        assert!(!out.ok, "speedup cliff must fail: {out:?}");
-        assert_eq!(out.key.as_deref(), Some("dist-w2"));
     }
 
     #[test]

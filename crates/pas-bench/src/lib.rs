@@ -1,7 +1,9 @@
 //! # pas-bench — bench history and the figures manifests cannot express
 //!
 //! [`history`] is the versioned `BENCH_*.json` writer, loader and
-//! regression gate behind `pas bench`.
+//! regression gate behind `pas bench` (its batch, predictors and server
+//! modes). The distributed fleet is measured end to end by the
+//! benchmark package's dist-grid workload (`pasbench/`), not here.
 //!
 //! The paper's Figs. 4–7 and the estimator ablation are registry
 //! manifests (`pas run paper-default`, `pas run paper-alert`,

@@ -216,7 +216,7 @@ impl Policy {
 
     /// Short label for tables. The base kind ("NS", "SAS", "PAS",
     /// "Oracle") is suffixed with the predictor name when a non-default
-    /// estimator is mounted — "PAS[kalman]" — so parameterised variants
+    /// estimator is mounted — `PAS[kalman]` — so parameterised variants
     /// stay distinguishable in every sink; default predictors keep the
     /// historical bare labels.
     pub fn label(&self) -> String {

@@ -29,7 +29,7 @@
 //!
 //! * **Frame slab** — a broadcast's [`Msg`] payload is written once into a
 //!   free-list slab and `Deliver` events carry a `u32` slot index, keeping
-//!   [`Ev`] small enough for the event queue's inline storage. Every
+//!   `Ev` small enough for the event queue's inline storage. Every
 //!   `Deliver` dispatch (heard or not) drops the slot's reference count;
 //!   the slot recycles when the last scheduled delivery lands.
 //! * **Flat neighbour table** — the per-node neighbour lists are packed at
@@ -178,7 +178,7 @@ const NO_FRAME: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// Policy label ("NS", "SAS", "PAS", "Oracle", or a predictor-
-    /// qualified form like "PAS[kalman]" — see [`Policy::label`]).
+    /// qualified form like `PAS[kalman]` — see [`Policy::label`]).
     pub policy_label: String,
     /// Number of nodes simulated.
     pub node_count: usize,

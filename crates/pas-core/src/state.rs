@@ -40,12 +40,6 @@ impl NodeState {
         )
     }
 
-    /// `true` for states the paper requires to be awake (Covered, Alert).
-    #[inline]
-    pub fn must_be_awake(self) -> bool {
-        !matches!(self, NodeState::Safe)
-    }
-
     /// Compact label for reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -86,13 +80,6 @@ mod tests {
         for s in [Covered, Alert, Safe] {
             assert!(s.can_transition_to(s));
         }
-    }
-
-    #[test]
-    fn awake_requirement() {
-        assert!(Covered.must_be_awake());
-        assert!(Alert.must_be_awake());
-        assert!(!Safe.must_be_awake());
     }
 
     #[test]

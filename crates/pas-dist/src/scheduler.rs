@@ -49,9 +49,10 @@ pub struct SchedulerOptions {
     /// Points per shard (0 = auto: the job's missing points spread over
     /// ~4 shards per live worker, clamped to `[1, 256]`).
     pub shard_points: usize,
-    /// Max jobs sharded concurrently; further jobs stay queued.
-    pub max_active_jobs: usize,
 }
+
+/// Max jobs sharded concurrently; further jobs stay queued.
+const MAX_ACTIVE_JOBS: usize = 4;
 
 impl Default for SchedulerOptions {
     fn default() -> Self {
@@ -59,7 +60,6 @@ impl Default for SchedulerOptions {
             lease: Duration::from_secs(10),
             heartbeat: Duration::from_secs(2),
             shard_points: 0,
-            max_active_jobs: 4,
         }
     }
 }
@@ -145,7 +145,7 @@ struct State {
     jobs: BTreeMap<u64, DistJob>,
     /// Jobs claimed from the queue but still being prepared (expanded,
     /// cache-probed) outside the lock — counted against
-    /// `max_active_jobs` so concurrent claimers cannot overshoot.
+    /// [`MAX_ACTIVE_JOBS`] so concurrent claimers cannot overshoot.
     claiming: usize,
     draining: bool,
 }
@@ -476,12 +476,12 @@ impl Scheduler {
     /// answer warm points from the cache, shard the rest. Heavy work runs
     /// outside the state lock; the queue pop itself happens *under* the
     /// lock (it is one mutex-guarded deque operation) so the draining
-    /// flag and `max_active_jobs` cap — with in-flight preparations
+    /// flag and [`MAX_ACTIVE_JOBS`] cap — with in-flight preparations
     /// counted via `claiming` — cannot be raced past.
     fn try_claim_job(&self) {
         let (live, shard_points, claimed) = {
             let mut s = self.lock();
-            if s.draining || s.jobs.len() + s.claiming >= self.opts.max_active_jobs.max(1) {
+            if s.draining || s.jobs.len() + s.claiming >= MAX_ACTIVE_JOBS {
                 return;
             }
             let now = Instant::now();
@@ -1021,7 +1021,6 @@ mod tests {
             lease: Duration::from_millis(30),
             heartbeat: Duration::from_millis(10),
             shard_points: 2,
-            ..SchedulerOptions::default()
         };
         let (sched, queue, dir) = harness("expiry", opts);
         let m = tiny_manifest();

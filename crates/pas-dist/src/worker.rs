@@ -278,7 +278,8 @@ enum ShardOutcome {
 }
 
 /// Execute one granted shard and report it. Honours `fail_after_points`
-/// by stopping abruptly (no report) once the budget is exhausted.
+/// by executing only what is left of the budget and then stopping
+/// abruptly (no report) when that cut the shard short.
 #[allow(clippy::too_many_arguments)]
 fn execute_shard(
     addr: &str,
@@ -322,34 +323,24 @@ fn execute_shard(
             &[("worker", &opts.name)],
         );
     let exec_ctx = exec.ctx();
-    let records = if let Some(budget) = opts.fail_after_points {
-        // Fault injection: simulate a crash partway through the shard.
+    let left = opts
+        .fail_after_points
+        .map_or(u64::MAX, |b| b.saturating_sub(summary.points));
+    let run = points
+        .len()
+        .min(usize::try_from(left).unwrap_or(usize::MAX));
+    let c = Arc::clone(&job_ctx);
+    let p = Arc::clone(&points);
+    let records = pool.map_indexed(run, move |i| {
+        // Ambient context inside the pool closure: thread-locals do
+        // not cross pool threads, so each point re-enters it.
         let _trace_ctx = exec_ctx.map(|(t, p)| pas_obs::trace::enter(t, p));
-        let mut records = Vec::new();
-        for pt in points.iter() {
-            if summary.points >= budget {
-                return Ok(ShardOutcome::Died);
-            }
-            records.push(pas_scenario::execute_point(
-                &job_ctx.manifest,
-                job_ctx.field.as_ref(),
-                pt,
-            ));
-            summary.points += 1;
-        }
-        records
-    } else {
-        let c = Arc::clone(&job_ctx);
-        let p = Arc::clone(&points);
-        let records = pool.map_indexed(points.len(), move |i| {
-            // Ambient context inside the pool closure: thread-locals do
-            // not cross pool threads, so each point re-enters it.
-            let _trace_ctx = exec_ctx.map(|(t, p)| pas_obs::trace::enter(t, p));
-            pas_scenario::execute_point(&c.manifest, c.field.as_ref(), &p[i])
-        });
-        summary.points += records.len() as u64;
-        records
-    };
+        pas_scenario::execute_point(&c.manifest, c.field.as_ref(), &p[i])
+    });
+    summary.points += run as u64;
+    if run < points.len() {
+        return Ok(ShardOutcome::Died);
+    }
     let shard_us = exec.finish();
     telemetry
         .points

@@ -55,16 +55,23 @@ fn spawn_worker(
 /// few points, then crashes without reporting); the final CSV must still
 /// be byte-identical to a direct local run, with every point counted
 /// exactly once (hits + misses == total) and the warm resubmission
-/// simulating nothing.
+/// simulating nothing. Runs with one and with two execution threads per
+/// worker, victim and survivor alike, since a fault budget cuts a shard
+/// inside the worker's pool.
 #[test]
 fn worker_death_mid_job_preserves_bytes_and_counts() {
+    for threads in [1, 2] {
+        worker_death_mid_job(threads);
+    }
+}
+
+fn worker_death_mid_job(threads: usize) {
     let rig = boot(
-        "death",
+        &format!("death_t{threads}"),
         SchedulerOptions {
             lease: Duration::from_millis(300),
             heartbeat: Duration::from_millis(100),
             shard_points: 3,
-            ..SchedulerOptions::default()
         },
     );
     let m = small_manifest();
@@ -79,7 +86,7 @@ fn worker_death_mid_job_preserves_bytes_and_counts() {
         &rig.addr,
         WorkerOptions {
             name: "victim".into(),
-            threads: 1,
+            threads,
             poll: Duration::from_millis(10),
             fail_after_points: Some(4),
             verbose: false,
@@ -88,8 +95,14 @@ fn worker_death_mid_job_preserves_bytes_and_counts() {
     );
     let id = rig.client.submit(&toml).unwrap();
     let victim = victim.join().unwrap().unwrap();
-    assert!(victim.died, "victim must hit its fault budget");
-    assert_eq!(victim.points, 4, "victim crashed mid-second-shard");
+    assert!(
+        victim.died,
+        "threads {threads}: victim must hit its fault budget"
+    );
+    assert_eq!(
+        victim.points, 4,
+        "threads {threads}: victim crashed mid-second-shard"
+    );
     let stalled = rig.client.status(id).unwrap();
     assert_eq!(stalled.phase, "running", "job survives its worker");
 
@@ -99,7 +112,7 @@ fn worker_death_mid_job_preserves_bytes_and_counts() {
         &rig.addr,
         WorkerOptions {
             name: "survivor".into(),
-            threads: 1,
+            threads,
             poll: Duration::from_millis(10),
             verbose: false,
             ..WorkerOptions::default()
@@ -110,7 +123,7 @@ fn worker_death_mid_job_preserves_bytes_and_counts() {
     assert_eq!(
         done.cache_hits + done.cache_misses,
         n,
-        "every point recorded exactly once despite the crash"
+        "threads {threads}: every point recorded exactly once despite the crash"
     );
     assert_eq!(done.cache_hits, 0, "cold job answers nothing from cache");
 
@@ -141,8 +154,8 @@ fn worker_death_mid_job_preserves_bytes_and_counts() {
     assert_eq!(
         survivor.points,
         n - 3,
-        "survivor executes everything the victim did not report, \
-         including the crashed shard's re-lease"
+        "threads {threads}: survivor executes everything the victim did not \
+         report, including the crashed shard's re-lease"
     );
 
     let _ = std::fs::remove_dir_all(&rig.dir);

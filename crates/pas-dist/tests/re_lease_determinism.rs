@@ -154,7 +154,6 @@ proptest! {
                 lease: LEASE,
                 heartbeat: Duration::from_millis(10),
                 shard_points: 2,
-                ..SchedulerOptions::default()
             },
         );
         let id = queue.submit(m.clone(), n).unwrap();

@@ -1,9 +1,9 @@
-//! Floating-point helpers: approximate comparison and total ordering.
+//! Floating-point helpers: approximate comparison, clamping and
+//! interpolation.
 //!
 //! Simulation code compares `f64` times and distances constantly; the helpers
 //! here centralise the tolerance conventions so every crate agrees on what
-//! "equal" means, and provide a total order (NaN-hostile) used by the event
-//! queue and the fast-marching solver.
+//! "equal" means.
 
 /// Default absolute/relative tolerance used by [`approx_eq`].
 ///
@@ -28,17 +28,6 @@ pub fn approx_eq_eps(a: f64, b: f64, eps: f64) -> bool {
     (a - b).abs() <= eps * scale
 }
 
-/// Total-order comparison for `f64` that panics on NaN.
-///
-/// The simulator forbids NaN everywhere (times, distances, energies); hitting
-/// one is a logic error we want to fail loudly on rather than silently
-/// mis-order a heap.
-#[inline]
-pub fn cmp_f64(a: f64, b: f64) -> core::cmp::Ordering {
-    assert!(!a.is_nan() && !b.is_nan(), "NaN reached an ordered context");
-    a.partial_cmp(&b).expect("non-NaN floats always compare")
-}
-
 /// Clamp `x` into `[lo, hi]` (requires `lo <= hi`).
 #[inline]
 pub fn clamp(x: f64, lo: f64, hi: f64) -> f64 {
@@ -55,7 +44,6 @@ pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use core::cmp::Ordering;
 
     #[test]
     fn approx_eq_basic() {
@@ -69,19 +57,6 @@ mod tests {
         // 1e9 and 1e9 + 0.5 differ by 5e-10 relative — within tolerance.
         assert!(approx_eq(1.0e9, 1.0e9 + 0.5));
         assert!(!approx_eq(1.0e9, 1.0e9 + 10.0));
-    }
-
-    #[test]
-    fn cmp_orders() {
-        assert_eq!(cmp_f64(1.0, 2.0), Ordering::Less);
-        assert_eq!(cmp_f64(2.0, 1.0), Ordering::Greater);
-        assert_eq!(cmp_f64(1.0, 1.0), Ordering::Equal);
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN")]
-    fn cmp_rejects_nan() {
-        let _ = cmp_f64(f64::NAN, 0.0);
     }
 
     #[test]

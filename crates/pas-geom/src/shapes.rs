@@ -34,14 +34,6 @@ impl Circle {
         self.center.distance_sq(p) <= self.radius * self.radius
     }
 
-    /// Signed distance from `p` to the circle boundary.
-    ///
-    /// Negative inside, positive outside, zero on the boundary.
-    #[inline]
-    pub fn signed_distance(&self, p: Vec2) -> f64 {
-        self.center.distance(p) - self.radius
-    }
-
     /// `true` if the two circles overlap (boundary contact counts).
     #[inline]
     pub fn intersects(&self, other: &Circle) -> bool {
@@ -93,14 +85,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn circle_rejects_negative_radius() {
         let _ = Circle::new(Vec2::ZERO, -1.0);
-    }
-
-    #[test]
-    fn circle_signed_distance() {
-        let c = Circle::new(Vec2::ZERO, 1.0);
-        assert!(approx_eq(c.signed_distance(Vec2::new(2.0, 0.0)), 1.0));
-        assert!(approx_eq(c.signed_distance(Vec2::new(0.5, 0.0)), -0.5));
-        assert!(approx_eq(c.signed_distance(Vec2::new(1.0, 0.0)), 0.0));
     }
 
     #[test]

@@ -130,17 +130,6 @@ impl Vec2 {
         self + (other - self) * t
     }
 
-    /// Projection of `self` onto `onto` (zero if `onto` is zero).
-    #[inline]
-    pub fn project_onto(self, onto: Vec2) -> Vec2 {
-        let d = onto.norm_sq();
-        if d == 0.0 {
-            Vec2::ZERO
-        } else {
-            onto * (self.dot(onto) / d)
-        }
-    }
-
     /// `true` if either component is NaN.
     #[inline]
     pub fn is_nan(self) -> bool {
@@ -346,14 +335,6 @@ mod tests {
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
         assert_eq!(a.lerp(b, 0.5), Vec2::new(5.0, -5.0));
-    }
-
-    #[test]
-    fn projection() {
-        let v = Vec2::new(2.0, 2.0);
-        let p = v.project_onto(Vec2::UNIT_X * 10.0);
-        assert_eq!(p, Vec2::new(2.0, 0.0));
-        assert_eq!(v.project_onto(Vec2::ZERO), Vec2::ZERO);
     }
 
     #[test]

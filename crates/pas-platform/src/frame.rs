@@ -74,13 +74,6 @@ impl FrameSpec {
     pub fn airtime_s(&self, kind: MessageKind, profile: &PowerProfile) -> f64 {
         profile.airtime_s(self.frame_bits(kind))
     }
-
-    /// TX energy to send one message, in joules (radio TX power × airtime;
-    /// the MCU-active share is metered separately by the caller's
-    /// [`crate::EnergyMeter`]).
-    pub fn tx_energy_j(&self, kind: MessageKind, profile: &PowerProfile) -> f64 {
-        profile.radio_tx_w * self.airtime_s(kind, profile)
-    }
 }
 
 #[cfg(test)]
@@ -113,17 +106,6 @@ mod tests {
         let t_resp = spec.airtime_s(MessageKind::Response, &p);
         assert!((t_resp - 1.344e-3).abs() < 1e-12);
         assert!(t_resp > t_req, "payload costs airtime");
-    }
-
-    #[test]
-    fn tx_energy_scales_with_size() {
-        let spec = FrameSpec::default();
-        let p = telos_profile();
-        let e_req = spec.tx_energy_j(MessageKind::Request, &p);
-        let e_resp = spec.tx_energy_j(MessageKind::Response, &p);
-        // 35 mW × 544 µs ≈ 19 µJ.
-        assert!((e_req - 0.035 * 544e-6).abs() < 1e-12);
-        assert!(e_resp > e_req);
     }
 
     #[test]

@@ -41,21 +41,6 @@ pub fn telos_profile_ref() -> &'static PowerProfile {
     &TELOS_PROFILE
 }
 
-/// A hypothetical always-cheap platform for sensitivity analysis: halves
-/// every power figure. Useful in ablations to show PAS's savings are not an
-/// artefact of one platform's constants.
-pub fn half_power_profile() -> PowerProfile {
-    let t = telos_profile();
-    PowerProfile {
-        name: "Telos/2 (sensitivity)",
-        mcu_active_w: t.mcu_active_w / 2.0,
-        sleep_w: t.sleep_w / 2.0,
-        radio_rx_w: t.radio_rx_w / 2.0,
-        radio_tx_w: t.radio_tx_w / 2.0,
-        ..t
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,15 +55,5 @@ mod tests {
         assert_eq!(p.data_rate_bps, 250_000.0);
         assert_eq!(p.total_active_w(), 41.0e-3);
         p.validate();
-    }
-
-    #[test]
-    fn half_profile_scales() {
-        let h = half_power_profile();
-        let t = telos_profile();
-        assert_eq!(h.mcu_active_w, t.mcu_active_w / 2.0);
-        assert_eq!(h.radio_rx_w, t.radio_rx_w / 2.0);
-        assert_eq!(h.data_rate_bps, t.data_rate_bps, "rate unchanged");
-        h.validate();
     }
 }

@@ -1,13 +1,13 @@
-//! Bounded job queue, job registry, and the worker pool.
+//! Bounded job queue, job registry, and the queue worker.
 //!
 //! Submissions enter a FIFO with a hard capacity; when it is full the
 //! server answers `429 Too Many Requests` instead of buffering without
-//! bound (backpressure, not collapse). Worker threads pop jobs and run
-//! them through [`crate::cache::execute_with_cache_traced`] — each job
-//! is itself internally parallel via `pas-sweep::parallel_map_with`, so
-//! one worker already saturates the machine; extra workers only help
-//! when jobs are small. Job state lives in a registry the HTTP layer
-//! reads for `GET /jobs/:id`.
+//! bound (backpressure, not collapse). The server's one queue worker
+//! pops jobs and runs them through
+//! [`crate::cache::execute_with_cache_traced`] — each job is itself
+//! internally parallel via `pas-sweep::parallel_map_with`, so one worker
+//! already saturates the machine. Job state lives in a registry the HTTP
+//! layer reads for `GET /jobs/:id`.
 
 use crate::cache::{execute_with_cache_traced, CacheStats, ResultCache};
 use pas_scenario::{BatchResult, ExecOptions, Manifest};

@@ -15,7 +15,7 @@
 //!
 //! One thread per connection (requests are one round trip and jobs are
 //! asynchronous, so connections are short-lived); simulation work happens
-//! on the queue's worker threads, never on connection threads.
+//! on the queue worker's threads, never on connection threads.
 
 use crate::cache::ResultCache;
 use crate::http::{read_request, Request, Response};
@@ -34,10 +34,7 @@ pub struct ServerOptions {
     pub threads: usize,
     /// Max jobs waiting in the queue before `429` (running job excluded).
     pub queue_capacity: usize,
-    /// Job worker threads. Each job is internally parallel, so 1 (the
-    /// default) already saturates the machine on non-trivial batches.
-    pub workers: usize,
-    /// Spawn the in-process execution workers. `false` (the
+    /// Spawn the in-process queue worker. `false` (the
     /// `pas serve --no-local-exec` mode) leaves jobs in the queue for an
     /// external backend — the `pas-dist` scheduler — to claim.
     pub local_exec: bool,
@@ -61,7 +58,6 @@ impl Default for ServerOptions {
         ServerOptions {
             threads: 0,
             queue_capacity: 64,
-            workers: 1,
             local_exec: true,
             metrics: false,
             history_interval: pas_obs::history::DEFAULT_INTERVAL,
@@ -126,8 +122,11 @@ impl Server {
         self.queue.clone()
     }
 
-    /// Serve forever: spawn the worker pool, then accept connections,
-    /// one short-lived thread each.
+    /// Serve forever: spawn the queue worker, then accept connections,
+    /// one short-lived thread each. One queue worker runs jobs one at a
+    /// time; each job is internally parallel over
+    /// [`ServerOptions::threads`], so one already saturates the machine
+    /// on non-trivial batches.
     pub fn run(self) -> io::Result<()> {
         // With exposition enabled, feed `GET /metrics/history`: a
         // background thread snapshots the registry into bounded rings.
@@ -139,14 +138,12 @@ impl Server {
             })
         });
         if self.opts.local_exec {
-            for _ in 0..self.opts.workers.max(1) {
-                let queue = self.queue.clone();
-                let cache = Arc::clone(&self.cache);
-                let exec = ExecOptions {
-                    threads: self.opts.threads,
-                };
-                std::thread::spawn(move || queue.work(&cache, exec));
-            }
+            let queue = self.queue.clone();
+            let cache = Arc::clone(&self.cache);
+            let exec = ExecOptions {
+                threads: self.opts.threads,
+            };
+            std::thread::spawn(move || queue.work(&cache, exec));
         }
         let ctx = Ctx {
             queue: self.queue.clone(),
@@ -347,13 +344,12 @@ fn healthz(ctx: &Ctx) -> Response {
         200,
         format!(
             "{{\"ok\":true,\"version\":{},\"uptime_s\":{},\"queue_depth\":{},\
-             \"running_jobs\":{},\"workers\":{},\"mode\":{},\
+             \"running_jobs\":{},\"workers\":1,\"mode\":{},\
              \"trace_dropped\":{},\"profile_dropped\":{}}}",
             quote(env!("CARGO_PKG_VERSION")),
             ctx.started.elapsed().as_secs(),
             ctx.queue.depth(),
             ctx.queue.running(),
-            ctx.opts.workers.max(1),
             quote(if ctx.opts.local_exec {
                 "local"
             } else {

@@ -133,14 +133,13 @@ fn api_rejects_bad_input_and_unknown_jobs() {
 
 #[test]
 fn full_queue_answers_429() {
-    // workers: 0.max(1) = 1 worker; hold it busy with a slow-ish job,
-    // then overfill a capacity-1 queue.
+    // The one queue worker: hold it busy with a slow-ish job, then
+    // overfill a capacity-1 queue.
     let (client, dir) = boot(
         "backpressure",
         ServerOptions {
             threads: 1,
             queue_capacity: 1,
-            workers: 1,
             ..ServerOptions::default()
         },
     );

@@ -62,7 +62,7 @@ const BLOCK: usize = 16;
 /// All simulation randomness flows through this type. The raw stream is
 /// `next_u64`; everything else is a documented transformation of it.
 ///
-/// Draws are produced in batches: the xoshiro core advances [`BLOCK`] steps
+/// Draws are produced in batches: the xoshiro core advances `BLOCK` steps
 /// at a time into an internal buffer, and `next_u64` serves from that buffer.
 /// Consumers observe a prefix of the same raw stream an unbuffered generator
 /// would emit, so the sequence is identical draw-for-draw — the batching only

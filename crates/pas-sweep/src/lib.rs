@@ -6,18 +6,17 @@
 //! cores and reassembles results **in input order**, so a parallel sweep is
 //! bit-identical to a sequential one.
 //!
-//! Design (per the hpc-parallel guides):
+//! Design:
 //!
-//! * `std::thread::scope` scoped threads — no `'static` bounds, no channels
-//!   on the hot path, work claimed from an atomic cursor (runs have similar
-//!   cost, so striding beats work stealing here);
-//! * results land in pre-allocated slots (`Vec<Option<R>>` behind a
-//!   `parking_lot::Mutex` per slot is unnecessary — each slot is written by
-//!   exactly one worker, so a mutex-free design with per-index ownership is
-//!   used via `split_at_mut` chunks of a claim array… in practice we simply
-//!   collect `(index, result)` pairs per worker and merge, which is simpler
-//!   and still allocation-light);
-//! * seed fan-out helpers derive replicate seeds deterministically.
+//! * [`parallel_map_with`] spawns `std::thread::scope` threads per call —
+//!   no `'static` bounds, no channels on the hot path, work claimed from an
+//!   atomic cursor (runs have similar cost, so striding beats work stealing
+//!   here). Each thread collects `(index, result)` pairs and locks once to
+//!   merge them; the merge sorts by index;
+//! * [`WorkerPool`] keeps its threads resident across calls, for the
+//!   distributed worker's stream of shards (its module docs give the
+//!   measured reason it stays);
+//! * [`with_seeds`] derives replicate seeds deterministically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,13 +27,13 @@ pub mod pool;
 
 pub use aggregate::{summarize, Summary};
 pub use persistent::WorkerPool;
-pub use pool::{parallel_map, parallel_map_progress, parallel_map_with, SweepOptions};
+pub use pool::{parallel_map, parallel_map_with, SweepOptions};
 
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::aggregate::{summarize, Summary};
     pub use crate::persistent::WorkerPool;
-    pub use crate::pool::{parallel_map, parallel_map_progress, parallel_map_with, SweepOptions};
+    pub use crate::pool::{parallel_map, parallel_map_with, SweepOptions};
 }
 
 /// Replicate each parameter point over `n_seeds` deterministic seeds

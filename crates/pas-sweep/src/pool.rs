@@ -47,45 +47,16 @@ where
     R: Send,
     F: Fn(&P) -> R + Sync,
 {
-    parallel_map_progress(items, opts, f, |_, _| {})
-}
-
-/// [`parallel_map_with`] plus a progress callback.
-///
-/// `on_progress(done, total)` fires after every completed item, from
-/// whichever worker finished it — callbacks must be cheap and thread-safe
-/// (printing a counter, bumping an external progress bar).
-pub fn parallel_map_progress<P, R, F, C>(
-    items: &[P],
-    opts: SweepOptions,
-    f: F,
-    on_progress: C,
-) -> Vec<R>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P) -> R + Sync,
-    C: Fn(usize, usize) + Sync,
-{
     let n = items.len();
     if n == 0 {
         return Vec::new();
     }
     let threads = opts.effective_threads(n);
     if threads == 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let r = f(p);
-                on_progress(i + 1, n);
-                r
-            })
-            .collect();
+        return items.iter().map(f).collect();
     }
 
     let cursor = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
 
     std::thread::scope(|scope| {
@@ -99,8 +70,6 @@ where
                         break;
                     }
                     local.push((i, f(&items[i])));
-                    let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    on_progress(finished, n);
                 }
                 collected
                     .lock()
@@ -174,42 +143,6 @@ mod tests {
         assert_eq!(o.effective_threads(0), 1, "at least one thread");
         let auto = SweepOptions::default();
         assert!(auto.effective_threads(1_000_000) >= 1);
-    }
-
-    #[test]
-    fn progress_reports_every_item() {
-        use std::sync::atomic::AtomicUsize;
-        let items: Vec<u32> = (0..64).collect();
-        let calls = AtomicUsize::new(0);
-        let max_seen = AtomicUsize::new(0);
-        let got = parallel_map_progress(
-            &items,
-            SweepOptions { threads: 4 },
-            |&x| x + 1,
-            |done, total| {
-                assert_eq!(total, 64);
-                assert!((1..=64).contains(&done));
-                calls.fetch_add(1, Ordering::Relaxed);
-                max_seen.fetch_max(done, Ordering::Relaxed);
-            },
-        );
-        assert_eq!(got.len(), 64);
-        assert_eq!(calls.load(Ordering::Relaxed), 64);
-        assert_eq!(max_seen.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn progress_sequential_path() {
-        let items: Vec<u32> = (0..5).collect();
-        let log = std::sync::Mutex::new(Vec::new());
-        let got = parallel_map_progress(
-            &items,
-            SweepOptions { threads: 1 },
-            |&x| x,
-            |done, _| log.lock().unwrap().push(done),
-        );
-        assert_eq!(got, items);
-        assert_eq!(*log.lock().unwrap(), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -49,7 +49,7 @@ USAGE:
                                       (detail regions on) or sample a running
                                       server's /profile window, as a folded
                                       stack listing, SVG flamegraph, or JSON
-    pas bench [options]               time expansion, batches, dist scaling,
+    pas bench [options]               time expansion, batches, predictors,
                                       or server saturation (--server); gate on
                                       the unified bench history
 
@@ -148,7 +148,6 @@ PROFILE OPTIONS:
 
 BENCH OPTIONS:
     --out FILE           output JSON path (default BENCH_batch.json,
-                         BENCH_dist.json with --dist,
                          BENCH_predictors.json with --predictors, or
                          BENCH_server.json with --server); results
                          append to the file's versioned history with
@@ -164,9 +163,6 @@ BENCH OPTIONS:
                          (default 32)
     --step-ms N          with --server: measured duration of each ramp step
                          (default 1500)
-    --dist N             distributed scaling bench: cold-run paper-default
-                         on in-process fleets of 1/2/../N single-threaded
-                         workers vs the single-process baseline
     --predictors         per-predictor hot-path bench: sequential point
                          throughput of every arrival-predictor variant on
                          the paper workload, interleaved over 41 rounds
@@ -177,7 +173,7 @@ BENCH OPTIONS:
     --gate [FILES...]    regression gate: compare each history's newest
                          entry against the previous one; exit non-zero on a
                          throughput drop beyond the tolerance (default
-                         files: the four BENCH_*.json)
+                         files: the three BENCH_*.json)
     --max-drop PCT       gate tolerance, percent (default 35)
 "
 }
@@ -1519,7 +1515,6 @@ fn record_bench(out: &Path, payload: &str) -> CmdResult {
 fn cmd_bench_gate(max_drop_pct: f64, files: &[PathBuf]) -> CmdResult {
     let defaults = [
         "BENCH_batch.json",
-        "BENCH_dist.json",
         "BENCH_predictors.json",
         "BENCH_server.json",
     ];
@@ -1573,10 +1568,6 @@ enum BenchOpts {
         profile: bool,
         out: PathBuf,
     },
-    Dist {
-        workers: usize,
-        out: PathBuf,
-    },
     Predictors {
         out: PathBuf,
     },
@@ -1596,17 +1587,14 @@ enum BenchOpts {
 /// one mode and is refused under any other.
 fn parse_bench(args: &[String]) -> Result<BenchOpts, String> {
     let (mut mode, mut given) = (None, Vec::new());
-    let (mut out, mut workers, mut profile, mut addr) = (None, 0, false, None);
+    let (mut out, mut profile, mut addr) = (None, false, None);
     let (mut max_clients, mut step) = (32, Duration::from_millis(1500));
     let (mut max_drop_pct, mut files) = (pas_bench::DEFAULT_MAX_DROP_PCT, Vec::new());
     Cursor::each("bench", args, |c, arg| {
         match arg {
-            "--dist" | "--predictors" | "--server" | "--gate" => {
+            "--predictors" | "--server" | "--gate" => {
                 if let Some(first) = mode.replace(arg) {
                     return Err(format!("{first} and {arg} are two bench modes; give one"));
-                }
-                if arg == "--dist" {
-                    workers = c.at_least(arg, 1)?;
                 }
             }
             "--out" => out = Some(c.value(arg)?),
@@ -1630,8 +1618,8 @@ fn parse_bench(args: &[String]) -> Result<BenchOpts, String> {
         let owner = match arg {
             "--profile" => "batch",
             "--addr" | "--max-clients" | "--step-ms" => "--server",
-            "--out" if mode == "--gate" => "batch/dist/predictors/server",
-            "--out" | "--dist" | "--predictors" | "--server" | "--gate" => continue,
+            "--out" if mode == "--gate" => "batch/predictors/server",
+            "--out" | "--predictors" | "--server" | "--gate" => continue,
             _ => "--gate", // --max-drop and the history files
         };
         if owner != mode {
@@ -1647,10 +1635,6 @@ fn parse_bench(args: &[String]) -> Result<BenchOpts, String> {
         "--gate" => BenchOpts::Gate {
             max_drop_pct,
             files,
-        },
-        "--dist" => BenchOpts::Dist {
-            workers,
-            out: out("BENCH_dist.json"),
         },
         "--predictors" => BenchOpts::Predictors {
             out: out("BENCH_predictors.json"),
@@ -1671,7 +1655,6 @@ fn parse_bench(args: &[String]) -> Result<BenchOpts, String> {
 fn cmd_bench(opts: BenchOpts) -> CmdResult {
     match opts {
         BenchOpts::Batch { profile, out } => cmd_bench_batch(profile, out),
-        BenchOpts::Dist { workers, out } => cmd_bench_dist(workers, out),
         BenchOpts::Predictors { out } => cmd_bench_predictors(out),
         BenchOpts::Server {
             addr,
@@ -1954,111 +1937,6 @@ fn cmd_bench_predictors(out: PathBuf) -> CmdResult {
          \"runs_per_predictor\": {n_runs},\n  \"execute_rounds\": {BENCH_ROUNDS},\n  \
          \"predictors\": [\n{}\n  ]\n}}\n",
         entries.join(",\n"),
-    );
-    record_bench(&out, &json)
-}
-
-/// Distributed scaling bench: one in-process server + fleet per
-/// configuration, each starting from a cold cache so every point
-/// simulates remotely.
-fn cmd_bench_dist(max_workers: usize, out: PathBuf) -> CmdResult {
-    let manifest = registry::builtin("paper-default").expect("builtin parses");
-    let toml = manifest.to_toml();
-    let n_runs = expand(&manifest)?.len();
-
-    // Single-process sequential baseline (the PR 2 execution path).
-    let t0 = std::time::Instant::now();
-    execute(&manifest, ExecOptions { threads: 1 })?;
-    let base_us = t0.elapsed().as_micros() as u64;
-
-    let mut counts: Vec<usize> = Vec::new();
-    let mut w = 1;
-    while w < max_workers {
-        counts.push(w);
-        w *= 2;
-    }
-    counts.push(max_workers);
-
-    let mut fleets = Vec::new();
-    for &workers in &counts {
-        let dir =
-            std::env::temp_dir().join(format!("pas_bench_dist_{}_{workers}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache =
-            ResultCache::open(&dir).map_err(|e| format!("opening {}: {e}", dir.display()))?;
-        let opts = ServerOptions {
-            local_exec: false,
-            ..ServerOptions::default()
-        };
-        let mut server = Server::bind("127.0.0.1:0", cache.clone(), opts)
-            .map_err(|e| format!("binding bench server: {e}"))?;
-        let addr = server
-            .local_addr()
-            .map_err(|e| format!("bench server addr: {e}"))?
-            .to_string();
-        let scheduler = Scheduler::new(
-            server.queue(),
-            cache,
-            SchedulerOptions {
-                heartbeat: Duration::from_millis(200),
-                ..SchedulerOptions::default()
-            },
-        );
-        scheduler.spawn_ticker();
-        server.set_router(scheduler.into_router());
-        std::thread::spawn(move || server.run());
-
-        let fleet: Vec<_> = (0..workers)
-            .map(|i| {
-                let addr = addr.clone();
-                let opts = WorkerOptions {
-                    name: format!("bench-{i}"),
-                    threads: 1,
-                    poll: Duration::from_millis(10),
-                    verbose: false,
-                    ..WorkerOptions::default()
-                };
-                std::thread::spawn(move || pas_dist::worker::run(&addr, opts))
-            })
-            .collect();
-
-        let client = Client::new(addr);
-        let t1 = std::time::Instant::now();
-        let id = client
-            .submit_with_retry(&toml, RetryPolicy::default(), |_, _| {})
-            .map_err(|e| format!("bench submit: {e}"))?;
-        let status = client
-            .wait(id, Duration::from_millis(20))
-            .map_err(|e| format!("bench wait: {e}"))?;
-        let wall_us = t1.elapsed().as_micros() as u64;
-        if status.phase != "completed" || status.cache_misses != n_runs as u64 {
-            return Err(format!(
-                "bench fleet of {workers}: phase {}, {} simulated (want {n_runs})",
-                status.phase, status.cache_misses
-            )
-            .into());
-        }
-        client.drain().map_err(|e| format!("bench drain: {e}"))?;
-        for handle in fleet {
-            let joined = handle.join().map_err(|_| "bench worker panicked")?;
-            joined.map_err(|e| format!("bench worker: {e}"))?;
-        }
-        let speedup = base_us as f64 / wall_us as f64;
-        fleets.push(format!(
-            "    {{\"workers\": {workers}, \"wall_us\": {wall_us}, \
-             \"runs_per_s\": {:.1}, \"speedup\": {speedup:.3}, \
-             \"efficiency\": {:.3}}}",
-            n_runs as f64 / (wall_us as f64 / 1e6),
-            speedup / workers as f64,
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"dist\",\n  \"scenario\": \"paper-default\",\n  \
-         \"runs\": {n_runs},\n  \"baseline_sequential_us\": {base_us},\n  \
-         \"fleets\": [\n{}\n  ]\n}}\n",
-        fleets.join(",\n"),
     );
     record_bench(&out, &json)
 }
@@ -2743,11 +2621,6 @@ pas_e_count 0
                 out: out("BENCH_batch.json"),
             })),
             Ok(gate(35.0, &["BENCH_batch.json"])),
-            Ok(Command::Bench(BenchOpts::Dist {
-                workers: 2,
-                out: out("BENCH_dist.json"),
-            })),
-            Ok(gate(60.0, &["BENCH_dist.json"])),
             Ok(Command::Bench(BenchOpts::Predictors {
                 out: out("BENCH_predictors.json"),
             })),

@@ -52,8 +52,9 @@ fn unread_arguments_fail() {
             &["bench", "--predictors", "--max-clients", "3"],
             "--max-clients",
         ),
-        (&["bench", "--dist", "2", "--predictors"], "--predictors"),
+        (&["bench", "--server", "--predictors"], "--predictors"),
         (&["bench", "--queue"], "--queue"),
+        (&["bench", "--dist", "2"], "--dist"),
     ] {
         let out = pas(args, Stdio::piped());
         let stderr = String::from_utf8_lossy(&out.stderr);
