@@ -17,13 +17,12 @@
 //! ```
 //!
 //! `payload` is the bench's own result object, unchanged — the writer
-//! *appends* a stamped entry instead of overwriting, and the loader
-//! also reads the legacy single-object files (as a one-entry history
-//! with no metadata), so old `BENCH_*.json` files stay readable. The
+//! *appends* a stamped entry instead of overwriting. The
 //! [`gate`] compares the newest entry's throughput against the
 //! previous one and fails on a drop beyond a tolerance — the CI
 //! regression gate `pas bench --gate` exposes.
 
+use crate::drivers::{names, BATCH_CONFIGS};
 use pas_obs::json::{self, quote, Json};
 use std::fmt;
 use std::io;
@@ -96,9 +95,7 @@ impl From<io::Error> for HistoryError {
 }
 
 impl BenchHistory {
-    /// Read a bench file, or `None` when it does not exist. Reads both
-    /// the versioned history layout and legacy single-object files
-    /// (one metadata-free entry).
+    /// Read a bench file, or `None` when it does not exist.
     pub fn load(path: &Path) -> Result<Option<BenchHistory>, HistoryError> {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
@@ -114,41 +111,29 @@ impl BenchHistory {
         let root = json::parse(text).ok_or_else(|| malformed("not JSON"))?;
         let bench = string(root, "bench").ok_or_else(|| malformed("no `bench` field"))?;
         let scenario = string(root, "scenario").unwrap_or_default();
-        let entries = match root.get("history") {
-            // A legacy file is one bare payload, without the history wrapper.
-            None => vec![HistoryEntry {
-                commit: None,
-                date: None,
-                payload: root.raw().to_string(),
-            }],
-            Some(history) => {
-                match root.get("schema_version").and_then(|v| v.as_u64()) {
-                    Some(v) if v == u64::from(BENCH_SCHEMA_VERSION) => {}
-                    Some(found) => {
-                        let supported = BENCH_SCHEMA_VERSION;
-                        return Err(HistoryError::Schema { found, supported });
-                    }
-                    None => return Err(malformed("no schema_version")),
-                }
-                if !history.raw().starts_with('[') {
-                    return Err(malformed("`history` is not an array"));
-                }
-                let entry = |e: Json| {
-                    let payload = e.get("payload").filter(|p| p.raw().starts_with('{'));
-                    let payload =
-                        payload.ok_or_else(|| malformed("entry without a payload object"))?;
-                    Ok(HistoryEntry {
-                        commit: string(e, "commit"),
-                        date: string(e, "date"),
-                        payload: payload.raw().to_string(),
-                    })
-                };
-                history
-                    .items()
-                    .map(entry)
-                    .collect::<Result<_, HistoryError>>()?
+        match root.get("schema_version").and_then(|v| v.as_u64()) {
+            Some(v) if v == u64::from(BENCH_SCHEMA_VERSION) => {}
+            Some(found) => {
+                let supported = BENCH_SCHEMA_VERSION;
+                return Err(HistoryError::Schema { found, supported });
             }
+            None => return Err(malformed("no schema_version")),
+        }
+        let history = root.get("history").filter(|h| h.raw().starts_with('['));
+        let history = history.ok_or_else(|| malformed("no `history` array"))?;
+        let entry = |e: Json| {
+            let payload = e.get("payload").filter(|p| p.raw().starts_with('{'));
+            let payload = payload.ok_or_else(|| malformed("entry without a payload object"))?;
+            Ok(HistoryEntry {
+                commit: string(e, "commit"),
+                date: string(e, "date"),
+                payload: payload.raw().to_string(),
+            })
         };
+        let entries = history
+            .items()
+            .map(entry)
+            .collect::<Result<_, HistoryError>>()?;
         Ok(BenchHistory {
             bench,
             scenario,
@@ -185,7 +170,7 @@ fn string(object: Json, key: &str) -> Option<String> {
     object.get(key)?.as_str()
 }
 
-/// Append one bench result to `path` (creating or upgrading the file)
+/// Append one bench result to `path` (creating the file if need be)
 /// and return the updated history. `payload` must be the bench's JSON
 /// object carrying `bench` and `scenario` fields.
 pub fn append(
@@ -233,20 +218,13 @@ pub fn throughput_by_key(bench: &str, payload: &str) -> Vec<(String, f64)> {
     match bench {
         "batch" => {
             let runs = num("execute_runs");
+            // One key per configuration the entry timed: older entries
+            // lack some of them.
             let mut out = Vec::new();
-            // Older entries carry only the metrics-on measurement; the
-            // obs-off, trace-off, and profile-off companion keys appear
-            // once a post-observability (or `--profile`) bench has run,
-            // and are gated forward like any other.
-            for (key, field) in [
-                ("sequential", "execute_us_sequential"),
-                ("sequential-trace-off", "execute_us_trace_off"),
-                ("sequential-profile-off", "execute_us_profile_off"),
-                ("sequential-history-off", "execute_us_history_off"),
-                ("sequential-obs-off", "execute_us_obs_off"),
-            ] {
-                if let (Some(r), Some(u)) = (runs, num(field).filter(|u| *u > 0.0)) {
-                    out.push((key.to_string(), r * 1e6 / u));
+            for (off, _) in BATCH_CONFIGS {
+                let (field, key) = names(off);
+                if let (Some(r), Some(u)) = (runs, num(&field).filter(|u| *u > 0.0)) {
+                    out.push((key, r * 1e6 / u));
                 }
             }
             // Manifest-expansion throughput (expansions/s), gated under
@@ -281,16 +259,6 @@ fn keyed(payload: Json, array: &str, key: &str, value: &str, prefix: &str) -> Ve
         Some((label, item.get(value)?.as_f64()?))
     };
     items.filter_map(sample).collect()
-}
-
-/// The headline throughput of one payload: its best keyed sample.
-/// `None` when the payload carries no usable metric. (Display only —
-/// the [`gate`] compares per key, never headline vs headline.)
-pub fn throughput(bench: &str, payload: &str) -> Option<f64> {
-    throughput_by_key(bench, payload)
-        .into_iter()
-        .map(|(_, v)| v)
-        .reduce(f64::max)
 }
 
 /// Outcome of gating one bench history.
@@ -375,28 +343,32 @@ pub fn civil_date(epoch_secs: u64) -> String {
 mod tests {
     use super::*;
 
-    const LEGACY: &str = "{\n  \"bench\": \"batch\",\n  \"scenario\": \"paper-default\",\n  \
+    const PAYLOAD: &str = "{\n  \"bench\": \"batch\",\n  \"scenario\": \"paper-default\",\n  \
          \"expand_runs\": 540,\n  \"execute_runs\": 24,\n  \"execute_us_sequential\": 9000\n}\n";
 
+    /// A versioned history whose one entry, without metadata, is [`PAYLOAD`].
+    const ONE_ENTRY: &str = "{\"schema_version\": 1, \"bench\": \"batch\", \"scenario\": \"s\", \
+         \"history\": [{\"commit\": null, \"date\": null, \"payload\": {\"bench\": \"batch\", \
+         \"scenario\": \"paper-default\", \"expand_runs\": 540, \"execute_runs\": 24, \
+         \"execute_us_sequential\": 9000}}]}";
+
     #[test]
-    fn legacy_single_object_reads_as_one_entry() {
-        let h = BenchHistory::parse(LEGACY).unwrap();
-        assert_eq!(h.bench, "batch");
-        assert_eq!(h.scenario, "paper-default");
-        assert_eq!(h.entries.len(), 1);
-        assert_eq!(h.entries[0].commit, None);
-        assert!(h.entries[0].payload.contains("\"execute_runs\": 24"));
+    fn bare_payload_is_malformed() {
+        match BenchHistory::parse(PAYLOAD) {
+            Err(HistoryError::Malformed(_)) => {}
+            other => panic!("unexpected: {other:?}"),
+        }
     }
 
     #[test]
-    fn append_upgrades_and_round_trips() {
+    fn append_round_trips() {
         let dir = std::env::temp_dir().join(format!("pas_bench_hist_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_batch.json");
-        std::fs::write(&path, LEGACY).unwrap();
+        std::fs::write(&path, ONE_ENTRY).unwrap();
 
-        let payload = LEGACY.replace("9000", "8000");
+        let payload = PAYLOAD.replace("9000", "8000");
         let h = append(
             &path,
             &payload,
@@ -404,7 +376,7 @@ mod tests {
             Some("2026-07-27".to_string()),
         )
         .unwrap();
-        assert_eq!(h.entries.len(), 2, "legacy entry kept, new one appended");
+        assert_eq!(h.entries.len(), 2, "first entry kept, new one appended");
 
         let back = BenchHistory::load(&path).unwrap().unwrap();
         assert_eq!(back, h, "render/parse round-trips");
@@ -413,7 +385,7 @@ mod tests {
         assert_eq!(back.entries[0].commit, None);
 
         // A third append keeps growing the same file.
-        let h3 = append(&path, LEGACY, None, None).unwrap();
+        let h3 = append(&path, PAYLOAD, None, None).unwrap();
         assert_eq!(h3.entries.len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -424,8 +396,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_batch.json");
-        std::fs::write(&path, LEGACY).unwrap();
-        let server = LEGACY.replace("\"batch\"", "\"server\"");
+        std::fs::write(&path, ONE_ENTRY).unwrap();
+        let server = PAYLOAD.replace("\"batch\"", "\"server\"");
         assert!(append(&path, &server, None, None).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -453,12 +425,12 @@ mod tests {
     #[test]
     fn throughput_is_keyed_by_configuration() {
         assert_eq!(
-            throughput_by_key("batch", LEGACY),
+            throughput_by_key("batch", PAYLOAD),
             vec![("sequential".to_string(), 24.0 * 1e6 / 9000.0)]
         );
         // Post-observability payloads add the trace-off and obs-off
         // companion keys.
-        let with_off = LEGACY.replace(
+        let with_off = PAYLOAD.replace(
             "\"execute_us_sequential\": 9000",
             "\"execute_us_sequential\": 9000,\n  \"execute_us_trace_off\": 8500,\n  \
              \"execute_us_profile_off\": 8200,\n  \"execute_us_obs_off\": 8000",
@@ -478,9 +450,8 @@ mod tests {
              {\"workers\": 1, \"runs_per_s\": 100.5, \"speedup\": 1.0},\
              {\"workers\": 2, \"runs_per_s\": 220.0, \"speedup\": 2.19}]}";
         assert!(throughput_by_key("dist", dist).is_empty());
-        assert_eq!(throughput("dist", dist), None);
         // Payloads carrying expansion timing gain the expand key.
-        let with_expand = LEGACY.replace(
+        let with_expand = PAYLOAD.replace(
             "\"expand_runs\": 540",
             "\"expand_runs\": 540,\n  \"expand_ns_per_iter\": 50000",
         );
@@ -511,7 +482,6 @@ mod tests {
             throughput_by_key("predictors", pred),
             vec![("planar".to_string(), 100.0), ("kalman".to_string(), 300.0)]
         );
-        assert_eq!(throughput("mystery", "{}"), None);
     }
 
     /// The gate never compares across configurations: a long-ramp entry

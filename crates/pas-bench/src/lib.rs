@@ -1,9 +1,11 @@
-//! # pas-bench — bench history and the figures manifests cannot express
+//! # pas-bench — `pas bench` and the figures manifests cannot express
 //!
-//! [`history`] is the versioned `BENCH_*.json` writer, loader and
-//! regression gate behind `pas bench` (its batch, predictors and server
-//! modes). The distributed fleet is measured end to end by the
-//! benchmark package's dist-grid workload (`pasbench/`), not here.
+//! [`drivers`] runs `pas bench`'s batch, predictors and server modes and
+//! its `--gate`; [`history`] is the versioned `BENCH_*.json` writer,
+//! loader and regression gate they share, so the payload fields the
+//! drivers write and the keys the gate reads live in one crate. The
+//! distributed fleet is measured end to end by the benchmark package's
+//! dist-grid workload (`pasbench/`), not here.
 //!
 //! The paper's Figs. 4–7 and the estimator ablation are registry
 //! manifests (`pas run paper-default`, `pas run paper-alert`,
@@ -20,12 +22,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod drivers;
 pub mod history;
 
-pub use history::{
-    append, civil_date, gate, throughput, throughput_by_key, BenchHistory, GateOutcome,
-    HistoryEntry, HistoryError, BENCH_SCHEMA_VERSION, DEFAULT_MAX_DROP_PCT,
-};
+pub use drivers::{run_batch, run_gate, run_predictors, run_server, BenchError};
+pub use history::{BenchHistory, DEFAULT_MAX_DROP_PCT};
 
 /// Results directory (`results/` at the workspace root).
 pub fn results_dir() -> std::path::PathBuf {

@@ -75,18 +75,6 @@ impl SpeedGrid {
         SpeedGrid::from_fn(region, nx, ny, |_| speed)
     }
 
-    /// Grid columns.
-    #[inline]
-    pub fn nx(&self) -> usize {
-        self.nx
-    }
-
-    /// Grid rows.
-    #[inline]
-    pub fn ny(&self) -> usize {
-        self.ny
-    }
-
     /// The covered region.
     #[inline]
     pub fn region(&self) -> Aabb {

@@ -157,7 +157,6 @@ pub struct Scheduler {
     cache: ResultCache,
     opts: SchedulerOptions,
     state: Arc<Mutex<State>>,
-    started: Instant,
 }
 
 impl Scheduler {
@@ -176,7 +175,6 @@ impl Scheduler {
                 claiming: 0,
                 draining: false,
             })),
-            started: Instant::now(),
         }
     }
 
@@ -264,11 +262,6 @@ impl Scheduler {
     /// Stop claiming new jobs; workers exit once all active jobs finish.
     pub fn drain(&self) {
         self.lock().draining = true;
-    }
-
-    /// Whether the scheduler is draining.
-    pub fn draining(&self) -> bool {
-        self.lock().draining
     }
 
     /// Reclaim expired leases and (if capacity allows) claim queued jobs.
@@ -582,29 +575,23 @@ impl Scheduler {
         s.jobs.insert(id, job);
     }
 
-    /// `GET /healthz` body: liveness, version, uptime, queue depth, fleet
-    /// size. `running_jobs` is queue-level (covers the in-process backend
-    /// too); `active_jobs` counts jobs this scheduler is currently
-    /// sharding. Shadows `pas-server`'s built-in `/healthz` when mounted,
-    /// so it carries at least the same fields plus the fleet view.
+    /// `GET /healthz` body: the queue's health (`mode` is `local` when
+    /// the server runs its own queue worker beside the fleet, else
+    /// `dist`) plus the fleet view. `active_jobs` counts jobs this
+    /// scheduler is currently sharding; `running_jobs` is queue-level and
+    /// covers the in-process worker too. Shadows `pas-server`'s built-in
+    /// `/healthz` when mounted.
     pub fn healthz_json(&self) -> String {
-        let depth = self.queue.depth();
-        let running = self.queue.running();
-        let s = self.lock();
-        let now = Instant::now();
-        format!(
-            "{{\"ok\":true,\"version\":{},\"uptime_s\":{},\"queue_depth\":{depth},\
-             \"running_jobs\":{running},\"active_jobs\":{},\"workers\":{},\
-             \"mode\":\"dist\",\"draining\":{},\
-             \"trace_dropped\":{},\"profile_dropped\":{}}}",
-            quote(env!("CARGO_PKG_VERSION")),
-            self.started.elapsed().as_secs(),
-            s.jobs.len() + s.claiming,
-            live_workers(&s, now, self.opts.lease),
-            s.draining,
-            pas_obs::trace::dropped(),
-            pas_obs::profile::dropped(),
-        )
+        let fleet = {
+            let s = self.lock();
+            format!(
+                "\"active_jobs\":{},\"workers\":{},\"draining\":{},",
+                s.jobs.len() + s.claiming,
+                live_workers(&s, Instant::now(), self.opts.lease),
+                s.draining,
+            )
+        };
+        self.queue.healthz_json("dist", &fleet)
     }
 
     /// `GET /dist/workers` JSON body: the fleet, one object per worker.

@@ -30,14 +30,10 @@ pub struct WorkerOptions {
     pub threads: usize,
     /// Idle poll interval when no work is pending.
     pub poll: Duration,
-    /// Exit after completing this many shards (`None` = run until drain).
-    pub max_shards: Option<u64>,
     /// Fault injection for tests and drills: die — stop abruptly without
     /// reporting or deregistering, exactly like a crash — once this many
     /// points have been executed.
     pub fail_after_points: Option<u64>,
-    /// Print lease/report progress to stderr.
-    pub verbose: bool,
 }
 
 impl Default for WorkerOptions {
@@ -46,9 +42,7 @@ impl Default for WorkerOptions {
             name: format!("worker-{}", std::process::id()),
             threads: 0,
             poll: Duration::from_millis(200),
-            max_shards: None,
             fail_after_points: None,
-            verbose: false,
         }
     }
 }
@@ -127,8 +121,8 @@ struct Telemetry {
     busy_us: AtomicU64,
 }
 
-/// Run a worker against `addr` until the server drains (or an
-/// option-configured exit condition fires). Blocking; returns a summary.
+/// Run a worker against `addr` until the server drains (or the
+/// `fail_after_points` drill kills it). Blocking; returns a summary.
 pub fn run(addr: &str, opts: WorkerOptions) -> Result<WorkerSummary, ClientError> {
     // Tag spans recorded in this process with the worker's name so the
     // stitched trace shows which process did what. First-set wins: in a
@@ -179,9 +173,6 @@ pub fn run(addr: &str, opts: WorkerOptions) -> Result<WorkerSummary, ClientError
     let mut io_failures = 0u32;
 
     let outcome = loop {
-        if opts.max_shards.is_some_and(|m| summary.shards >= m) {
-            break Ok(());
-        }
         let body = format!("{{\"worker\":{}}}", worker_id.load(Ordering::Relaxed));
         // The worker-observed cost of obtaining a shard, grant decode
         // included — the network half of the lease the scheduler can't
@@ -205,15 +196,6 @@ pub fn run(addr: &str, opts: WorkerOptions) -> Result<WorkerSummary, ClientError
                 let Some(grant) = grant else {
                     break Err(ClientError::Protocol(format!("bad lease response {resp}")));
                 };
-                if opts.verbose {
-                    eprintln!(
-                        "worker {}: leased job {} shard {} ({} points)",
-                        worker_id.load(Ordering::Relaxed),
-                        grant.job,
-                        grant.shard,
-                        grant.indices.len()
-                    );
-                }
                 match execute_shard(
                     addr,
                     &opts,
@@ -397,18 +379,7 @@ fn execute_shard(
     let mut last: Option<ClientError> = None;
     for attempt in 0..policy.attempts {
         match call(addr, "POST", "/dist/report", body.as_bytes()) {
-            Ok((200, resp)) => {
-                if opts.verbose {
-                    eprintln!(
-                        "worker {}: reported job {} shard {} ({})",
-                        summary.worker,
-                        grant.job,
-                        grant.shard,
-                        resp.trim()
-                    );
-                }
-                return Ok(ShardOutcome::Reported);
-            }
+            Ok((200, _)) => return Ok(ShardOutcome::Reported),
             Ok((status, resp)) => {
                 return Err(ClientError::api(status, resp.as_bytes()));
             }

@@ -14,13 +14,15 @@ struct Rig {
     dir: std::path::PathBuf,
 }
 
-/// Boot a dist-only server on an ephemeral port with a fresh cache.
-fn boot(tag: &str, sched: SchedulerOptions) -> Rig {
+/// Boot a server with the scheduler mounted on an ephemeral port with a
+/// fresh cache: dist-only (`pas serve --no-local-exec`) unless
+/// `local_exec`, which is plain `pas serve`.
+fn boot(tag: &str, sched: SchedulerOptions, local_exec: bool) -> Rig {
     let dir = std::env::temp_dir().join(format!("pas_dist_e2e_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cache = ResultCache::open(&dir).unwrap();
     let opts = ServerOptions {
-        local_exec: false,
+        local_exec,
         ..ServerOptions::default()
     };
     let mut server = Server::bind("127.0.0.1:0", cache.clone(), opts).unwrap();
@@ -51,6 +53,21 @@ fn spawn_worker(
     std::thread::spawn(move || pas_dist::worker::run(&addr, opts))
 }
 
+/// Bound on each wait of the worker-death test, far above its normal run
+/// time: a worker that never dies, or a job that never ends, fails the
+/// test instead of hanging the suite.
+const DEADLINE: Duration = Duration::from_secs(60);
+
+/// `f()` on a thread of its own, or a failure naming `what` once
+/// [`DEADLINE`] passes; a thread still blocked then is left behind, not
+/// joined, since joining it would hang too.
+fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    let late = |e| panic!("{what} did not finish within {DEADLINE:?}: {e}");
+    rx.recv_timeout(DEADLINE).unwrap_or_else(late)
+}
+
 /// The acceptance scenario: one worker is killed mid-job (it executes a
 /// few points, then crashes without reporting); the final CSV must still
 /// be byte-identical to a direct local run, with every point counted
@@ -73,6 +90,7 @@ fn worker_death_mid_job(threads: usize) {
             heartbeat: Duration::from_millis(100),
             shard_points: 3,
         },
+        false,
     );
     let m = small_manifest();
     let toml = m.to_toml();
@@ -89,12 +107,12 @@ fn worker_death_mid_job(threads: usize) {
             threads,
             poll: Duration::from_millis(10),
             fail_after_points: Some(4),
-            verbose: false,
-            ..WorkerOptions::default()
         },
     );
     let id = rig.client.submit(&toml).unwrap();
-    let victim = victim.join().unwrap().unwrap();
+    let victim = within("the victim", move || victim.join())
+        .unwrap()
+        .unwrap();
     assert!(
         victim.died,
         "threads {threads}: victim must hit its fault budget"
@@ -114,11 +132,14 @@ fn worker_death_mid_job(threads: usize) {
             name: "survivor".into(),
             threads,
             poll: Duration::from_millis(10),
-            verbose: false,
             ..WorkerOptions::default()
         },
     );
-    let done = rig.client.wait(id, Duration::from_millis(20)).unwrap();
+    let wait = |id| {
+        let client = rig.client.clone();
+        move || client.wait(id, Duration::from_millis(20)).unwrap()
+    };
+    let done = within("the job", wait(id));
     assert_eq!(done.phase, "completed", "error: {:?}", done.error);
     assert_eq!(
         done.cache_hits + done.cache_misses,
@@ -138,7 +159,7 @@ fn worker_death_mid_job(threads: usize) {
 
     // Warm resubmission: straight from cache, no worker round trips.
     let id2 = rig.client.submit(&toml).unwrap();
-    let done2 = rig.client.wait(id2, Duration::from_millis(20)).unwrap();
+    let done2 = within("the warm job", wait(id2));
     assert_eq!(done2.phase, "completed");
     assert_eq!(done2.cache_hits, n);
     assert_eq!(done2.cache_misses, 0);
@@ -149,7 +170,9 @@ fn worker_death_mid_job(threads: usize) {
     // recorded 3 points before dying, so the survivor owns the rest) and
     // exits cleanly on drain.
     rig.client.drain().unwrap();
-    let survivor = survivor.join().unwrap().unwrap();
+    let survivor = within("the survivor", move || survivor.join())
+        .unwrap()
+        .unwrap();
     assert!(!survivor.died);
     assert_eq!(
         survivor.points,
@@ -171,10 +194,12 @@ fn healthz_and_submit_backoff() {
             heartbeat: Duration::from_millis(100),
             ..SchedulerOptions::default()
         },
+        false,
     );
 
     // No workers yet.
     let h = rig.client.healthz().unwrap();
+    assert!(h.contains("\"mode\":\"dist\""), "{h}");
     assert_eq!(pas_server::json::find_bool(&h, "ok"), Some(true));
     assert_eq!(pas_server::json::find_u64(&h, "workers"), Some(0));
     assert_eq!(pas_server::json::find_u64(&h, "queue_depth"), Some(0));
@@ -185,7 +210,6 @@ fn healthz_and_submit_backoff() {
             name: "w".into(),
             threads: 1,
             poll: Duration::from_millis(10),
-            verbose: false,
             ..WorkerOptions::default()
         },
     );
@@ -209,7 +233,11 @@ fn healthz_and_submit_backoff() {
         .submit_with_retry(&m.to_toml(), Default::default(), |_, _| retries += 1)
         .unwrap();
     assert_eq!(retries, 0);
-    let done = rig.client.wait(id, Duration::from_millis(20)).unwrap();
+    let wait = |id| {
+        let client = rig.client.clone();
+        move || client.wait(id, Duration::from_millis(20)).unwrap()
+    };
+    let done = within("the job", wait(id));
     assert_eq!(done.phase, "completed");
 
     // ...and a dead address exhausts its retries with backoff.
@@ -229,5 +257,18 @@ fn healthz_and_submit_backoff() {
 
     rig.client.drain().unwrap();
     worker.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&rig.dir);
+}
+
+/// Plain `pas serve` mounts the scheduler beside its own queue worker:
+/// the scheduler's `/healthz` reports the jobs as run locally, with the
+/// fleet fields still there.
+#[test]
+fn healthz_reports_local_exec_beside_the_scheduler() {
+    let rig = boot("mixed", SchedulerOptions::default(), true);
+    let h = rig.client.healthz().unwrap();
+    assert!(h.contains("\"mode\":\"local\""), "{h}");
+    assert_eq!(pas_server::json::find_u64(&h, "workers"), Some(0));
+    assert_eq!(pas_server::json::find_u64(&h, "active_jobs"), Some(0));
     let _ = std::fs::remove_dir_all(&rig.dir);
 }

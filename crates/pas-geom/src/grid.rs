@@ -68,12 +68,6 @@ impl<Id: Copy> SpatialGrid<Id> {
         self.len == 0
     }
 
-    /// The configured cell side length.
-    #[inline]
-    pub fn cell_size(&self) -> f64 {
-        self.cell_size
-    }
-
     #[inline]
     fn key_of(&self, p: Vec2) -> CellKey {
         (

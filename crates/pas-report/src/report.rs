@@ -425,15 +425,4 @@ impl Report {
             comparisons: Vec::new(),
         })
     }
-
-    /// Policy labels in canonical cell order, deduplicated.
-    pub fn policies(&self) -> Vec<&str> {
-        let mut seen: Vec<&str> = Vec::new();
-        for c in &self.cells {
-            if !seen.contains(&c.policy.as_str()) {
-                seen.push(&c.policy);
-            }
-        }
-        seen
-    }
 }

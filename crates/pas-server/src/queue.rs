@@ -10,9 +10,12 @@
 //! layer reads for `GET /jobs/:id`.
 
 use crate::cache::{execute_with_cache_traced, CacheStats, ResultCache};
+use pas_obs::json::quote;
 use pas_scenario::{BatchResult, ExecOptions, Manifest};
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 
 /// Finished jobs retained for `GET /jobs/:id` before the oldest are
 /// evicted (results also persist in the on-disk cache, so an evicted
@@ -96,6 +99,10 @@ struct Inner {
     jobs: Mutex<JobTable>,
     /// Signalled on every push (and on shutdown).
     available: Condvar,
+    /// When the queue opened: the server's start.
+    opened: Instant,
+    /// Set once this process's own worker runs the jobs.
+    local_exec: AtomicBool,
 }
 
 struct JobTable {
@@ -135,6 +142,8 @@ impl JobQueue {
                     shutdown: false,
                 }),
                 available: Condvar::new(),
+                opened: Instant::now(),
+                local_exec: AtomicBool::new(false),
             }),
             capacity,
         }
@@ -232,14 +241,6 @@ impl JobQueue {
         t.by_id.get(&id).and_then(|j| j.result.clone())
     }
 
-    /// Ids of all known jobs, oldest first.
-    pub fn ids(&self) -> Vec<u64> {
-        let t = self.inner.jobs.lock().expect("queue poisoned");
-        let mut ids: Vec<u64> = t.by_id.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Number of jobs waiting to be claimed.
     pub fn depth(&self) -> usize {
         self.inner.jobs.lock().expect("queue poisoned").queue.len()
@@ -252,6 +253,33 @@ impl JobQueue {
             .values()
             .filter(|j| j.phase == JobPhase::Running)
             .count()
+    }
+
+    /// Mark the jobs as run by this process's own worker; the server
+    /// does so before it starts [`JobQueue::work`].
+    pub(crate) fn set_local_exec(&self) {
+        self.inner.local_exec.store(true, Ordering::Relaxed);
+    }
+
+    /// The `GET /healthz` body: liveness, version, uptime, queue depth,
+    /// running jobs, `mode` and the trace and profile drop counters,
+    /// with an execution backend's own `fields` (each `"name":value,`)
+    /// spliced in. `mode` is `local` while this process's own worker runs
+    /// the jobs, else `remote`, the backend that claims them.
+    pub fn healthz_json(&self, remote: &str, fields: &str) -> String {
+        let local = self.inner.local_exec.load(Ordering::Relaxed);
+        format!(
+            "{{\"ok\":true,\"version\":{},\"uptime_s\":{},\"queue_depth\":{},\
+             \"running_jobs\":{},{fields}\"mode\":{},\
+             \"trace_dropped\":{},\"profile_dropped\":{}}}",
+            quote(env!("CARGO_PKG_VERSION")),
+            self.inner.opened.elapsed().as_secs(),
+            self.depth(),
+            self.running(),
+            quote(if local { "local" } else { remote }),
+            pas_obs::trace::dropped(),
+            pas_obs::profile::dropped(),
+        )
     }
 
     /// Wake all workers and make further submissions fail.

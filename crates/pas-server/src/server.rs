@@ -79,7 +79,6 @@ pub struct Server {
     cache: Arc<ResultCache>,
     opts: ServerOptions,
     router: Option<Router>,
-    started: Instant,
 }
 
 /// Request-handling context shared by every connection thread.
@@ -87,7 +86,6 @@ pub struct Server {
 struct Ctx {
     queue: JobQueue,
     opts: ServerOptions,
-    started: Instant,
 }
 
 impl Server {
@@ -103,7 +101,6 @@ impl Server {
             cache: Arc::new(cache),
             opts,
             router: None,
-            started: Instant::now(),
         })
     }
 
@@ -138,6 +135,7 @@ impl Server {
             })
         });
         if self.opts.local_exec {
+            self.queue.set_local_exec();
             let queue = self.queue.clone();
             let cache = Arc::clone(&self.cache);
             let exec = ExecOptions {
@@ -148,7 +146,6 @@ impl Server {
         let ctx = Ctx {
             queue: self.queue.clone(),
             opts: self.opts,
-            started: self.started,
         };
         for stream in self.listener.incoming() {
             let Ok(mut stream) = stream else { continue };
@@ -269,7 +266,12 @@ fn route(ctx: &Ctx, req: &Request) -> Response {
     let queue = &ctx.queue;
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
-        ("GET", ["healthz"]) => healthz(ctx),
+        // A mounted `pas-dist` scheduler answers this route itself, with
+        // its fleet; a server without one that runs no local worker
+        // leaves its jobs to some external backend.
+        ("GET", ["healthz"]) => {
+            Response::json(200, queue.healthz_json("external", "\"workers\":1,"))
+        }
         ("GET", ["metrics"]) if ctx.opts.metrics => Response::new(
             200,
             "text/plain; version=0.0.4; charset=utf-8",
@@ -331,34 +333,6 @@ fn route(ctx: &Ctx, req: &Request) -> Response {
         ("GET", _) | ("POST", _) => Response::error(404, "no such route"),
         _ => Response::error(405, "method not allowed"),
     }
-}
-
-/// Built-in liveness endpoint: version, uptime, queue pressure, and
-/// whether this process executes jobs itself (`local`) or leaves them
-/// for an external backend (`external`). When the `pas-dist` scheduler
-/// is mounted its richer `/healthz` (worker table included) shadows
-/// this one via the extension [`Router`]; this answer is what a plain
-/// `pas serve` deployment gets.
-fn healthz(ctx: &Ctx) -> Response {
-    Response::json(
-        200,
-        format!(
-            "{{\"ok\":true,\"version\":{},\"uptime_s\":{},\"queue_depth\":{},\
-             \"running_jobs\":{},\"workers\":1,\"mode\":{},\
-             \"trace_dropped\":{},\"profile_dropped\":{}}}",
-            quote(env!("CARGO_PKG_VERSION")),
-            ctx.started.elapsed().as_secs(),
-            ctx.queue.depth(),
-            ctx.queue.running(),
-            quote(if ctx.opts.local_exec {
-                "local"
-            } else {
-                "external"
-            }),
-            pas_obs::trace::dropped(),
-            pas_obs::profile::dropped(),
-        ),
-    )
 }
 
 /// `GET /jobs/:id/trace`: the job's causal span tree, stitched from

@@ -90,10 +90,8 @@ WORKER OPTIONS:
     --threads N          local execution threads (default all cores)
     --name NAME          fleet display name      (default worker-<pid>)
     --poll-ms N          idle lease poll interval (default 200)
-    --max-shards N       exit after N shards (default: run until drain)
     --fail-after-points N  fault-injection drill: crash (no report) after
                          executing N points
-    --quiet              suppress lease/report progress on stderr
 
 SUBMIT OPTIONS:
     --addr HOST:PORT     server address          (default 127.0.0.1:8479)
@@ -151,7 +149,7 @@ BENCH OPTIONS:
                          BENCH_predictors.json with --predictors, or
                          BENCH_server.json with --server); results
                          append to the file's versioned history with
-                         commit/date metadata (legacy files upgrade in place)
+                         commit/date metadata
     --server             saturation load harness: ramp concurrent closed-loop
                          submit clients against a server (an in-process one
                          unless --addr names a live instance), find the
@@ -166,10 +164,6 @@ BENCH OPTIONS:
     --predictors         per-predictor hot-path bench: sequential point
                          throughput of every arrival-predictor variant on
                          the paper workload, interleaved over 41 rounds
-    --profile            batch bench only: also time the sequential grid
-                         with region profiling off, record the derived
-                         profile_overhead_pct and a per-region self-time
-                         breakdown in BENCH_batch.json
     --gate [FILES...]    regression gate: compare each history's newest
                          entry against the previous one; exit non-zero on a
                          throughput drop beyond the tolerance (default
@@ -683,7 +677,6 @@ fn cmd_serve(serve: ServeOpts) -> CmdResult {
 struct WorkerOpts {
     addr: String,
     worker: WorkerOptions,
-    quiet: bool,
 }
 
 fn parse_worker(args: &[String]) -> Result<WorkerOpts, String> {
@@ -697,9 +690,7 @@ fn parse_worker(args: &[String]) -> Result<WorkerOpts, String> {
             "--threads" => o.worker.threads = c.value(arg)?,
             "--name" => o.worker.name = c.value(arg)?,
             "--poll-ms" => o.worker.poll = c.ms(arg)?,
-            "--max-shards" => o.worker.max_shards = Some(c.value(arg)?),
             "--fail-after-points" => o.worker.fail_after_points = Some(c.value(arg)?),
-            "--quiet" => o.quiet = true,
             _ => return Err(c.unknown(arg)),
         }
         Ok(())
@@ -707,11 +698,9 @@ fn parse_worker(args: &[String]) -> Result<WorkerOpts, String> {
     Ok(o)
 }
 
-fn cmd_worker(o: WorkerOpts) -> CmdResult {
-    let mut worker = o.worker;
-    worker.verbose = !o.quiet && std::env::var_os("PAS_WORKER_VERBOSE").is_some();
-    eprintln!("pas-worker `{}` connecting to {}", worker.name, o.addr);
-    let summary = pas_dist::worker::run(&o.addr, worker).map_err(|e| format!("worker: {e}"))?;
+fn cmd_worker(WorkerOpts { addr, worker }: WorkerOpts) -> CmdResult {
+    eprintln!("pas-worker `{}` connecting to {addr}", worker.name);
+    let summary = pas_dist::worker::run(&addr, worker).map_err(|e| format!("worker: {e}"))?;
     eprintln!(
         "pas-worker {}: {} shards, {} points{}",
         summary.worker,
@@ -973,7 +962,7 @@ fn top_frame(addr: &str, health: &str, dump: &pas_obs::history::Dump, frame: u64
     lines.push(format!(
         "pas top — {addr} · up {}s · {} worker(s) · frame {frame} (Ctrl-C quits)",
         h_u64("uptime_s"),
-        h_u64("workers").max(h_u64("workers_alive")),
+        h_u64("workers"),
     ));
     lines.push(String::new());
 
@@ -1488,84 +1477,11 @@ fn cmd_submit(sub: SubmitOpts) -> CmdResult {
 // bench
 // ---------------------------------------------------------------------------
 
-/// Record one bench payload into its history file: append with
-/// commit/date metadata (upgrading legacy single-object files in
-/// place), echo the payload, and report the history depth.
-fn record_bench(out: &Path, payload: &str) -> CmdResult {
-    let commit = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string());
-    let date = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .ok()
-        .map(|d| pas_bench::civil_date(d.as_secs()));
-    let history = pas_bench::append(out, payload, commit, date)
-        .map_err(|e| format!("recording {}: {e}", out.display()))?;
-    out!("{payload}");
-    let entries = history.entries.len();
-    eprintln!("appended to {} ({entries} entries)", out.display());
-    Ok(())
-}
-
-/// `pas bench --gate`: fail on a throughput cliff between the two
-/// newest entries of each bench history.
-fn cmd_bench_gate(max_drop_pct: f64, files: &[PathBuf]) -> CmdResult {
-    let defaults = [
-        "BENCH_batch.json",
-        "BENCH_predictors.json",
-        "BENCH_server.json",
-    ];
-    let files: Vec<PathBuf> = if files.is_empty() {
-        defaults.iter().map(PathBuf::from).collect()
-    } else {
-        files.to_vec()
-    };
-    let mut failed = false;
-    for path in &files {
-        let history = match pas_bench::BenchHistory::load(path) {
-            Ok(Some(h)) => h,
-            Ok(None) => {
-                outln!("gate {:<28} absent, skipped", path.display());
-                continue;
-            }
-            Err(e) => return Err(format!("{}: {e}", path.display()).into()),
-        };
-        let outcome = pas_bench::gate(&history, max_drop_pct);
-        let verdict = if !outcome.ok {
-            failed = true;
-            "FAIL"
-        } else {
-            "ok"
-        };
-        match (outcome.previous, outcome.latest, &outcome.key) {
-            (Some(prev), Some(latest), Some(key)) => outln!(
-                "gate {:<28} {verdict}: {latest:.1} runs/s vs {prev:.1} at {key} \
-                 ({:+.1}% drop, tolerance {max_drop_pct:.0}%)",
-                path.display(),
-                outcome.drop_pct
-            ),
-            _ => outln!(
-                "gate {:<28} {verdict}: no two entries with a shared configuration",
-                path.display()
-            ),
-        }
-    }
-    if failed {
-        Err("bench regression gate failed".into())
-    } else {
-        Ok(())
-    }
-}
-
 /// `pas bench`: one mode, its output file resolved to the mode's
 /// default history when `--out` is absent.
 #[derive(Debug, PartialEq)]
 enum BenchOpts {
     Batch {
-        profile: bool,
         out: PathBuf,
     },
     Predictors {
@@ -1587,7 +1503,7 @@ enum BenchOpts {
 /// one mode and is refused under any other.
 fn parse_bench(args: &[String]) -> Result<BenchOpts, String> {
     let (mut mode, mut given) = (None, Vec::new());
-    let (mut out, mut profile, mut addr) = (None, false, None);
+    let (mut out, mut addr) = (None, None);
     let (mut max_clients, mut step) = (32, Duration::from_millis(1500));
     let (mut max_drop_pct, mut files) = (pas_bench::DEFAULT_MAX_DROP_PCT, Vec::new());
     Cursor::each("bench", args, |c, arg| {
@@ -1598,7 +1514,6 @@ fn parse_bench(args: &[String]) -> Result<BenchOpts, String> {
                 }
             }
             "--out" => out = Some(c.value(arg)?),
-            "--profile" => profile = true,
             "--addr" => addr = Some(c.value(arg)?),
             "--max-clients" => max_clients = c.at_least(arg, 1)?,
             "--step-ms" => step = c.ms(arg)?,
@@ -1616,7 +1531,6 @@ fn parse_bench(args: &[String]) -> Result<BenchOpts, String> {
     let mode = mode.unwrap_or("batch");
     for arg in given {
         let owner = match arg {
-            "--profile" => "batch",
             "--addr" | "--max-clients" | "--step-ms" => "--server",
             "--out" if mode == "--gate" => "batch/predictors/server",
             "--out" | "--predictors" | "--server" | "--gate" => continue,
@@ -1646,500 +1560,29 @@ fn parse_bench(args: &[String]) -> Result<BenchOpts, String> {
             out: out("BENCH_server.json"),
         },
         _ => BenchOpts::Batch {
-            profile,
             out: out("BENCH_batch.json"),
         },
     })
 }
 
+/// Run one bench and print its payload, or gate the histories.
 fn cmd_bench(opts: BenchOpts) -> CmdResult {
-    match opts {
-        BenchOpts::Batch { profile, out } => cmd_bench_batch(profile, out),
-        BenchOpts::Predictors { out } => cmd_bench_predictors(out),
+    let payload = match opts {
+        BenchOpts::Batch { out } => pas_bench::run_batch(&out)?,
+        BenchOpts::Predictors { out } => pas_bench::run_predictors(&out)?,
         BenchOpts::Server {
             addr,
             max_clients,
             step,
             out,
-        } => cmd_bench_server(addr, max_clients, step, out),
+        } => pas_bench::run_server(addr, max_clients, step, &out)?,
         BenchOpts::Gate {
             max_drop_pct,
             files,
-        } => cmd_bench_gate(max_drop_pct, &files),
-    }
-}
-
-/// Smoke benchmark: expansion throughput and a small batch execute —
-/// timed with the observability registry on and off, so the history
-/// tracks instrumentation overhead — as JSON other PRs can diff for a
-/// perf trajectory (BENCH_batch.json). Every bench appends to the
-/// unified versioned history (`pas-bench::history`); `--gate` checks the
-/// newest entries for throughput cliffs instead of running anything.
-fn cmd_bench_batch(profile: bool, out: PathBuf) -> CmdResult {
-    let manifest = registry::builtin("paper-default").expect("builtin parses");
-    let points = expand(&manifest)?;
-
-    // Expansion: many iterations, it is microseconds-scale.
-    let expand_iters = 200u32;
-    let t0 = std::time::Instant::now();
-    for _ in 0..expand_iters {
-        let p = expand(&manifest).expect("expansion is deterministic");
-        assert_eq!(p.len(), points.len());
-    }
-    let expand_ns = t0.elapsed().as_nanos() as u64 / u64::from(expand_iters);
-
-    // Execution: a fixed sub-grid, sequential for machine-independence,
-    // timed in up to five configurations. The shipping one has metrics,
-    // span tracing (under an ambient trace context so `exec.point` spans
-    // record), region profiling and the history sampler (at an aggressive
-    // 100 ms interval, so its pair is a worst-case bound) all on. The
-    // others turn off tracing, profiling (`--profile` only), the whole
-    // registry, or the sampler. One sample is one batch, and the
-    // configurations run `interleaved`. A configuration's time is the
-    // median of its samples; an overhead is the median over rounds of
-    // that round's shipping/off ratio.
-    let mut small = manifest.clone();
-    small.sweep[0].values = vec![4.0, 12.0].into();
-    small.run.replicates = 4;
-    let n_runs = expand(&small)?.len();
-    // (metrics, tracing, profiling, history sampler)
-    type Config = (bool, bool, bool, bool);
-    const SHIPPING: Config = (true, true, true, true);
-    let mut configs: Vec<Config> = vec![
-        SHIPPING,
-        (true, false, true, true),
-        (false, false, false, true),
-        (true, true, true, false),
-    ];
-    let (trace_off, obs_off, history_off, profile_off) = (1, 2, 3, 4);
-    if profile {
-        configs.push((true, true, false, true));
-    }
-    let run_once = |(obs, tracing, profiling, _): Config| {
-        pas_obs::set_enabled(obs);
-        pas_obs::trace::set_tracing(tracing);
-        pas_obs::profile::set_profiling(profiling);
-        // Fresh trace per sample; threads=1 executes inline on this
-        // thread, so the ambient context reaches every point.
-        let trace = pas_obs::trace::mint_id();
-        let _ctx = pas_obs::trace::enter(trace, pas_obs::trace::mint_id());
-        let t = std::time::Instant::now();
-        let batch = execute(&small, ExecOptions { threads: 1 })?;
-        Ok::<_, pas_scenario::ManifestError>((t.elapsed().as_micros() as u64, batch))
+        } => return pas_bench::run_gate(max_drop_pct, &files, |line| outln!("{line}")),
     };
-    let start_sampler = || {
-        pas_obs::history::start_sampler(pas_obs::history::HistoryConfig {
-            interval: Duration::from_millis(100),
-            retention: 64,
-        })
-    };
-    // Zero the profile table, then run one untimed shipping batch: it
-    // warms up, and it is the batch `events_total` and the per-region
-    // breakdown describe.
-    pas_obs::profile::reset();
-    let mut sampler = Some(start_sampler());
-    let (_, batch) = run_once(SHIPPING)?;
-    let regions = profile.then(profile_region_json);
-    let samples = interleaved(configs.len(), |c| {
-        if configs[c].3 != sampler.is_some() {
-            // Dropping the sampler stops and joins its thread. A start
-            // (with its immediate first snapshot) or a join slows the
-            // batch right after it, so that batch runs untimed.
-            sampler = configs[c].3.then(start_sampler);
-            run_once(configs[c])?;
-        }
-        Ok::<_, pas_scenario::ManifestError>(run_once(configs[c])?.0)
-    })?;
-    drop(sampler);
-    pas_obs::set_enabled(true);
-    pas_obs::trace::set_tracing(true);
-    pas_obs::profile::set_profiling(true);
-    let overhead = |off: usize| {
-        let ratios = samples[0]
-            .iter()
-            .zip(&samples[off])
-            .map(|(&on, &off)| on as f64 / off.max(1) as f64)
-            .collect();
-        (median(ratios) - 1.0) * 100.0
-    };
-    let exec_us = median_us(&samples[0]);
-    let exec_us_trace_off = median_us(&samples[trace_off]);
-    let exec_us_off = median_us(&samples[obs_off]);
-    let exec_us_history_off = median_us(&samples[history_off]);
-    let exec_us_profile_off = profile.then(|| median_us(&samples[profile_off]));
-    let overhead_pct = overhead(obs_off);
-    let trace_overhead_pct = overhead(trace_off);
-    let history_overhead_pct = overhead(history_off);
-    // `--profile` contributes three extra fields; without it the payload
-    // is byte-identical to the pre-profiler shape.
-    let profile_fields = match (exec_us_profile_off, regions) {
-        (Some(off_us), Some(regions)) => format!(
-            "  \"execute_us_profile_off\": {off_us},\n  \
-             \"profile_overhead_pct\": {:.2},\n  \
-             \"profile_regions\": {regions},\n",
-            overhead(profile_off)
-        ),
-        _ => String::new(),
-    };
-    let json = format!(
-        "{{\n  \"bench\": \"batch\",\n  \"scenario\": \"paper-default\",\n  \
-         \"expand_runs\": {},\n  \"expand_ns_per_iter\": {expand_ns},\n  \
-         \"execute_runs\": {n_runs},\n  \"execute_rounds\": {BENCH_ROUNDS},\n  \
-         \"execute_us_sequential\": {exec_us},\n  \
-         \"execute_us_trace_off\": {exec_us_trace_off},\n  \
-         \"trace_overhead_pct\": {trace_overhead_pct:.2},\n  \
-         \"execute_us_obs_off\": {exec_us_off},\n  \"obs_overhead_pct\": {overhead_pct:.2},\n  \
-         \"execute_us_history_off\": {exec_us_history_off},\n  \
-         \"history_overhead_pct\": {history_overhead_pct:.2},\n\
-         {profile_fields}  \
-         \"execute_us_per_run\": {},\n  \"events_total\": {}\n}}\n",
-        points.len(),
-        exec_us / n_runs as u64,
-        batch
-            .records
-            .iter()
-            .map(|r| r.events_processed)
-            .sum::<u64>(),
-    );
-    record_bench(&out, &json)
-}
-
-/// Interleaved rounds per `pas bench` execute configuration; odd, so
-/// every median is one sample.
-const BENCH_ROUNDS: usize = 41;
-const _: () = assert!(BENCH_ROUNDS % 2 == 1);
-
-/// Each configuration's samples over `BENCH_ROUNDS` rounds; `sample(c)`
-/// times configuration `c` once. Every round runs each configuration
-/// once, in an order rotated by one per round, so drift in machine speed
-/// falls on all of them alike.
-fn interleaved<T, E>(
-    configs: usize,
-    mut sample: impl FnMut(usize) -> Result<T, E>,
-) -> Result<Vec<Vec<T>>, E> {
-    let mut samples: Vec<Vec<T>> = (0..configs)
-        .map(|_| Vec::with_capacity(BENCH_ROUNDS))
-        .collect();
-    for round in 0..BENCH_ROUNDS {
-        for k in 0..configs {
-            let c = (round + k) % configs;
-            samples[c].push(sample(c)?);
-        }
-    }
-    Ok(samples)
-}
-
-/// Median of an odd-length sample.
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
-}
-
-/// Median of an odd-length sample of microsecond timings.
-fn median_us(samples: &[u64]) -> u64 {
-    median(samples.iter().map(|&us| us as f64).collect()) as u64
-}
-
-/// The global profile table folded down to a per-region JSON array:
-/// entries sharing a leaf region merge (self-time and calls summed over
-/// every stack path ending there), sorted by self-time descending with
-/// name as the deterministic tie-break.
-fn profile_region_json() -> String {
-    let mut agg: Vec<(String, u64, u64, u64)> = Vec::new();
-    for e in pas_obs::profile::snapshot() {
-        let Some(leaf) = e.stack.last() else { continue };
-        match agg.iter_mut().find(|(name, ..)| name == leaf) {
-            Some((_, calls, self_ns, total_ns)) => {
-                *calls += e.calls;
-                *self_ns += e.self_ns();
-                *total_ns += e.total_ns;
-            }
-            None => agg.push((leaf.clone(), e.calls, e.self_ns(), e.total_ns)),
-        }
-    }
-    agg.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
-    let items: Vec<String> = agg
-        .iter()
-        .map(|(name, calls, self_ns, total_ns)| {
-            format!(
-                "    {{\"region\": {}, \"calls\": {calls}, \
-                 \"self_us\": {}, \"total_us\": {}}}",
-                pas_obs::json::quote(name),
-                self_ns / 1_000,
-                total_ns / 1_000
-            )
-        })
-        .collect();
-    if items.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n{}\n  ]", items.join(",\n"))
-    }
-}
-
-/// Per-predictor hot-path bench: sequential point throughput of every
-/// arrival-predictor variant on a fixed paper-workload sub-grid, so the
-/// perf trajectory tracks the estimation path itself — the code inside
-/// the wake-decision loop — not just batch/dist plumbing
-/// (BENCH_predictors.json). The variants run interleaved like the batch
-/// bench's configurations, and each records its median batch.
-fn cmd_bench_predictors(out: PathBuf) -> CmdResult {
-    let base = registry::builtin("paper-default").expect("builtin parses");
-    // One PAS policy mounting each variant, over the Fig. 4 operating
-    // slice: 2 axis points x 8 seeds, sequential for comparability.
-    let manifests: Vec<Manifest> = pas_core::PREDICTOR_NAMES
-        .iter()
-        .map(|name| {
-            let mut m = base.clone();
-            m.name = "bench-predictors".to_string();
-            m.policies.retain(|p| p.kind == "pas");
-            m.policies[0].predictor = pas_core::PredictorSpec::from_name(name);
-            m.sweep[0].values = vec![4.0, 12.0].into();
-            m.run.replicates = 8;
-            m
-        })
-        .collect();
-    let n_runs = expand(&manifests[0])?.len();
-    let run_once = |m: &Manifest| execute(m, ExecOptions { threads: 1 });
-    // One untimed batch per variant warms up and counts its events.
-    let mut events = Vec::new();
-    for m in &manifests {
-        let batch = run_once(m)?;
-        events.push(
-            batch
-                .records
-                .iter()
-                .map(|r| r.events_processed)
-                .sum::<u64>(),
-        );
-    }
-    let samples = interleaved(manifests.len(), |c| {
-        let t0 = std::time::Instant::now();
-        run_once(&manifests[c])?;
-        Ok::<_, pas_scenario::ManifestError>(t0.elapsed().as_micros() as u64)
-    })?;
-    let entries: Vec<String> = pas_core::PREDICTOR_NAMES
-        .iter()
-        .zip(&samples)
-        .zip(events)
-        .map(|((name, samples), events)| {
-            let us = median_us(samples);
-            format!(
-                "    {{\"predictor\": \"{name}\", \"execute_us\": {us}, \
-                 \"us_per_run\": {}, \"runs_per_s\": {:.1}, \"events_total\": {events}}}",
-                us / n_runs as u64,
-                n_runs as f64 / (us as f64 / 1e6),
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"predictors\",\n  \"scenario\": \"paper-default\",\n  \
-         \"runs_per_predictor\": {n_runs},\n  \"execute_rounds\": {BENCH_ROUNDS},\n  \
-         \"predictors\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n"),
-    );
-    record_bench(&out, &json)
-}
-
-/// Server saturation harness: ramp concurrent closed-loop submit
-/// clients (1, 2, 4, …, `max_clients`) against a live server, each
-/// submitting tiny warm-cache jobs and waiting for completion as fast
-/// as the control loop allows. Throughput climbs with concurrency
-/// until the server saturates; the knee is the smallest ramp step
-/// reaching ≥95% of the peak, and its p99 is the latency cost of
-/// operating there. Appends a `server-saturation` entry (per-step
-/// table, knee, max sustained jobs/s, error/429 counts) to
-/// BENCH_server.json under the versioned history schema.
-///
-/// Without `--addr` an in-process `--metrics` server (local exec,
-/// temp cache) is booted, so the bench also exercises the history
-/// sampler under load. The jobs are warm after one seed submission:
-/// the harness measures the submit→queue→cache→complete control loop —
-/// the saturation behaviour of the *server*, not the simulator.
-fn cmd_bench_server(
-    addr: Option<String>,
-    max_clients: usize,
-    step: Duration,
-    out: PathBuf,
-) -> CmdResult {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    // The smallest useful job: one axis point, one replicate.
-    let mut m = registry::builtin("paper-default").expect("builtin parses");
-    m.sweep[0].values = vec![4.0].into();
-    m.run.replicates = 1;
-    let toml = m.to_toml();
-
-    let mut cleanup_dir: Option<PathBuf> = None;
-    let addr = match addr {
-        Some(a) => a,
-        None => {
-            let dir = std::env::temp_dir().join(format!("pas_bench_server_{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            let cache =
-                ResultCache::open(&dir).map_err(|e| format!("opening {}: {e}", dir.display()))?;
-            let opts = ServerOptions {
-                metrics: true,
-                history_interval: Duration::from_millis(250),
-                history_retention: 240,
-                ..ServerOptions::default()
-            };
-            let server = Server::bind("127.0.0.1:0", cache, opts)
-                .map_err(|e| format!("binding bench server: {e}"))?;
-            let a = server
-                .local_addr()
-                .map_err(|e| format!("bench server addr: {e}"))?
-                .to_string();
-            std::thread::spawn(move || server.run());
-            cleanup_dir = Some(dir);
-            a
-        }
-    };
-
-    // Seed submission: after this every harness job is a cache hit.
-    let seed = Client::new(addr.clone());
-    let id = seed
-        .submit_with_retry(&toml, RetryPolicy::default(), |_, _| {})
-        .map_err(|e| format!("bench seed submit to {addr}: {e}"))?;
-    let s = seed
-        .wait(id, Duration::from_millis(5))
-        .map_err(|e| format!("bench seed wait: {e}"))?;
-    if s.phase != "completed" {
-        let error = s.error.unwrap_or_default();
-        return Err(format!("bench seed job {}: {error}", s.phase).into());
-    }
-
-    let mut ramp: Vec<usize> = Vec::new();
-    let mut c = 1;
-    while c < max_clients {
-        ramp.push(c);
-        c *= 2;
-    }
-    ramp.push(max_clients);
-
-    struct Step {
-        clients: usize,
-        jobs: u64,
-        jobs_per_s: f64,
-        p50_us: u64,
-        p95_us: u64,
-        p99_us: u64,
-        errors: u64,
-        http_429: u64,
-    }
-    let mut steps: Vec<Step> = Vec::new();
-    for &clients in &ramp {
-        let stop = Arc::new(AtomicBool::new(false));
-        let handles: Vec<_> = (0..clients)
-            .map(|_| {
-                let addr = addr.clone();
-                let toml = toml.clone();
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let client = Client::new(addr);
-                    let mut latencies: Vec<u64> = Vec::new();
-                    let mut errors = 0u64;
-                    let mut http_429 = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let t0 = std::time::Instant::now();
-                        match client.submit(&toml) {
-                            Ok(id) => match client.wait(id, Duration::from_millis(2)) {
-                                Ok(s) if s.phase == "completed" => {
-                                    latencies.push(t0.elapsed().as_micros() as u64)
-                                }
-                                _ => errors += 1,
-                            },
-                            Err(ClientError::Api(429, _)) => {
-                                // Backpressure is an expected saturation
-                                // signal, not a failure: count and yield.
-                                http_429 += 1;
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                            Err(_) => {
-                                errors += 1;
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                        }
-                    }
-                    (latencies, errors, http_429)
-                })
-            })
-            .collect();
-        let t0 = std::time::Instant::now();
-        std::thread::sleep(step);
-        stop.store(true, Ordering::Relaxed);
-        let mut latencies: Vec<u64> = Vec::new();
-        let mut errors = 0u64;
-        let mut http_429 = 0u64;
-        for h in handles {
-            let (lat, e, r) = h.join().map_err(|_| "bench client thread panicked")?;
-            latencies.extend(lat);
-            errors += e;
-            http_429 += r;
-        }
-        let wall_s = t0.elapsed().as_secs_f64();
-        latencies.sort_unstable();
-        let q = |q: f64| -> u64 {
-            if latencies.is_empty() {
-                return 0;
-            }
-            let idx = ((q * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len()) - 1;
-            latencies[idx]
-        };
-        let jobs = latencies.len() as u64;
-        let step = Step {
-            clients,
-            jobs,
-            jobs_per_s: jobs as f64 / wall_s,
-            p50_us: q(0.50),
-            p95_us: q(0.95),
-            p99_us: q(0.99),
-            errors,
-            http_429,
-        };
-        eprintln!(
-            "bench --server: {:>4} client(s): {:>8.1} jobs/s, p99 {:>8}us, \
-             {} error(s), {} 429(s)",
-            clients, step.jobs_per_s, step.p99_us, errors, http_429
-        );
-        steps.push(step);
-    }
-    if let Some(dir) = cleanup_dir {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    // The knee: smallest concurrency sustaining ≥95% of the peak —
-    // beyond it throughput plateaus and added clients only buy latency.
-    let max_jps = steps.iter().map(|s| s.jobs_per_s).fold(0.0, f64::max);
-    let knee = steps
-        .iter()
-        .find(|s| s.jobs_per_s >= 0.95 * max_jps)
-        .unwrap_or_else(|| steps.last().expect("ramp is non-empty"));
-    let (knee_clients, p99_at_knee) = (knee.clients, knee.p99_us);
-    let errors_total: u64 = steps.iter().map(|s| s.errors).sum();
-    let http_429_total: u64 = steps.iter().map(|s| s.http_429).sum();
-    let rows: Vec<String> = steps
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"clients\": {}, \"jobs\": {}, \"jobs_per_s\": {:.1}, \
-                 \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \
-                 \"errors\": {}, \"http_429\": {}}}",
-                s.clients, s.jobs, s.jobs_per_s, s.p50_us, s.p95_us, s.p99_us, s.errors, s.http_429
-            )
-        })
-        .collect();
-    let step_ms = step.as_millis();
-    let json = format!(
-        "{{\n  \"bench\": \"server\",\n  \"scenario\": \"server-saturation\",\n  \
-         \"step_ms\": {step_ms},\n  \"steps\": [\n{}\n  ],\n  \
-         \"knee_clients\": {knee_clients},\n  \"max_jobs_per_s\": {max_jps:.1},\n  \
-         \"p99_us_at_knee\": {p99_at_knee},\n  \"errors_total\": {errors_total},\n  \
-         \"http_429_total\": {http_429_total}\n}}\n",
-        rows.join(",\n"),
-    );
-    record_bench(&out, &json)
+    out!("{payload}");
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -2460,12 +1903,8 @@ pas_e_count 0
             poll: ms(poll),
             ..WorkerOptions::default()
         };
-        let (addr, quiet) = (at(port), true);
-        Command::Worker(WorkerOpts {
-            addr,
-            worker,
-            quiet,
-        })
+        let addr = at(port);
+        Command::Worker(WorkerOpts { addr, worker })
     }
 
     fn submit(port: u16, out: &str, verbose: bool) -> Command {
@@ -2549,7 +1988,7 @@ pas_e_count 0
             Ok(Command::List),
             Ok(Command::Show("paper-default".into())),
             Err("--bogus"),
-            Err("--profile"),
+            Err("--max-clients"),
             Ok(run("ablate-estimator", false, None, None)),
             Ok(run(
                 "$s",
@@ -2617,10 +2056,8 @@ pas_e_count 0
                 "report-from-jsonl.md",
             )),
             Ok(Command::Bench(BenchOpts::Batch {
-                profile: true,
                 out: out("BENCH_batch.json"),
             })),
-            Ok(gate(35.0, &["BENCH_batch.json"])),
             Ok(Command::Bench(BenchOpts::Predictors {
                 out: out("BENCH_predictors.json"),
             })),

@@ -48,6 +48,9 @@ fn unread_arguments_fail() {
             "`--threads`",
         ),
         (&["bench", "--gate", "--profile", "FILE"], "--profile"),
+        (&["bench", "--profile"], "--profile"),
+        (&["worker", "--max-shards", "1"], "--max-shards"),
+        (&["worker", "--quiet"], "--quiet"),
         (
             &["bench", "--predictors", "--max-clients", "3"],
             "--max-clients",
