@@ -7,17 +7,17 @@
 //! distributed fleet is measured end to end by the benchmark package's
 //! dist-grid workload (`pasbench/`), not here.
 //!
-//! The paper's Figs. 4–7 and the estimator ablation are registry
-//! manifests (`pas run paper-default`, `pas run paper-alert`,
-//! `pas run ablate-estimator`). The binaries here cover what a manifest
-//! cannot: Table 1's platform constants, the Fig. 1–3 schematics, and
-//! the channel-loss and failure-rate ablations, whose swept variables
-//! are not sweep axes. The ones that simulate (Figs. 2/3 and the
-//! ablations) take the §4 workload from the registry's `paper-default`
-//! manifest.
+//! The paper's Figs. 4–7 and the estimator and failure ablations are
+//! registry manifests (`pas run paper-default`, `pas run paper-alert`,
+//! `pas run ablate-estimator`, `pas run ablate-failures`). The binaries
+//! here cover what a manifest cannot: Table 1's platform constants, the
+//! Fig. 1–3 schematics, and the channel-loss ablation, which reports the
+//! alerted-node count that a run record does not carry. The ones that
+//! simulate (Figs. 2/3 and the ablation) take the §4 workload from the
+//! registry's `paper-default` manifest.
 //!
 //! Run e.g. `cargo run --release -p pas-bench --bin table1`; `table1`,
-//! `fig1_front` and the two ablations also write `results/<name>.csv`.
+//! `fig1_front` and `ablate_channel` also write `results/<name>.csv`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

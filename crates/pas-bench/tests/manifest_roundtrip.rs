@@ -1,5 +1,5 @@
 //! The registry's `paper-default` manifest is the §4 workload that the
-//! Fig. 2/3 and ablation binaries here load. This test pins what it
+//! Fig. 2/3 and channel-ablation binaries here load. This test pins what it
 //! declares, so the binaries' workload cannot drift unnoticed.
 
 use pas_core::Scenario;

@@ -231,7 +231,9 @@ pub fn encode_report(report: &ShardReport) -> String {
         let _ = writeln!(s, "prof={}", e.calls);
         let _ = writeln!(s, "total={}", e.total_ns);
         let _ = writeln!(s, "child={}", e.child_ns);
-        let _ = writeln!(s, "samples={}", e.samples);
+        // The retired wall-clock sampler's count: always 0, kept because
+        // earlier schedulers require the line.
+        let _ = writeln!(s, "samples=0");
         for frame in &e.stack {
             let _ = writeln!(s, "frame={}", escape(frame));
         }
@@ -283,7 +285,9 @@ fn decode_span_stanza(stanza: &[&str]) -> Option<SpanRecord> {
 
 /// Decode one profile stanza (first line `prof=<calls>`); `None` if
 /// malformed. A stanza with no `frame=` line is malformed — every entry
-/// names at least its leaf region.
+/// names at least its leaf region. The `samples=` line must be there and
+/// hold a `u64`, as earlier schedulers require, but its value (a count of
+/// the retired wall-clock sampler, 0 from every worker) is dropped.
 fn decode_profile_stanza(stanza: &[&str]) -> Option<ProfileEntry> {
     let mut calls = None;
     let mut total = None;
@@ -296,12 +300,12 @@ fn decode_profile_stanza(stanza: &[&str]) -> Option<ProfileEntry> {
             "prof" => calls = Some(v.parse().ok()?),
             "total" => total = Some(v.parse().ok()?),
             "child" => child = Some(v.parse().ok()?),
-            "samples" => samples = Some(v.parse().ok()?),
+            "samples" => samples = Some(v.parse::<u64>().ok()?),
             "frame" => stack.push(unescape(v)?),
             _ => return None,
         }
     }
-    if stack.is_empty() {
+    if stack.is_empty() || samples.is_none() {
         return None;
     }
     Some(ProfileEntry {
@@ -309,7 +313,6 @@ fn decode_profile_stanza(stanza: &[&str]) -> Option<ProfileEntry> {
         calls: calls?,
         total_ns: total?,
         child_ns: child?,
-        samples: samples?,
     })
 }
 
@@ -473,6 +476,74 @@ mod tests {
         assert_eq!(traced.to_json(), format!("{head},{tail}"));
     }
 
+    /// A shard report's wire bytes, as earlier workers wrote them: every
+    /// profile stanza still carries its `samples=0` line.
+    #[test]
+    fn report_keeps_its_wire_bytes() {
+        let table = pas_obs::profile::ProfileTable::with_defaults();
+        let path = table.intern_stack(&["worker.shard.execute", "exec.point"]);
+        table.record(path.expect("interns"), 4_500_000, 4_000_000);
+        let report = ShardReport {
+            job: 1,
+            shard: 2,
+            worker: 3,
+            points: vec![PointReport {
+                index: 7,
+                key: "ab12".to_string(),
+                record: sample_record(41),
+            }],
+            spans: vec![SpanRecord {
+                trace: 0x00c0_ffee,
+                span: 0x1111,
+                parent: 0x2222,
+                name: "worker.shard.execute".to_string(),
+                labels: vec![("weird".to_string(), "a=b\nc\\d".to_string())],
+                proc: "worker:w= 1".to_string(),
+                start_us: 1_000_000,
+                dur_us: 250,
+            }],
+            profile: table.snapshot(),
+        };
+        let body = r"job=1
+shard=2
+worker=3
+--
+index=7
+key=ab12
+x=3fd3333333333334
+label=PAS\e\nweird\\label
+seed=41
+assign=max_sleep_s=4010000000000000
+nassign=predictor=kalman
+delay=7ff8000000000000
+energy=8000000000000000
+reached=30
+detected=29
+missed=1
+requests=7
+responses=6
+events=12345
+duration=7e37e43c8800759c
+--
+span=0000000000001111
+trace=0000000000c0ffee
+parent=0000000000002222
+name=worker.shard.execute
+proc=worker:w\e 1
+start=1000000
+dur=250
+label=weird=a\eb\nc\\d
+--
+prof=1
+total=4500000
+child=4000000
+samples=0
+frame=worker.shard.execute
+frame=exec.point
+";
+        assert_eq!(encode_report(&report), body);
+    }
+
     #[test]
     fn report_roundtrips_bit_exact() {
         let report = ShardReport {
@@ -592,7 +663,6 @@ mod tests {
                     calls: 1,
                     total_ns: 5_000_000,
                     child_ns: 4_500_000,
-                    samples: 0,
                 },
                 ProfileEntry {
                     stack: vec![
@@ -603,7 +673,6 @@ mod tests {
                     calls: 40,
                     total_ns: 4_500_000,
                     child_ns: 0,
-                    samples: 7,
                 },
             ],
         };
@@ -611,8 +680,23 @@ mod tests {
         assert_eq!(back.points.len(), 1);
         assert_eq!(back.profile, report.profile);
 
+        // The line held a wall-clock sampler's count, and the decoder
+        // took any `u64`: it still does, and drops the count.
+        let head = "job=1\nshard=2\nworker=3\n--\nprof=1\ntotal=5\nchild=0\n";
+        let sampled = decode_report(&format!("{head}samples=7\nframe=a\n")).expect("decodes");
+        let want = ProfileEntry {
+            stack: vec!["a".to_string()],
+            calls: 1,
+            total_ns: 5,
+            child_ns: 0,
+        };
+        assert_eq!(sampled.profile, [want]);
+        // The line must still be there and numeric, as earlier schedulers
+        // require.
+        assert!(decode_report(&format!("{head}samples=x\nframe=a\n")).is_none());
+        assert!(decode_report(&format!("{head}frame=a\n")).is_none());
+
         // A frame-less profile stanza is rejected, not silently dropped.
-        let body = "job=1\nshard=2\nworker=3\n--\nprof=1\ntotal=5\nchild=0\nsamples=0\n";
-        assert!(decode_report(body).is_none());
+        assert!(decode_report(&format!("{head}samples=0\n")).is_none());
     }
 }

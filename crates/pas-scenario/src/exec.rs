@@ -10,7 +10,9 @@
 //! what `pas-server`'s result cache calls, so cached and direct batches
 //! cannot drift apart.
 
-use crate::manifest::{AxisValue, FailureSpec, Manifest, ManifestError, SWEEP_PREDICTOR};
+use crate::manifest::{
+    assigned, AxisValue, FailureSpec, Manifest, ManifestError, SWEEP_FAILURE_P, SWEEP_PREDICTOR,
+};
 use pas_core::{run, FailurePlan, RunConfig, Scenario};
 use pas_diffusion::StimulusField;
 use pas_sim::{Rng, SimTime};
@@ -266,15 +268,19 @@ impl ExecOptions {
     }
 }
 
-/// Build the failure plan for one run (deterministic in the seed).
+/// Build the failure plan for one run (deterministic in the seed) under
+/// sweep-axis assignments: a `failure_p` assignment overrides the
+/// declared `[failures] p`.
 pub fn failure_plan(
     manifest: &Manifest,
     scenario: &Scenario,
     field: &dyn StimulusField,
+    assignments: &[(String, AxisValue)],
 ) -> FailurePlan {
     match manifest.failures {
         FailureSpec::None => FailurePlan::default(),
         FailureSpec::Random { p, horizon_s } => {
+            let p = assigned(assignments, SWEEP_FAILURE_P).unwrap_or(p);
             let mut rng = Rng::substream(scenario.seed, STREAM_FAILURES);
             FailurePlan::random(scenario.node_count, p, horizon_s, &mut rng)
         }
@@ -314,7 +320,7 @@ pub fn execute_point(manifest: &Manifest, field: &dyn StimulusField, pt: &RunPoi
     let scenario = manifest.scenario_for(pt.seed, &pt.assignments);
     let mut cfg = RunConfig::new(pt.policy)
         .with_channel(manifest.channel.kind())
-        .with_failures(failure_plan(manifest, &scenario, field));
+        .with_failures(failure_plan(manifest, &scenario, field, &pt.assignments));
     cfg.grace_s = manifest.run.grace_s;
     if let Some(h) = manifest.run.horizon_s {
         cfg = cfg.with_horizon(h);

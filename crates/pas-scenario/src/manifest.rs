@@ -422,7 +422,8 @@ impl PolicySpec {
 }
 
 /// One resolved value of a sweep axis: numeric for [`AdaptiveParams`]
-/// fields and the `nodes` axis, a name for the `predictor` axis.
+/// fields and the `nodes` and `failure_p` axes, a name for the
+/// `predictor` axis.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AxisValue {
     /// A numeric assignment (`max_sleep_s = 8.0`, `nodes = 45`).
@@ -461,7 +462,8 @@ impl std::fmt::Display for AxisValue {
 /// The value list of one sweep axis.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AxisValues {
-    /// Numeric values ([`AdaptiveParams`] fields and `nodes`).
+    /// Numeric values ([`AdaptiveParams`] fields, `nodes` and
+    /// `failure_p`).
     Numeric(Vec<f64>),
     /// Predictor names (`predictor = ["planar", "kalman", ...]`).
     Names(Vec<String>),
@@ -515,8 +517,9 @@ impl From<Vec<f64>> for AxisValues {
 /// One swept parameter axis (`[sweep]` entry): every value in `values`
 /// is applied to every policy it concerns — [`AdaptiveParams`] fields and
 /// the `predictor` axis to adaptive policies, the `nodes` axis to the
-/// deployment itself. The first axis is the report x-axis (a names axis
-/// reports its variant index).
+/// deployment itself, the `failure_p` axis to the random failure model.
+/// The first axis is the report x-axis (a names axis reports its variant
+/// index).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepAxis {
     /// Field name (e.g. `max_sleep_s`, `predictor`, `nodes`).
@@ -530,6 +533,19 @@ pub const SWEEP_PREDICTOR: &str = "predictor";
 
 /// Sweep-axis field selecting the deployment node count (density sweeps).
 pub const SWEEP_NODES: &str = "nodes";
+
+/// Sweep-axis field selecting the per-node probability of a random
+/// failure (`[failures] kind = "random"` only). Not `failures.p`: a
+/// dotted TOML key would read back as a nested table.
+pub const SWEEP_FAILURE_P: &str = "failure_p";
+
+/// The numeric value a sweep assigns to `field`, if any.
+pub(crate) fn assigned(assignments: &[(String, AxisValue)], field: &str) -> Option<f64> {
+    assignments
+        .iter()
+        .find(|(f, _)| f == field)
+        .and_then(|(_, v)| v.as_num())
+}
 
 /// Replicate/run parameters (`[run]`).
 #[derive(Debug, Clone, PartialEq)]
@@ -1174,12 +1190,12 @@ impl Manifest {
                         }
                     }
                     AxisValues::Numeric(counts)
-                } else if PARAM_FIELDS.contains(&field) {
+                } else if PARAM_FIELDS.contains(&field) || field == SWEEP_FAILURE_P {
                     AxisValues::Numeric(f64_list(values, &format!("sweep.{field}"))?)
                 } else {
                     return Err(err(format!(
                         "cannot sweep unknown field `{field}` (known: {}, {SWEEP_PREDICTOR}, \
-                         {SWEEP_NODES})",
+                         {SWEEP_NODES}, {SWEEP_FAILURE_P})",
                         PARAM_FIELDS.join(", ")
                     )));
                 };
@@ -1334,6 +1350,17 @@ impl Manifest {
                     "cannot sweep `nodes` with a grid deployment (cols x rows is fixed)",
                 ));
             }
+            if axis.field == SWEEP_FAILURE_P {
+                if !matches!(self.failures, FailureSpec::Random { .. }) {
+                    return Err(err(
+                        "sweeping `failure_p` needs `[failures] kind = \"random\"`",
+                    ));
+                }
+                let probability = |p: &f64| (0.0..=1.0).contains(p);
+                if !matches!(&axis.values, AxisValues::Numeric(ps) if ps.iter().all(probability)) {
+                    return Err(err("sweep.failure_p values must be in [0, 1]"));
+                }
+            }
         }
         // A poisson deployment must be able to hold the densest point of
         // the run matrix: above the disk-packing area bound, placement is
@@ -1421,17 +1448,15 @@ impl Manifest {
     /// The [`Scenario`] for one replicate seed under sweep-axis
     /// assignments: a `nodes` assignment overrides the declared
     /// deployment density (density sweeps); every other axis leaves the
-    /// physical arena untouched.
+    /// physical arena untouched (a `failure_p` assignment concerns the
+    /// failure plan, see [`failure_plan`](crate::exec::failure_plan)).
     pub fn scenario_for(&self, seed: u64, assignments: &[(String, AxisValue)]) -> Scenario {
         let kind = match self.deployment.kind {
             DeployKindSpec::Uniform => DeploymentKind::Uniform,
             DeployKindSpec::Grid { cols, rows } => DeploymentKind::Grid { cols, rows },
             DeployKindSpec::Poisson { min_dist } => DeploymentKind::PoissonDisk { min_dist },
         };
-        let node_count = assignments
-            .iter()
-            .find(|(f, _)| f == SWEEP_NODES)
-            .and_then(|(_, v)| v.as_num())
+        let node_count = assigned(assignments, SWEEP_NODES)
             .map(|v| v as usize)
             .unwrap_or(self.deployment.nodes);
         Scenario {
@@ -1458,8 +1483,9 @@ impl Manifest {
     /// Axis assignments are applied after per-policy overrides: the swept
     /// variable really varies, for every adaptive policy. A `predictor`
     /// assignment mounts the named estimator (default parameters); a
-    /// `nodes` assignment concerns the deployment, not the params, and is
-    /// skipped here (see [`Manifest::scenario_for`]).
+    /// `nodes` or `failure_p` assignment concerns the world, not the
+    /// params, and is skipped here (see [`Manifest::scenario_for`] and
+    /// [`failure_plan`](crate::exec::failure_plan)).
     pub fn adaptive_params(
         &self,
         spec: &PolicySpec,
@@ -1481,7 +1507,7 @@ impl Manifest {
         }
         for (field, value) in assignments {
             match value {
-                AxisValue::Num(_) if field == SWEEP_NODES => {}
+                AxisValue::Num(_) if field == SWEEP_NODES || field == SWEEP_FAILURE_P => {}
                 AxisValue::Num(v) => set_param(&mut params, field, *v)?,
                 AxisValue::Name(name) if field == SWEEP_PREDICTOR => {
                     params.predictor = PredictorSpec::from_name(name).ok_or_else(|| {

@@ -3,15 +3,16 @@
 //! The registry ships the paper-default workload (the Fig. 4/6 grid), the
 //! Fig. 5/7 alert sweep, the three example scenarios, the
 //! predictor-shootout grid (every arrival-estimator variant × deployment
-//! density), and the estimator ablation (Oracle vs PAS vs SAS vs NS) as
-//! compiled-in TOML. `pas list` enumerates them;
-//! `pas run <name>` executes one; `pas show <name>` prints the TOML as a
-//! starting point for custom manifests.
+//! density), the estimator ablation (Oracle vs PAS vs SAS vs NS) and the
+//! failure ablation (PAS under random node failures) as compiled-in TOML.
+//! `pas list` enumerates them; `pas run <name>` executes one;
+//! `pas show <name>` prints the TOML as a starting point for custom
+//! manifests.
 
 use crate::manifest::{Manifest, ManifestError};
 
 /// `(name, TOML source)` for every built-in scenario.
-pub const BUILTINS: [(&str, &str); 7] = [
+pub const BUILTINS: [(&str, &str); 8] = [
     (
         "paper-default",
         include_str!("../manifests/paper-default.toml"),
@@ -36,6 +37,10 @@ pub const BUILTINS: [(&str, &str); 7] = [
     (
         "ablate-estimator",
         include_str!("../manifests/ablate-estimator.toml"),
+    ),
+    (
+        "ablate-failures",
+        include_str!("../manifests/ablate-failures.toml"),
     ),
 ];
 
@@ -87,6 +92,7 @@ mod tests {
             "plume-monitoring",
             "predictor-shootout",
             "ablate-estimator",
+            "ablate-failures",
         ] {
             assert!(names.contains(&required), "missing {required}");
         }

@@ -577,6 +577,57 @@ fn nodes_sweep_axis_changes_deployment_density() {
 }
 
 #[test]
+fn failure_p_sweep_axis_overrides_the_random_failure_probability() {
+    use pas_scenario::failure_plan;
+    let random = "[failures]\nkind = \"random\"\np = 0.5\nhorizon_s = 60.0\n";
+    let with = |failures: &str, values: &str| {
+        pas_with_predictor("", &format!("{failures}\n[sweep]\nfailure_p = [{values}]"))
+    };
+    let m = Manifest::parse(&with(random, "0.0, 1.0")).unwrap();
+    assert_eq!(Manifest::parse(&m.to_toml()).unwrap(), m, "round-trips");
+    let points = expand(&m).unwrap();
+    assert_eq!(points.len(), 2 * 2);
+    let field = m.build_field();
+    let failing = |assignments: &[(String, pas_scenario::AxisValue)]| {
+        let scenario = m.scenario_for(1, assignments);
+        failure_plan(&m, &scenario, &*field, assignments).failing_count()
+    };
+    assert_eq!(failing(&points[0].assignments), 0, "p = 0: nobody fails");
+    assert_eq!(
+        failing(&points[2].assignments),
+        30,
+        "p = 1: everybody fails"
+    );
+    let declared = failing(&[]);
+    assert!(
+        0 < declared && declared < 30,
+        "unswept, [failures] p = 0.5 holds"
+    );
+    // The axis leaves the policy's parameters alone.
+    assert_eq!(
+        m.adaptive_params(&m.policies[0], &points[2].assignments),
+        m.adaptive_params(&m.policies[0], &[])
+    );
+
+    // Probabilities outside [0, 1] and failure models other than
+    // "random" are rejected.
+    for values in ["1.5", "-0.1", "0.2, 2.0"] {
+        let e = Manifest::parse(&with(random, values)).unwrap_err();
+        assert!(
+            e.msg.contains("sweep.failure_p values must be in [0, 1]"),
+            "{e}"
+        );
+    }
+    for failures in ["", "[failures]\nkind = \"front_kill\"\ndelay_s = 5.0\n"] {
+        let e = Manifest::parse(&with(failures, "0.1")).unwrap_err();
+        assert!(
+            e.msg.contains("needs `[failures] kind = \"random\"`"),
+            "{e}"
+        );
+    }
+}
+
+#[test]
 fn predictor_variants_produce_distinct_deterministic_results() {
     use pas_scenario::{execute, ExecOptions};
     let m = Manifest::parse(&pas_with_predictor(

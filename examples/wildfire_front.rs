@@ -35,7 +35,7 @@ fn main() {
 
     // The fire destroys sensors ~30 s after the front passes them
     // (`[failures] kind = "front_kill"` in the manifest).
-    let failures = failure_plan(&manifest, &scenario, &fire);
+    let failures = failure_plan(&manifest, &scenario, &fire, &[]);
 
     println!("Wildfire over heterogeneous terrain — FMM fronts + failures + loss\n");
     println!(

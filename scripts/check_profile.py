@@ -7,8 +7,9 @@ profile, checks in order:
 1. folded grammar: every line is ``frame(;frame)* <int self-us>`` with
    non-empty frames, and lines are in sorted order (the renderer's
    byte-stability contract);
-2. JSON schema: a ``paths`` array of objects carrying ``stack``,
-   ``calls``, ``total_us``, ``self_us``, ``samples`` with
+2. JSON schema: a ``paths`` array of objects carrying exactly
+   ``stack``, ``calls``, ``total_us`` and ``self_us`` (the retired
+   wall-clock sampler's ``samples`` must not come back) with
    ``self_us <= total_us``, a ``dropped`` counter, and per-parent
    consistency — the sum of a stack's direct children's totals never
    exceeds the parent's total (beyond micro-second rounding);
@@ -31,6 +32,9 @@ import sys
 import xml.etree.ElementTree as ET
 
 LINE = re.compile(r"^(?P<stack>[^ ]+(?: [^ ]+)*) (?P<n>\d+)$")
+
+# The fields of one JSON path, no more and no fewer.
+PATH_KEYS = {"stack", "calls", "total_us", "self_us"}
 
 
 def fail(msg: str) -> None:
@@ -71,7 +75,9 @@ def check_json(path: str) -> list:
         fail("profile JSON lacks a non-empty 'paths' array")
     by_stack = {}
     for i, p in enumerate(paths):
-        for key in ("calls", "total_us", "self_us", "samples"):
+        if not isinstance(p, dict) or set(p) != PATH_KEYS:
+            fail(f"path {i} does not carry exactly {sorted(PATH_KEYS)}: {p!r}")
+        for key in ("calls", "total_us", "self_us"):
             if not isinstance(p.get(key), int) or p[key] < 0:
                 fail(f"path {i} has bad {key}: {p.get(key)!r}")
         if not isinstance(p.get("stack"), str) or not p["stack"]:

@@ -46,7 +46,7 @@ USAGE:
                                       sparklines, refreshing in place
     pas trace <job-id> [options]      fetch a job's causal span trace
     pas profile [<name|path>] [opts]  region profile: run a manifest locally
-                                      (detail regions on) or sample a running
+                                      (detail regions on) or read a running
                                       server's /profile window, as a folded
                                       stack listing, SVG flamegraph, or JSON
     pas bench [options]               time expansion, batches, predictors,
@@ -139,8 +139,6 @@ PROFILE OPTIONS:
     --seconds N          remote mode: reset the server's table and profile
                          a fresh N-second window (max 60)
     --format FMT         folded (default) | svg | json
-    --hz N               local mode: also run the wall-clock sampler at
-                         N Hz, populating per-stack sample counts
     --threads N          local mode: execution threads (default 1)
     --out FILE           write the rendering to FILE instead of stdout
 
@@ -1199,11 +1197,7 @@ struct ProfileOpts {
 #[derive(Debug, PartialEq)]
 enum ProfileSource {
     /// Execute a scenario in-process with the detail regions on.
-    Local {
-        scenario: String,
-        hz: Option<u32>,
-        threads: usize,
-    },
+    Local { scenario: String, threads: usize },
     /// Fetch `GET /profile` from a running server.
     Remote { addr: String, seconds: Option<u64> },
 }
@@ -1211,7 +1205,7 @@ enum ProfileSource {
 fn parse_profile(args: &[String]) -> Result<ProfileOpts, String> {
     use ProfileFormat as F;
     let (mut scenario, mut serve_url, mut seconds) = (None, None, None);
-    let (mut hz, mut threads, mut format, mut out) = (None, None, F::Folded, None);
+    let (mut threads, mut format, mut out) = (None, F::Folded, None);
     Cursor::each("profile", args, |c, arg| {
         match arg {
             "--serve-url" => serve_url = Some(c.value(arg)?),
@@ -1219,7 +1213,6 @@ fn parse_profile(args: &[String]) -> Result<ProfileOpts, String> {
             "--format" => {
                 format = [F::Folded, F::Svg, F::Json][c.choice(arg, &["folded", "svg", "json"])?]
             }
-            "--hz" => hz = Some(c.value(arg)?),
             "--threads" => threads = Some(c.value(arg)?),
             "--out" => out = Some(c.value(arg)?),
             _ => c.positional(&mut scenario, arg)?,
@@ -1228,7 +1221,6 @@ fn parse_profile(args: &[String]) -> Result<ProfileOpts, String> {
     })?;
     let source = match (serve_url, scenario) {
         (Some(_), Some(_)) => return Err("give either a scenario or --serve-url, not both".into()),
-        (Some(_), None) if hz.is_some() => return Err("--hz only applies to local mode".into()),
         (Some(_), None) if threads.is_some() => {
             return Err("--threads only applies to local mode".into())
         }
@@ -1238,7 +1230,6 @@ fn parse_profile(args: &[String]) -> Result<ProfileOpts, String> {
         }
         (None, Some(scenario)) => ProfileSource::Local {
             scenario,
-            hz,
             threads: threads.unwrap_or(1),
         },
         (None, None) => {
@@ -1266,20 +1257,13 @@ fn cmd_profile(pa: ProfileOpts) -> CmdResult {
             .map_err(|e| {
                 format!("{addr}: /profile: {e} (is the server running with --metrics?)")
             })?,
-        ProfileSource::Local {
-            scenario,
-            hz,
-            threads,
-        } => {
+        ProfileSource::Local { scenario, threads } => {
             let m = load(&scenario)?;
             // Local mode owns the process: add the detail regions the
             // always-on coarse set leaves out, start from a zeroed table.
             pas_obs::profile::set_detail(true);
             pas_obs::profile::reset();
-            let sampler = hz.map(pas_obs::profile::start_sampler);
             let result = execute(&m, ExecOptions { threads });
-            // Join the sampler before rendering so its last tick lands.
-            drop(sampler);
             pas_obs::profile::set_detail(false);
             result?;
             match pa.format {
@@ -1794,7 +1778,7 @@ pas_e_count 0
             ("bench x.json", "x.json"),
             ("status --raw", "--raw"),
             ("serve --history-interval-ms 200", "--history-interval-ms"),
-            ("profile --serve-url h:1 --hz 99", "--hz"),
+            ("profile paper-default --hz 99", "--hz"),
             ("profile --serve-url h:1 --threads 2", "--threads"),
             ("profile paper-default --seconds 5", "--seconds"),
             ("profile --addr h:1", "--addr"),
@@ -2081,7 +2065,6 @@ pas_e_count 0
             Ok(profile(
                 ProfileSource::Local {
                     scenario: "paper-default".into(),
-                    hz: None,
                     threads: 1,
                 },
                 "ci-profile.folded",
@@ -2089,7 +2072,6 @@ pas_e_count 0
             Ok(Command::Profile(ProfileOpts {
                 source: ProfileSource::Local {
                     scenario: "paper-default".into(),
-                    hz: None,
                     threads: 1,
                 },
                 format: ProfileFormat::Json,

@@ -11,7 +11,10 @@
 //! no-regression promise (CI double-checks the same equality through
 //! the real CLI binary). `ablate-estimator.csv` is the CSV the
 //! estimator ablation wrote when it was a hard-coded binary, with the
-//! stamp column appended.
+//! stamp column appended. `ablate-failures.csv` was written by the
+//! manifest that replaced the failure-ablation binary, after checking
+//! that its `delay_mean_s` and `energy_mean_j` equal the binary's CSV
+//! byte for byte.
 //!
 //! The summary CSVs average per-run counters such as `events_processed`
 //! and `requests_sent`, or leave them out. `golden/records.sha256` pins
@@ -81,6 +84,11 @@ golden!(
     ablate_estimator_is_byte_identical,
     "ablate-estimator",
     "golden/ablate-estimator.csv"
+);
+golden!(
+    ablate_failures_is_byte_identical,
+    "ablate-failures",
+    "golden/ablate-failures.csv"
 );
 
 /// Every registry scenario's per-run records match their pinned digest,

@@ -3,6 +3,7 @@
 //! every JSON writer. Tier-1 runs a small budget; CI runs the ignored
 //! long one with `cargo test --release --test json_hostile -- --ignored`.
 
+use fuzz::Rng;
 use pas_bench::BenchHistory;
 use pas_dist::{Register, Registered, Scheduler, SchedulerOptions, ShardGrant};
 use pas_obs::json::{parse, quote, Json};
@@ -10,20 +11,9 @@ use pas_server::{
     Client, HistoryFormat, ProfileFormat, ReportFormat, ResultCache, ResultFormat, Server,
     ServerOptions, TraceFormat,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-/// xorshift64*: every case is a pure function of the seed.
-struct Rng(u64);
-
-impl Rng {
-    fn below(&mut self, n: usize) -> usize {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n.max(1) as u64) as usize
-    }
-}
+mod fuzz;
 
 /// Free text as a hostile worker or operator would pick it.
 const NASTY: &str = "w\"1\\}{,:[\u{1}\r\n\té🦀";
@@ -124,58 +114,23 @@ fn decode_all(text: &str) {
 /// Bytes JSON gives meaning to, so flips change structure.
 const SYNTAX: &[u8] = b"{}[]\",:\\-+.eE09tfnu \n\x00\xff";
 
-/// Byte flips, a truncation, a splice with `other`, or a duplicated span.
-fn mutate(rng: &mut Rng, body: &[u8], other: &[u8]) -> Vec<u8> {
-    let mut out = body.to_vec();
-    let at = rng.below(body.len() + 1);
-    match rng.below(4) {
-        0 => {
-            for _ in 0..=rng.below(4) {
-                let i = rng.below(out.len());
-                let flip = out[i] ^ (1 << rng.below(8));
-                out[i] = [flip, SYNTAX[rng.below(SYNTAX.len())]][rng.below(2)];
-            }
-        }
-        1 => out.truncate(at),
-        2 => {
-            out.truncate(at);
-            out.extend_from_slice(&other[rng.below(other.len())..]);
-        }
-        _ => {
-            let end = at + rng.below(body.len() - at + 1);
-            out.splice(at..at, body[at..end].iter().copied());
-        }
-    }
-    out
-}
-
-fn fuzz(rounds: usize) {
+fn fuzz_corpus(rounds: usize) {
     let corpus = corpus();
     for (name, body) in &corpus {
         assert!(parse(body).is_some(), "{name} wrote invalid JSON:\n{body}");
     }
-    let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
-    for round in 0..rounds {
-        for (name, body) in &corpus {
-            let other = &corpus[rng.below(corpus.len())].1;
-            let bytes = mutate(&mut rng, body.as_bytes(), other.as_bytes());
-            let text = String::from_utf8_lossy(&bytes);
-            if catch_unwind(AssertUnwindSafe(|| decode_all(&text))).is_err() {
-                panic!("round {round}: a decoder panicked on mutated {name}: {text:?}");
-            }
-        }
-    }
+    fuzz::run(&corpus, rounds, SYNTAX, decode_all);
 }
 
 #[test]
 fn mutations_never_panic() {
-    fuzz(300);
+    fuzz_corpus(300);
 }
 
 #[test]
 #[ignore = "the larger budget, for CI in release"]
 fn mutations_never_panic_long() {
-    fuzz(100_000);
+    fuzz_corpus(100_000);
 }
 
 #[test]
