@@ -29,6 +29,7 @@
 
 use crate::protocol::{Register, Registered, ShardGrant, ShardReport};
 use pas_obs::json::quote;
+use pas_obs::trace::folded;
 use pas_scenario::{expand, reduce, BatchResult, Manifest, RunRecord};
 use pas_server::http::{Request, Response};
 use pas_server::json;
@@ -313,9 +314,11 @@ impl Scheduler {
     /// the job when the last slot fills. Idempotent for late or repeated
     /// reports. `Err` carries a message for a `400` (key mismatch — a
     /// worker executing a different matrix than the server expanded).
-    pub fn report(&self, report: &ShardReport) -> Result<ReportAck, String> {
-        // Covers the whole report; the cache writes record as its
-        // `cache.store` children.
+    /// Accepted keys and records move out of the report into the job and
+    /// the cache writes.
+    pub fn report(&self, report: ShardReport) -> Result<ReportAck, String> {
+        // Covers the whole report; the cache writes fold into its
+        // `cache.store` child.
         let mut span = pas_obs::span("sched.report");
         let now = Instant::now();
         let mut s = self.lock();
@@ -351,10 +354,11 @@ impl Scheduler {
         // and lease renewals fleet-wide), but before the job's completion
         // is published, so "completed" still implies "warm on disk".
         let mut to_store: Vec<(String, RunRecord)> = Vec::new();
-        for p in &report.points {
+        let empty = report.points.is_empty();
+        for p in report.points {
             if job.records[p.index].is_none() {
-                to_store.push((p.key.clone(), p.record.clone()));
                 job.records[p.index] = Some(p.record.clone());
+                to_store.push((p.key, p.record));
                 job.filled += 1;
                 job.executed += 1;
                 ack.accepted += 1;
@@ -385,11 +389,7 @@ impl Scheduler {
         // Close the grant-to-report lease span and nest this report
         // under it.
         if let (Some(tr), Some(lease)) = (trace, &retired) {
-            let outcome = if report.points.is_empty() {
-                "empty"
-            } else {
-                "reported"
-            };
+            let outcome = if empty { "empty" } else { "reported" };
             close_lease(tr, &s.workers, report.shard, lease, outcome);
             span = span
                 .parent(tr.id, lease.span)
@@ -448,13 +448,12 @@ impl Scheduler {
         if !report.profile.is_empty() {
             pas_obs::profile::ingest(&report.profile);
         }
-        {
-            let _ctx = span.ctx().map(|(t, p)| pas_obs::trace::enter(t, p));
+        folded(span.ctx(), || {
             for (key, record) in &to_store {
                 // A failed store only costs a future recomputation.
                 let _ = self.cache.store(key, record);
             }
-        }
+        });
         // Closed before the job publishes, so a finished job's trace is
         // complete.
         span.finish();
@@ -506,25 +505,26 @@ impl Scheduler {
         let mut records: Vec<Option<RunRecord>> = Vec::with_capacity(total);
         let mut missing: Vec<usize> = Vec::new();
         let mut hits = 0u64;
-        // Ambient trace context so the cache probes below record
-        // `cache.probe` spans under the job's root.
-        let _trace_ctx = trace.map(|tr| pas_obs::trace::enter(tr.id, tr.root));
-        let key_prefix = KeyPrefix::new(&manifest);
-        for pt in &points {
-            let key = key_prefix.key(pt);
-            match self.cache.load(&key) {
-                Some(r) => {
-                    records.push(Some(r));
-                    hits += 1;
+        let prefix = KeyPrefix::new(&manifest);
+        let cell_keys = prefix.cells(&points);
+        // The cache probes fold into `cache.probe` aggregates under the
+        // job's root, filed before the job can publish.
+        folded(trace.map(|tr| (tr.id, tr.root)), || {
+            for pt in &points {
+                let key = cell_keys.key(pt);
+                match self.cache.load(&key) {
+                    Some(r) => {
+                        records.push(Some(r));
+                        hits += 1;
+                    }
+                    None => {
+                        records.push(None);
+                        missing.push(pt.index);
+                    }
                 }
-                None => {
-                    records.push(None);
-                    missing.push(pt.index);
-                }
+                keys.push(key);
             }
-            keys.push(key);
-        }
-        drop(_trace_ctx);
+        });
         let filled = total - missing.len();
         if missing.is_empty() {
             // Fully warm: no worker round trip at all.
@@ -706,7 +706,7 @@ impl Scheduler {
                 let Some(report) = crate::protocol::decode_report(&body()) else {
                     return Some(Response::error(400, "malformed report body"));
                 };
-                Some(match self.report(&report) {
+                Some(match self.report(report) {
                     Ok(ack) => Response::json(
                         200,
                         format!(
@@ -944,7 +944,7 @@ mod tests {
         loop {
             match sched.lease(w.worker) {
                 LeaseOutcome::Granted(grant) => {
-                    let ack = sched.report(&run_grant(&grant, w.worker)).unwrap();
+                    let ack = sched.report(run_grant(&grant, w.worker)).unwrap();
                     assert_eq!(ack.duplicates, 0);
                     shards += 1;
                 }
@@ -958,21 +958,32 @@ mod tests {
         assert_eq!(job.stats.hits, 0);
         assert_eq!(job.stats.misses, n as u64);
 
-        // Every accepted point's cache write is traced under the report
-        // that stored it, and each report span covers its writes.
+        // Every accepted point's cache write folds into the one
+        // `cache.store` aggregate under the report that stored it, and
+        // each report span covers its writes.
         let spans = pas_obs::trace::spans_for(job.trace.id);
-        let stores: Vec<_> = spans.iter().filter(|s| s.name == "cache.store").collect();
-        assert_eq!(stores.len(), n, "one cache.store span per accepted point");
+        let label = |s: &pas_obs::trace::SpanRecord, key: &str| -> Option<u64> {
+            let (_, v) = s.labels.iter().find(|(k, _)| k == key)?;
+            v.parse().ok()
+        };
         let reports: Vec<_> = spans.iter().filter(|s| s.name == "sched.report").collect();
-        assert!(stores
+        let stores: Vec<_> = spans
             .iter()
-            .all(|s| reports.iter().any(|r| r.span == s.parent)));
+            .filter(|s| s.name == "cache.store" && label(s, "points").is_some())
+            .collect();
+        assert_eq!(
+            stores.len(),
+            reports.len(),
+            "one cache.store aggregate per report"
+        );
+        let points: u64 = stores.iter().filter_map(|s| label(s, "points")).sum();
+        assert_eq!(
+            points, n as u64,
+            "the aggregates count every accepted point once"
+        );
         for r in reports {
-            let writes: u64 = stores
-                .iter()
-                .filter(|s| s.parent == r.span)
-                .map(|s| s.dur_us)
-                .sum();
+            let store = stores.iter().find(|s| s.parent == r.span).unwrap();
+            let writes = label(store, "sum_us").unwrap();
             assert!(
                 r.dur_us >= writes,
                 "report {}us < its writes {writes}us",
@@ -1035,7 +1046,7 @@ mod tests {
                     if grant.indices.iter().any(|i| doomed.indices.contains(i)) {
                         reexecuted = true;
                     }
-                    sched.report(&run_grant(&grant, live.worker)).unwrap();
+                    sched.report(run_grant(&grant, live.worker)).unwrap();
                 }
                 LeaseOutcome::Idle => break,
                 other => panic!("unexpected outcome {other:?}"),
@@ -1052,7 +1063,7 @@ mod tests {
 
         // The zombie finally reports: everything is a duplicate, nothing
         // double-counts, the completed job is untouched.
-        let ack = sched.report(&run_grant(&doomed, dead.worker)).unwrap();
+        let ack = sched.report(run_grant(&doomed, dead.worker)).unwrap();
         assert_eq!(ack.accepted, 0);
         assert_eq!(ack.duplicates, doomed.indices.len() as u64);
         let job = queue.status(id).unwrap();
@@ -1076,7 +1087,7 @@ mod tests {
         };
         let mut report = run_grant(&grant, w.worker);
         report.points[0].key = "0badc0de".into();
-        let err = sched.report(&report).unwrap_err();
+        let err = sched.report(report).unwrap_err();
         assert!(err.contains("key mismatch"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -11,7 +11,8 @@
 
 use crate::protocol::{encode_report, PointReport, Register, Registered, ShardGrant, ShardReport};
 use pas_diffusion::StimulusField;
-use pas_scenario::{expand_indices, Manifest, RunPoint};
+use pas_obs::trace::Fold;
+use pas_scenario::{execute_point_with, expand_indices, Manifest, PointSeries, RunPoint};
 use pas_server::http::roundtrip;
 use pas_server::json;
 use pas_server::{ClientError, KeyPrefix, RetryPolicy};
@@ -110,6 +111,7 @@ struct JobCtx {
     manifest: Manifest,
     field: Box<dyn StimulusField>,
     keys: KeyPrefix,
+    series: PointSeries,
 }
 
 /// Cumulative execute telemetry, shared between the shard loop (which
@@ -280,10 +282,12 @@ fn execute_shard(
                 .map_err(|e| ClientError::Protocol(format!("bad manifest in lease: {e}")))?;
             let field = manifest.build_field();
             let keys = KeyPrefix::new(&manifest);
+            let series = PointSeries::new(&manifest);
             let c = Arc::new(JobCtx {
                 manifest,
                 field,
                 keys,
+                series,
             });
             *ctx = Some((grant.job, Arc::clone(&c)));
             c
@@ -294,7 +298,7 @@ fn execute_shard(
             .map_err(|e| ClientError::Protocol(format!("bad shard indices: {e}")))?,
     );
 
-    // Per-point spans parent under the shard-execute span while it is
+    // Per-point spans fold under the shard-execute span while it is
     // open.
     let shard_label = grant.shard.to_string();
     let exec = pas_obs::span("worker.shard.execute")
@@ -304,7 +308,7 @@ fn execute_shard(
             "pas.worker.shard.execute.microseconds",
             &[("worker", &opts.name)],
         );
-    let exec_ctx = exec.ctx();
+    let fold = exec.ctx().map(|(t, p)| Fold::new(t, p));
     let left = opts
         .fail_after_points
         .map_or(u64::MAX, |b| b.saturating_sub(summary.points));
@@ -313,15 +317,19 @@ fn execute_shard(
         .min(usize::try_from(left).unwrap_or(usize::MAX));
     let c = Arc::clone(&job_ctx);
     let p = Arc::clone(&points);
+    let f = fold.clone();
     let records = pool.map_indexed(run, move |i| {
-        // Ambient context inside the pool closure: thread-locals do
-        // not cross pool threads, so each point re-enters it.
-        let _trace_ctx = exec_ctx.map(|(t, p)| pas_obs::trace::enter(t, p));
-        pas_scenario::execute_point(&c.manifest, c.field.as_ref(), &p[i])
+        // Ambient fold inside the pool closure: thread-locals do not
+        // cross pool threads, so each point re-enters it.
+        let _fold = f.as_ref().map(Fold::enter);
+        execute_point_with(&c.manifest, c.field.as_ref(), &p[i], &c.series)
     });
     summary.points += run as u64;
     if run < points.len() {
         return Ok(ShardOutcome::Died);
+    }
+    if let Some(fold) = fold {
+        fold.flush();
     }
     let shard_us = exec.finish();
     telemetry
@@ -332,11 +340,12 @@ fn execute_shard(
         .fetch_add(shard_us as u64, Ordering::Relaxed);
 
     // Drain the spans recorded under this lease (its `worker.lease.rtt`,
-    // `worker.shard.execute` and the points under it) into the report,
-    // piggybacking them on the result upload — no extra round trip, and a
-    // worker that dies before reporting simply loses its spans along with
-    // its shard. Only the lease's subtree ships, so a worker sharing the
-    // server's process and store never re-ships the server's spans.
+    // `worker.shard.execute` and the point aggregates under it) into the
+    // report, piggybacking them on the result upload — no extra round
+    // trip, and a worker that dies before reporting simply loses its
+    // spans along with its shard. Only the lease's subtree ships, so a
+    // worker sharing the server's process and store never re-ships the
+    // server's spans.
     let spans = if grant.trace != 0 {
         pas_obs::trace::take_under(grant.trace, grant.span)
     } else {
@@ -351,6 +360,7 @@ fn execute_shard(
     } else {
         Vec::new()
     };
+    let keys = job_ctx.keys.cells(&points);
     let report = ShardReport {
         job: grant.job,
         shard: grant.shard,
@@ -360,7 +370,7 @@ fn execute_shard(
             .zip(records)
             .map(|(pt, record)| PointReport {
                 index: pt.index,
-                key: job_ctx.keys.key(pt),
+                key: keys.key(pt),
                 record,
             })
             .collect(),

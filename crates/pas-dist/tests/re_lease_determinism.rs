@@ -28,8 +28,8 @@ fn tiny_manifest() -> Manifest {
 /// Execute `grant.indices[..limit]` points and build a (possibly
 /// partial) report the way a real worker would — including the
 /// piggybacked span tree a real worker ships: one `worker.shard.execute`
-/// parented under the grant's lease span, one `exec.point` per point
-/// under that.
+/// parented under the grant's lease span, and under that one `exec.point`
+/// aggregate with its slowest points as exemplar children.
 fn partial_report(
     m: &Manifest,
     grant: &pas_dist::ShardGrant,
@@ -38,36 +38,39 @@ fn partial_report(
 ) -> ShardReport {
     let field = m.build_field();
     let points = expand_indices(m, &grant.indices[..limit]).unwrap();
-    let exec_span = pas_obs::trace::mint_id();
     let t0 = pas_obs::trace::now_us();
-    let mut spans = vec![pas_obs::trace::SpanRecord {
-        trace: grant.trace,
-        span: exec_span,
-        parent: grant.span,
-        name: "worker.shard.execute".to_string(),
-        labels: vec![("worker".to_string(), format!("w{worker}"))],
-        proc: format!("worker:w{worker}"),
-        start_us: t0,
-        dur_us: 100,
-    }];
+    let span =
+        |parent: u64, name: &str, labels: Vec<(String, String)>| pas_obs::trace::SpanRecord {
+            trace: grant.trace,
+            span: pas_obs::trace::mint_id(),
+            parent,
+            name: name.to_string(),
+            labels,
+            proc: format!("worker:w{worker}"),
+            start_us: t0,
+            dur_us: 10,
+        };
+    let exec = span(
+        grant.span,
+        "worker.shard.execute",
+        vec![("worker".into(), format!("w{worker}"))],
+    );
+    let n = points.len();
+    let aggregate = span(
+        exec.span,
+        "exec.point",
+        vec![("points".into(), n.to_string())],
+    );
+    let exemplars = (0..n.min(pas_obs::trace::EXEMPLARS))
+        .map(|_| span(aggregate.span, "exec.point", Vec::new()));
+    let mut spans: Vec<_> = exemplars.collect();
+    spans.extend([exec, aggregate]);
     let records: Vec<PointReport> = points
         .iter()
-        .map(|pt| {
-            spans.push(pas_obs::trace::SpanRecord {
-                trace: grant.trace,
-                span: pas_obs::trace::mint_id(),
-                parent: exec_span,
-                name: "exec.point".to_string(),
-                labels: Vec::new(),
-                proc: format!("worker:w{worker}"),
-                start_us: t0,
-                dur_us: 10,
-            });
-            PointReport {
-                index: pt.index,
-                key: ResultCache::key(m, pt),
-                record: execute_point(m, field.as_ref(), pt),
-            }
+        .map(|pt| PointReport {
+            index: pt.index,
+            key: ResultCache::key(m, pt),
+            record: execute_point(m, field.as_ref(), pt),
         })
         .collect();
     ShardReport {
@@ -82,7 +85,8 @@ fn partial_report(
 
 /// Span-tree well-formedness: every non-root parent exists, no cycles,
 /// and worker spans nest where the protocol says they must
-/// (`exec.point` under `worker.shard.execute` under `sched.lease`).
+/// (`exec.point` exemplars under their aggregate, under
+/// `worker.shard.execute`, under `sched.lease`).
 fn assert_well_formed(spans: &[pas_obs::trace::SpanRecord]) {
     use std::collections::HashMap;
     let by_id: HashMap<u64, &pas_obs::trace::SpanRecord> =
@@ -115,11 +119,18 @@ fn assert_well_formed(spans: &[pas_obs::trace::SpanRecord]) {
             "worker.shard.execute" | "worker.lease.rtt" => {
                 assert_eq!(parent.name, "sched.lease", "worker spans nest under lease")
             }
+            "exec.point" | "cache.probe" | "cache.store" if parent.name == s.name => assert!(
+                parent.labels.iter().any(|(k, _)| k == "points"),
+                "an exemplar {} nests under its aggregate",
+                s.name
+            ),
             "exec.point" => assert!(
                 parent.name == "worker.shard.execute" || parent.name == "job.execute",
                 "exec.point under shard execute, got {}",
                 parent.name
             ),
+            "cache.probe" => assert_eq!(parent.name, "job", "claim probes under the root"),
+            "cache.store" => assert_eq!(parent.name, "sched.report", "stores under the report"),
             "sched.lease" | "sched.assemble" | "job.queued" | "job.execute" => {
                 assert_eq!(parent.name, "job", "{} hangs off the root", s.name)
             }
@@ -178,7 +189,7 @@ proptest! {
                         }
                         left -= grant.indices.len();
                         let full = partial_report(&m, &grant, reg.worker, grant.indices.len());
-                        sched.report(&full).unwrap();
+                        sched.report(full).unwrap();
                     }
                     LeaseOutcome::Idle => break,
                     other => panic!("unexpected outcome {other:?}"),
@@ -197,13 +208,13 @@ proptest! {
         while queue.status(id).unwrap().phase != JobPhase::Completed {
             if let Some(z) = zombies.pop() {
                 // Late report from a "dead" worker: must dedup cleanly.
-                sched.report(&z).unwrap();
+                sched.report(z).unwrap();
                 continue;
             }
             match sched.lease(reg.worker) {
                 LeaseOutcome::Granted(grant) => {
                     let full = partial_report(&m, &grant, reg.worker, grant.indices.len());
-                    sched.report(&full).unwrap();
+                    sched.report(full).unwrap();
                 }
                 LeaseOutcome::Idle => {
                     // An unexpired lease from a mortal that died between

@@ -131,14 +131,25 @@ fn in_process_workers_ship_only_their_leases_spans() {
         "filler moved or duplicated"
     );
 
-    // The reports carried exactly the workers' own spans: one
-    // `exec.point` per point, and a `worker.lease.rtt` and a
-    // `worker.shard.execute` per shard.
+    // The reports carried exactly the workers' own spans: per shard a
+    // `worker.lease.rtt`, a `worker.shard.execute` and one `exec.point`
+    // aggregate, whose `points` labels count every point once. A shard
+    // holds fewer points than an aggregate keeps exemplars, so each of
+    // its points also ships as an exemplar.
+    const { assert!(SHARD_POINTS <= trace::EXEMPLARS) };
     let named = |name: &str| spans.iter().filter(|s| s.name == name).count() as u64;
-    assert_eq!(named("exec.point"), points);
+    let aggregates: Vec<u64> = spans
+        .iter()
+        .filter(|s| s.name == "exec.point")
+        .filter_map(|s| s.labels.iter().find(|(k, _)| k == "points"))
+        .map(|(_, v)| v.parse().unwrap())
+        .collect();
+    assert_eq!(aggregates.len() as u64, shards);
+    assert_eq!(aggregates.iter().sum::<u64>(), points);
+    assert_eq!(named("exec.point"), shards + points);
     assert_eq!(named("worker.shard.execute"), shards);
     assert_eq!(named("worker.lease.rtt"), shards);
-    assert_eq!(spans_count() - before, points + 2 * shards);
+    assert_eq!(spans_count() - before, points + 3 * shards);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

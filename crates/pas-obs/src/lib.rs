@@ -20,7 +20,9 @@
 //! A timed seam is instrumented with one guard, [`span`]: it reads the
 //! monotonic clock at open and at close, and from that one measurement
 //! feeds the seam's [`profile`] region, an optional histogram here, and
-//! a [`trace`] span.
+//! a [`trace`] span. A seam that updates one fixed series per point
+//! binds it once per process through a [`CounterSite`] or
+//! [`HistogramSite`] instead of looking it up by name on every update.
 //!
 //! [`json`] is the workspace's one JSON codec: writers quote strings with
 //! [`json::quote`], readers decode with [`json::parse`].
@@ -516,13 +518,6 @@ pub fn gauge_set(name: &str, labels: &[(&str, &str)], v: i64) {
     }
 }
 
-/// Record into a global histogram with [`US_BUCKETS`].
-pub fn observe_us(name: &str, labels: &[(&str, &str)], us: f64) {
-    if enabled() {
-        global().histogram(name, labels, US_BUCKETS).observe(us);
-    }
-}
-
 /// Record into a global histogram with explicit buckets.
 pub fn observe_with(name: &str, labels: &[(&str, &str)], buckets: &[f64], v: f64) {
     if enabled() {
@@ -533,6 +528,66 @@ pub fn observe_with(name: &str, labels: &[(&str, &str)], buckets: &[f64], v: f64
 /// Render the global registry as Prometheus text.
 pub fn render_global() -> String {
     global().render_prometheus()
+}
+
+/// A global counter bound on its first update while collection is on:
+/// for a seam that updates one fixed series per point, the name and
+/// label lookup runs once per process instead of on every update. Like
+/// [`add`], an update while collection is off is dropped, and the series
+/// appears in the registry with its first counted update.
+pub struct CounterSite {
+    name: &'static str,
+    labels: &'static [(&'static str, &'static str)],
+    bound: OnceLock<Counter>,
+}
+
+impl CounterSite {
+    /// The site of `name` + `labels`, unbound.
+    pub const fn new(name: &'static str, labels: &'static [(&'static str, &'static str)]) -> Self {
+        CounterSite {
+            name,
+            labels,
+            bound: OnceLock::new(),
+        }
+    }
+
+    /// Add `n`.
+    pub fn add(&self, n: u64) {
+        if enabled() {
+            let bind = || global().counter(self.name, self.labels);
+            self.bound.get_or_init(bind).add(n);
+        }
+    }
+
+    /// Add 1.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+}
+
+/// A global [`US_BUCKETS`] histogram bound like a [`CounterSite`].
+pub struct HistogramSite {
+    name: &'static str,
+    labels: &'static [(&'static str, &'static str)],
+    bound: OnceLock<Histogram>,
+}
+
+impl HistogramSite {
+    /// The site of `name` + `labels`, unbound.
+    pub const fn new(name: &'static str, labels: &'static [(&'static str, &'static str)]) -> Self {
+        HistogramSite {
+            name,
+            labels,
+            bound: OnceLock::new(),
+        }
+    }
+
+    /// The bound handle, for [`SpanGuard::histogram_handle`]; `None`
+    /// while collection is off.
+    pub fn get(&self) -> Option<&Histogram> {
+        let bind = || global().histogram(self.name, self.labels, US_BUCKETS);
+        enabled().then(|| self.bound.get_or_init(bind))
+    }
 }
 
 // --- the instrument guard ---------------------------------------------------
@@ -567,7 +622,9 @@ pub fn span_since(name: &'static str, start_us: u64) -> SpanGuard {
 /// * a trace span, if [`trace::tracing`] was on at open and the guard
 ///   has a context: an explicit [`SpanGuard::parent`], else the
 ///   thread's ambient [`trace::current`] at open. `start_us` is
-///   wall-clock so spans from different processes line up.
+///   wall-clock so spans from different processes line up. A span whose
+///   context is the [`trace::Fold`] this thread entered joins that
+///   fold's aggregate instead of taking a slot of its own.
 #[must_use = "a span measures until it is dropped"]
 pub struct SpanGuard {
     name: &'static str,
@@ -646,6 +703,13 @@ impl SpanGuard {
         self
     }
 
+    /// [`SpanGuard::histogram`] into a handle bound earlier, which its
+    /// binder gates on [`enabled`] (`None` observes nothing).
+    pub fn histogram_handle(mut self, histogram: Option<&Histogram>) -> SpanGuard {
+        self.histogram = histogram.cloned();
+        self
+    }
+
     /// The `(trace, span)` context children enter to nest under this
     /// span while it is open; `None` when it records no span.
     pub fn ctx(&self) -> Option<(u64, u64)> {
@@ -677,16 +741,25 @@ impl SpanGuard {
             labels,
         }) = self.trace.take()
         {
-            trace::global().push(trace::SpanRecord {
-                trace,
+            let point = trace::Point {
                 span: id,
-                parent,
-                name: self.name.to_string(),
-                labels,
-                proc: trace::proc_tag().to_string(),
                 start_us,
                 dur_us: elapsed.as_micros() as u64,
-            });
+                labels,
+            };
+            // A leaf under an entered fold joins its aggregate instead.
+            if let Some(p) = trace::fold_leaf(self.name, (trace, parent), point) {
+                trace::global().push(trace::SpanRecord {
+                    trace,
+                    span: p.span,
+                    parent,
+                    name: self.name.to_string(),
+                    labels: p.labels,
+                    proc: trace::proc_tag().to_string(),
+                    start_us: p.start_us,
+                    dur_us: p.dur_us,
+                });
+            }
         }
         us
     }

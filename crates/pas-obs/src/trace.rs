@@ -22,7 +22,14 @@
 //! O(its spans), not O(every resident span). Capacity is bounded: the
 //! store holds at most [`DEFAULT_CAPACITY`] spans over all traces; when
 //! full, the oldest span of the oldest trace (by first push) is evicted
-//! and counted in [`dropped`].
+//! and counted in [`dropped`] and in that trace's own [`evicted`] count,
+//! which the renderings report as a partial trace.
+//!
+//! Per-point leaf spans do not each take a slot: an executor enters a
+//! [`Fold`] under its parent span, and the leaves recorded under it fold
+//! into one aggregate span per name (and `outcome`) with its
+//! [`EXEMPLARS`] slowest points as children. A job's trace therefore
+//! grows with its shards, not its points.
 //!
 //! A worker ships exactly the spans recorded under its lease
 //! ([`take_under`] the grant's span) on each shard report, so every
@@ -34,11 +41,11 @@
 //! can be merged into one tree without coordination; id `0` is
 //! reserved to mean "no parent" (a trace root).
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::json::quote;
@@ -48,6 +55,10 @@ use crate::json::quote;
 /// point-level spans) and bounded enough that a runaway producer
 /// evicts old spans instead of growing the heap.
 pub const DEFAULT_CAPACITY: usize = 65_536;
+
+/// Traces no longer resident whose eviction counts a store still
+/// answers for.
+const LOST_TRACES: usize = 1024;
 
 /// One recorded span. `parent == 0` marks a trace root.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,13 +89,25 @@ pub struct TraceStore {
     cap: usize,
 }
 
+/// One resident trace.
+struct Trace {
+    /// First-push sequence number: the eviction order.
+    seq: u64,
+    /// Spans in push order.
+    spans: VecDeque<SpanRecord>,
+    /// This trace's spans evicted so far.
+    evicted: u64,
+}
+
 /// The spans a [`TraceStore`] holds, under its one lock.
 #[derive(Default)]
 struct Resident {
-    /// Each trace's first-push sequence number and spans, in push order.
-    traces: HashMap<u64, (u64, VecDeque<SpanRecord>)>,
+    traces: HashMap<u64, Trace>,
     /// Trace ids by first-push sequence number: the eviction order.
     order: BTreeMap<u64, u64>,
+    /// `(trace, evicted)` of traces that left the store after losing
+    /// spans, oldest first, at most [`LOST_TRACES`].
+    lost: VecDeque<(u64, u64)>,
     next_seq: u64,
     len: usize,
     dropped: u64,
@@ -92,39 +115,50 @@ struct Resident {
 
 impl Resident {
     /// Append `rec` to its trace, indexing a trace not resident yet as
-    /// the newest.
+    /// the newest (a trace that comes back keeps its eviction count).
     fn push(&mut self, rec: SpanRecord) {
-        let (order, seq) = (&mut self.order, &mut self.next_seq);
-        let (_, spans) = self.traces.entry(rec.trace).or_insert_with(|| {
+        let (order, seq, lost) = (&mut self.order, &mut self.next_seq, &mut self.lost);
+        let trace = self.traces.entry(rec.trace).or_insert_with(|| {
             *seq += 1;
             order.insert(*seq, rec.trace);
-            (*seq, VecDeque::new())
+            let back = lost.iter().position(|&(id, _)| id == rec.trace);
+            Trace {
+                seq: *seq,
+                spans: VecDeque::new(),
+                evicted: back.and_then(|i| lost.remove(i)).map_or(0, |(_, n)| n),
+            }
         });
-        spans.push_back(rec);
+        trace.spans.push_back(rec);
         self.len += 1;
     }
 
     /// Evict the oldest trace's oldest span, counting it as dropped.
     fn evict_oldest(&mut self) {
-        let Some((_, &trace)) = self.order.first_key_value() else {
+        let Some((_, &id)) = self.order.first_key_value() else {
             return;
         };
-        let (_, spans) = self
-            .traces
-            .get_mut(&trace)
-            .expect("ordered trace is resident");
-        spans.pop_front();
+        let trace = self.traces.get_mut(&id).expect("ordered trace is resident");
+        trace.spans.pop_front();
+        trace.evicted += 1;
         self.len -= 1;
         self.dropped += 1;
-        if spans.is_empty() {
-            self.forget(trace);
+        if trace.spans.is_empty() {
+            self.forget(id);
         }
     }
 
-    /// Drop `trace`'s (empty) entry from the index.
-    fn forget(&mut self, trace: u64) {
-        if let Some((seq, _)) = self.traces.remove(&trace) {
-            self.order.remove(&seq);
+    /// Drop `id`'s (empty) entry from the index, remembering its
+    /// eviction count.
+    fn forget(&mut self, id: u64) {
+        let Some(trace) = self.traces.remove(&id) else {
+            return;
+        };
+        self.order.remove(&trace.seq);
+        if trace.evicted > 0 {
+            if self.lost.len() == LOST_TRACES {
+                self.lost.pop_front();
+            }
+            self.lost.push_back((id, trace.evicted));
         }
     }
 }
@@ -165,7 +199,7 @@ impl TraceStore {
     /// canonical order every renderer consumes.
     pub fn spans_for(&self, trace: u64) -> Vec<SpanRecord> {
         let mut out: Vec<SpanRecord> = match self.lock().traces.get(&trace) {
-            Some((_, spans)) => spans.iter().cloned().collect(),
+            Some(t) => t.spans.iter().cloned().collect(),
             None => Vec::new(),
         };
         out.sort_by_key(|s| (s.start_us, s.span));
@@ -178,7 +212,7 @@ impl TraceStore {
     /// spans with this, so each span crosses the wire once per report.
     pub fn take_under(&self, trace: u64, root: u64) -> Vec<SpanRecord> {
         let mut r = self.lock();
-        let Some((_, spans)) = r.traces.get_mut(&trace) else {
+        let Some(Trace { spans, .. }) = r.traces.get_mut(&trace) else {
             return Vec::new();
         };
         let mut under = vec![false; spans.len()];
@@ -221,6 +255,21 @@ impl TraceStore {
     /// Spans evicted so far.
     pub fn dropped(&self) -> u64 {
         self.lock().dropped
+    }
+
+    /// Spans of `trace` evicted so far: non-zero means its renderings are
+    /// partial. Answered for resident traces and the last 1,024 that
+    /// left the store after losing spans.
+    pub fn evicted(&self, trace: u64) -> u64 {
+        let r = self.lock();
+        match r.traces.get(&trace) {
+            Some(t) => t.evicted,
+            None => r
+                .lost
+                .iter()
+                .find(|&&(id, _)| id == trace)
+                .map_or(0, |&(_, n)| n),
+        }
     }
 
     /// Resident spans.
@@ -335,10 +384,17 @@ pub fn dropped() -> u64 {
     global().dropped()
 }
 
+/// Spans of `trace` evicted from the global store so far.
+pub fn evicted(trace: u64) -> u64 {
+    global().evicted(trace)
+}
+
 // --- ambient context --------------------------------------------------------
 
 thread_local! {
     static CURRENT: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
+    /// The [`Fold`] entered on this thread, if any.
+    static FOLDING: RefCell<Option<Fold>> = const { RefCell::new(None) };
 }
 
 /// Restores the previous ambient context on drop.
@@ -347,8 +403,9 @@ pub struct CtxGuard(Option<(u64, u64)>);
 /// Set this thread's ambient `(trace, parent span)` context. Deep call
 /// sites that cannot thread ids through their signatures (the cache's
 /// per-point probe, the executor's per-point run) read it via
-/// [`current`]; executors set it inside each worker closure so pooled
-/// threads inherit the right parent.
+/// [`current`]; executors set it, through a [`Fold`] for their
+/// per-point leaves, inside each worker closure so pooled threads
+/// inherit the right parent.
 pub fn enter(trace: u64, parent: u64) -> CtxGuard {
     CtxGuard(CURRENT.with(|c| c.replace(Some((trace, parent)))))
 }
@@ -362,6 +419,216 @@ impl Drop for CtxGuard {
     fn drop(&mut self) {
         CURRENT.with(|c| c.set(self.0));
     }
+}
+
+// --- folded leaf spans ------------------------------------------------------
+
+/// Slowest points an aggregate keeps as child spans.
+pub const EXEMPLARS: usize = 4;
+
+/// The per-point leaf spans of one executor, folded under its parent
+/// span: an executor makes one per job or shard, enters it on every
+/// thread that runs points, and [`Fold::flush`]es it before the job
+/// publishes or the shard ships. A leaf span that closes under the fold's
+/// `(trace, parent)` on a thread that entered it joins the aggregate of
+/// its name and `outcome` label instead of the store. Each aggregate is
+/// filed as one span of that name from its first point's start to its
+/// last point's end, labelled `points`, `sum_us` and `max_us` (µs), with
+/// its [`EXEMPLARS`] slowest points as children under their own ids and
+/// labels. Only leaves may fold: a point's other children would lose
+/// their parent. Spans opened anywhere else are filed as before.
+///
+/// Cheap to clone; clones share the aggregates, and whatever is left
+/// unflushed when the last one drops is flushed then.
+#[derive(Clone)]
+pub struct Fold(Arc<FoldState>);
+
+struct FoldState {
+    ctx: (u64, u64),
+    aggregates: Mutex<Vec<Aggregate>>,
+}
+
+/// One closed leaf span, as a fold keeps it.
+pub(crate) struct Point {
+    pub(crate) span: u64,
+    pub(crate) start_us: u64,
+    pub(crate) dur_us: u64,
+    pub(crate) labels: Vec<(String, String)>,
+}
+
+struct Aggregate {
+    name: &'static str,
+    outcome: Option<String>,
+    points: u64,
+    sum_us: u64,
+    max_us: u64,
+    start_us: u64,
+    end_us: u64,
+    /// The slowest points so far, slowest first.
+    slowest: Vec<Point>,
+}
+
+/// Restores the previous ambient context and fold on drop.
+pub struct FoldGuard {
+    prev: Option<Fold>,
+    _ctx: CtxGuard,
+}
+
+impl Fold {
+    /// An empty fold for the leaves recorded under `(trace, parent)`.
+    pub fn new(trace: u64, parent: u64) -> Fold {
+        Fold(Arc::new(FoldState {
+            ctx: (trace, parent),
+            aggregates: Mutex::new(Vec::new()),
+        }))
+    }
+
+    /// Make this fold and its `(trace, parent)` this thread's ambient
+    /// context until the guard drops.
+    pub fn enter(&self) -> FoldGuard {
+        let (trace, parent) = self.0.ctx;
+        FoldGuard {
+            _ctx: enter(trace, parent),
+            prev: FOLDING.with(|f| f.replace(Some(self.clone()))),
+        }
+    }
+
+    /// File the aggregates so far, with their exemplars, under one store
+    /// lock. Points that close later start new aggregates.
+    pub fn flush(&self) {
+        self.0.flush();
+    }
+
+    fn add(&self, name: &'static str, p: Point) {
+        let outcome = p.labels.iter().find(|(k, _)| k == "outcome");
+        let outcome = outcome.map(|(_, v)| v.as_str());
+        let mut aggregates = self.0.lock();
+        let at = aggregates
+            .iter()
+            .position(|a| a.name == name && a.outcome.as_deref() == outcome);
+        let at = at.unwrap_or_else(|| {
+            aggregates.push(Aggregate {
+                name,
+                outcome: outcome.map(str::to_string),
+                points: 0,
+                sum_us: 0,
+                max_us: 0,
+                start_us: u64::MAX,
+                end_us: 0,
+                slowest: Vec::with_capacity(EXEMPLARS + 1),
+            });
+            aggregates.len() - 1
+        });
+        aggregates[at].add(p);
+    }
+}
+
+impl FoldState {
+    fn lock(&self) -> MutexGuard<'_, Vec<Aggregate>> {
+        self.aggregates
+            .lock()
+            .expect("no thread panics while folding a span")
+    }
+
+    fn flush(&self) {
+        let aggregates = std::mem::take(&mut *self.lock());
+        let (trace, parent) = self.ctx;
+        let proc = proc_tag();
+        let mut out = Vec::with_capacity(aggregates.len() * (1 + EXEMPLARS));
+        for a in aggregates {
+            let id = mint_id();
+            let mut labels = Vec::with_capacity(4);
+            if let Some(outcome) = a.outcome {
+                labels.push(("outcome".to_string(), outcome));
+            }
+            for (k, v) in [
+                ("points", a.points),
+                ("sum_us", a.sum_us),
+                ("max_us", a.max_us),
+            ] {
+                labels.push((k.to_string(), v.to_string()));
+            }
+            out.push(SpanRecord {
+                trace,
+                span: id,
+                parent,
+                name: a.name.to_string(),
+                labels,
+                proc: proc.to_string(),
+                start_us: a.start_us,
+                dur_us: a.end_us - a.start_us,
+            });
+            out.extend(a.slowest.into_iter().map(|p| SpanRecord {
+                trace,
+                span: p.span,
+                parent: id,
+                name: a.name.to_string(),
+                labels: p.labels,
+                proc: proc.to_string(),
+                start_us: p.start_us,
+                dur_us: p.dur_us,
+            }));
+        }
+        if !out.is_empty() {
+            global().extend(out);
+        }
+    }
+}
+
+impl Drop for FoldState {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+impl Aggregate {
+    fn add(&mut self, p: Point) {
+        self.points += 1;
+        self.sum_us += p.dur_us;
+        self.max_us = self.max_us.max(p.dur_us);
+        self.start_us = self.start_us.min(p.start_us);
+        self.end_us = self.end_us.max(p.start_us + p.dur_us);
+        // Slowest first; a tie keeps the earlier point.
+        let at = self.slowest.partition_point(|s| s.dur_us >= p.dur_us);
+        if at < EXEMPLARS {
+            self.slowest.insert(at, p);
+            self.slowest.truncate(EXEMPLARS);
+        }
+    }
+}
+
+impl Drop for FoldGuard {
+    fn drop(&mut self) {
+        FOLDING.with(|f| *f.borrow_mut() = self.prev.take());
+    }
+}
+
+/// Run `f` on this thread with the leaf spans it records under `ctx`
+/// folded ([`Fold`]), filing the aggregates before returning; with no
+/// context, just run it.
+pub fn folded<R>(ctx: Option<(u64, u64)>, f: impl FnOnce() -> R) -> R {
+    let Some((trace, parent)) = ctx else {
+        return f();
+    };
+    let fold = Fold::new(trace, parent);
+    let out = {
+        let _in = fold.enter();
+        f()
+    };
+    fold.flush();
+    out
+}
+
+/// Fold a closing leaf span recorded under `ctx` into this thread's
+/// entered fold when that fold is `ctx`'s; hands it back otherwise.
+pub(crate) fn fold_leaf(name: &'static str, ctx: (u64, u64), p: Point) -> Option<Point> {
+    FOLDING.with(|f| match &*f.borrow() {
+        Some(fold) if fold.0.ctx == ctx => {
+            fold.add(name, p);
+            None
+        }
+        _ => Some(p),
+    })
 }
 
 // --- renderers --------------------------------------------------------------
@@ -393,9 +660,10 @@ fn top_ancestor(
 /// trace-event JSON — loadable in Perfetto / `chrome://tracing`. Each
 /// recording process becomes one `pid` lane (named via metadata
 /// events) and each top-level span subtree one `tid` within it, so
-/// parallel leases stack side by side instead of fake-nesting. Output
+/// parallel leases stack side by side instead of fake-nesting. The
+/// trace's [`evicted`] count rides as `otherData.spans_evicted`. Output
 /// is deterministic for a given span set.
-pub fn render_chrome(spans: &[SpanRecord]) -> String {
+pub fn render_chrome(spans: &[SpanRecord], evicted: u64) -> String {
     let by_id = index(spans);
     // pid per process tag, in sorted-tag order; tid per root subtree,
     // in first-appearance (time) order within its process.
@@ -440,7 +708,10 @@ pub fn render_chrome(spans: &[SpanRecord]) -> String {
             args
         ));
     }
-    format!("{{\"traceEvents\":[\n{}\n]}}\n", events.join(",\n"))
+    format!(
+        "{{\"traceEvents\":[\n{}\n],\"otherData\":{{\"spans_evicted\":{evicted}}}}}\n",
+        events.join(",\n")
+    )
 }
 
 /// Render spans as a deterministic indented text tree. Orphans (spans
@@ -507,36 +778,51 @@ pub fn render_tree(spans: &[SpanRecord]) -> String {
     out
 }
 
+/// The value of `s`'s label `key` as a count.
+fn label_u64(s: &SpanRecord, key: &str) -> Option<u64> {
+    let (_, v) = s.labels.iter().find(|(k, _)| k == key)?;
+    v.parse().ok()
+}
+
 /// Walk the tree and summarise where the time went: per-name self time
 /// (a span's duration minus its children's), top-`k`, as shares of
 /// total self time, plus a coverage line — the fraction of the root
 /// span's wall time accounted for by *named child* spans, which is the
-/// number the acceptance bar ("≥90% attributed") reads.
+/// number the acceptance bar ("≥90% attributed") reads. A [`Fold`]
+/// aggregate stands for its points: it counts as `points` spans of its
+/// summed time (`sum_us`), and its exemplars are among them.
 pub fn render_critical_path(spans: &[SpanRecord], k: usize) -> String {
     if spans.is_empty() {
         return "critical path: no spans recorded\n".to_string();
     }
     let by_id = index(spans);
+    let parent_of = |i: usize| match by_id.get(&spans[i].parent) {
+        Some(&p) if spans[i].parent != 0 && p != i => Some(p),
+        _ => None,
+    };
+    let work_us = |s: &SpanRecord| label_u64(s, "sum_us").unwrap_or(s.dur_us);
     let mut child_dur = vec![0u64; spans.len()];
     for (i, s) in spans.iter().enumerate() {
-        if s.parent != 0 {
-            if let Some(&p) = by_id.get(&s.parent) {
-                if p != i {
-                    child_dur[p] += s.dur_us;
-                }
-            }
+        if let Some(p) = parent_of(i) {
+            child_dur[p] += work_us(s);
         }
     }
-    // Aggregate self time by span name.
+    // Aggregate self time and point count by span name.
     let mut by_name: Vec<(String, u64, u64)> = Vec::new(); // (name, self_us, count)
     for (i, s) in spans.iter().enumerate() {
-        let self_us = s.dur_us.saturating_sub(child_dur[i]);
-        match by_name.iter_mut().find(|(n, _, _)| *n == s.name) {
+        let self_us = work_us(s).saturating_sub(child_dur[i]);
+        let exemplar = parent_of(i)
+            .is_some_and(|p| spans[p].name == s.name && label_u64(&spans[p], "points").is_some());
+        let n = match label_u64(s, "points") {
+            Some(points) => points,
+            None => u64::from(!exemplar),
+        };
+        match by_name.iter_mut().find(|(name, _, _)| *name == s.name) {
             Some((_, t, c)) => {
                 *t += self_us;
-                *c += 1;
+                *c += n;
             }
-            None => by_name.push((s.name.clone(), self_us, 1)),
+            None => by_name.push((s.name.clone(), self_us, n)),
         }
     }
     by_name.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -738,6 +1024,148 @@ mod tests {
     }
 
     #[test]
+    fn evictions_are_counted_per_trace() {
+        let store = TraceStore::new(4);
+        for i in 0..3 {
+            store.push(rec(1, 10 + i, 0, "a", i, 1));
+        }
+        for i in 0..3 {
+            store.push(rec(2, 20 + i, 0, "b", i, 1));
+        }
+        assert_eq!((store.evicted(1), store.evicted(2)), (2, 0));
+        // Trace 1 loses its last span and leaves the store; its count
+        // stays readable, and trace 2 starts losing spans.
+        store.push(rec(2, 23, 0, "b", 3, 1));
+        store.push(rec(2, 24, 0, "b", 4, 1));
+        assert!(store.spans_for(1).is_empty());
+        assert_eq!((store.evicted(1), store.evicted(2)), (3, 1));
+        assert_eq!(store.dropped(), 4);
+        // A trace that comes back keeps its count; an unknown one has none.
+        store.push(rec(1, 13, 0, "a", 5, 1));
+        assert_eq!(store.evicted(1), 3);
+        assert_eq!(store.evicted(99), 0);
+        // Taking spans out is not an eviction.
+        store.push(rec(3, 31, 30, "c", 6, 1));
+        assert_eq!(ids(&store.take_under(3, 30)), [31]);
+        assert_eq!(store.evicted(3), 0);
+    }
+
+    fn point(span: u64, start_us: u64, dur_us: u64, outcome: Option<&str>) -> Point {
+        let labels = outcome.map(|o| ("outcome".to_string(), o.to_string()));
+        Point {
+            span,
+            start_us,
+            dur_us,
+            labels: labels.into_iter().collect(),
+        }
+    }
+
+    fn label<'a>(s: &'a SpanRecord, key: &str) -> Option<&'a str> {
+        let (_, v) = s.labels.iter().find(|(k, _)| k == key)?;
+        Some(v)
+    }
+
+    #[test]
+    fn a_fold_files_one_aggregate_per_name_and_outcome() {
+        let (tr, parent) = (mint_id(), mint_id());
+        let fold = Fold::new(tr, parent);
+        {
+            let _in = fold.enter();
+            assert_eq!(current(), Some((tr, parent)));
+            // Durations 1..=9 µs, started 10 µs apart.
+            for i in 1..=9u64 {
+                assert!(fold_leaf("exec.point", (tr, parent), point(i, 10 * i, i, None)).is_none());
+            }
+            for (i, outcome) in [(20, "miss"), (21, "hit"), (22, "miss")] {
+                let p = point(i, 5, 2, Some(outcome));
+                assert!(fold_leaf("cache.probe", (tr, parent), p).is_none());
+            }
+            // Another context is not this fold's: handed back.
+            let other = fold_leaf("exec.point", (tr, 7), point(30, 0, 1, None));
+            assert_eq!(other.map(|p| p.span), Some(30));
+        }
+        assert_eq!(current(), None);
+        assert!(spans_for(tr).is_empty(), "nothing filed before the flush");
+        fold.flush();
+        let spans = spans_for(tr);
+        let aggregates: Vec<&SpanRecord> = spans.iter().filter(|s| s.parent == parent).collect();
+        assert_eq!(aggregates.len(), 3, "exec.point, cache.probe miss and hit");
+        let exec = aggregates.iter().find(|s| s.name == "exec.point").unwrap();
+        assert_eq!(
+            (
+                label(exec, "points"),
+                label(exec, "sum_us"),
+                label(exec, "max_us")
+            ),
+            (Some("9"), Some("45"), Some("9"))
+        );
+        assert_eq!(
+            (exec.start_us, exec.dur_us),
+            (10, 90 + 9 - 10),
+            "first start to last end"
+        );
+        let exemplars: Vec<u64> = spans
+            .iter()
+            .filter(|s| s.parent == exec.span)
+            .map(|s| s.dur_us)
+            .collect();
+        let mut slowest = exemplars.clone();
+        slowest.sort_unstable();
+        assert_eq!(slowest, [6, 7, 8, 9], "the EXEMPLARS slowest points");
+        let misses = aggregates
+            .iter()
+            .find(|s| label(s, "outcome") == Some("miss"))
+            .unwrap();
+        assert_eq!(label(misses, "points"), Some("2"));
+        assert_eq!(spans.len(), 3 + 4 + 2 + 1);
+        // Points after a flush start new aggregates.
+        {
+            let _in = fold.enter();
+            assert!(fold_leaf("exec.point", (tr, parent), point(40, 0, 3, None)).is_none());
+        }
+        drop(fold);
+        assert_eq!(
+            spans_for(tr).len(),
+            10 + 2,
+            "the last handle flushed the rest"
+        );
+    }
+
+    #[test]
+    fn guards_fold_only_under_their_fold() {
+        let (tr, parent) = (mint_id(), mint_id());
+        let fold = Fold::new(tr, parent);
+        {
+            let _in = fold.enter();
+            crate::span("fold.leaf").labels(&[("k", "v")]).finish();
+            // An explicit other parent records as before.
+            crate::span("fold.other").parent(tr, 5).finish();
+        }
+        // Outside the fold, the same context records as before.
+        {
+            let _ctx = enter(tr, parent);
+            crate::span("fold.outside").finish();
+        }
+        let names = |spans: Vec<SpanRecord>| {
+            let mut n: Vec<String> = spans.into_iter().map(|s| s.name).collect();
+            n.sort();
+            n
+        };
+        assert_eq!(names(spans_for(tr)), ["fold.other", "fold.outside"]);
+        fold.flush();
+        let spans = spans_for(tr);
+        assert_eq!(
+            names(spans.clone()),
+            ["fold.leaf", "fold.leaf", "fold.other", "fold.outside"]
+        );
+        let exemplar = spans
+            .iter()
+            .find(|s| s.name == "fold.leaf" && s.parent != parent)
+            .unwrap();
+        assert_eq!(exemplar.labels, [("k".to_string(), "v".to_string())]);
+    }
+
+    #[test]
     fn ids_are_nonzero_and_distinct() {
         let a = mint_id();
         let b = mint_id();
@@ -783,7 +1211,7 @@ mod tests {
         w.proc = "worker:w1".to_string();
         w.labels.push(("worker".to_string(), "w1".to_string()));
         let spans = vec![rec(3, 1, 0, "job", 0, 100), w];
-        let j = render_chrome(&spans);
+        let j = render_chrome(&spans, 0);
         assert!(j.starts_with("{\"traceEvents\":["));
         assert!(j.contains("\"ph\":\"M\""));
         assert!(j.contains("\"name\":\"worker:w1\""));
@@ -792,6 +1220,11 @@ mod tests {
         assert!(j.contains("\"worker\":\"w1\""));
         // Two distinct processes → two pids.
         assert!(j.contains("\"pid\":1") && j.contains("\"pid\":2"));
+        assert!(
+            j.ends_with("],\"otherData\":{\"spans_evicted\":0}}\n"),
+            "{j}"
+        );
+        assert!(render_chrome(&spans, 7).contains("\"spans_evicted\":7"));
     }
 
     #[test]
@@ -811,5 +1244,27 @@ mod tests {
             t.contains("coverage: 98.0%"),
             "98/100us inside children: {t}"
         );
+    }
+
+    #[test]
+    fn critical_path_charges_an_aggregate_its_points() {
+        let mut agg = rec(3, 4, 3, "exec.point", 12, 80);
+        agg.labels = [("points", "5"), ("sum_us", "150"), ("max_us", "60")]
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .to_vec();
+        let spans = vec![
+            rec(3, 1, 0, "job", 0, 100),
+            rec(3, 3, 1, "job.execute", 10, 88),
+            agg,
+            rec(3, 5, 4, "exec.point", 12, 60),
+            rec(3, 6, 3, "cache.store", 50, 5),
+        ];
+        let t = render_critical_path(&spans, 10);
+        let exec = t
+            .lines()
+            .find(|l| l.trim_start().starts_with("exec.point"))
+            .unwrap();
+        assert!(exec.ends_with("150us  (n=5)"), "{t}");
+        assert!(t.contains("coverage: 88.0%"), "{t}");
     }
 }

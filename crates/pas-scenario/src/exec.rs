@@ -8,15 +8,19 @@
 //! derives all randomness from its own seed and results are reassembled
 //! in input order. The same `execute_point`/`reduce` decomposition is
 //! what `pas-server`'s result cache calls, so cached and direct batches
-//! cannot drift apart.
+//! cannot drift apart. Executors that run many points of one job bind
+//! the registry series those points feed once, in a [`PointSeries`], and
+//! run each point with [`execute_point_with`].
 
 use crate::manifest::{
     assigned, AxisValue, FailureSpec, Manifest, ManifestError, SWEEP_FAILURE_P, SWEEP_PREDICTOR,
 };
 use pas_core::{run, FailurePlan, RunConfig, Scenario};
 use pas_diffusion::StimulusField;
+use pas_obs::{Counter, Histogram};
 use pas_sim::{Rng, SimTime};
 use pas_sweep::{parallel_map_with, SweepOptions};
+use std::sync::Mutex;
 
 /// Substream label for failure-plan draws (disjoint from the runner's
 /// deploy/channel/node streams).
@@ -296,6 +300,72 @@ pub fn failure_plan(
     }
 }
 
+/// The registry series the points of one manifest feed —
+/// `pas.exec.point.microseconds` and `pas.exec.points.count` under each
+/// point's scenario, policy and predictor — bound once per job or shard
+/// instead of looked up by name per point. Each (policy, predictor) pair
+/// binds on its first point while collection is on; with it off, points
+/// feed (and create) nothing, as [`pas_obs::inc`] would.
+pub struct PointSeries {
+    scenario: String,
+    bound: Mutex<Vec<BoundSeries>>,
+}
+
+struct BoundSeries {
+    policy: String,
+    predictor: &'static str,
+    histogram: Histogram,
+    points: Counter,
+}
+
+impl PointSeries {
+    /// No series bound yet, for the points of `manifest`.
+    pub fn new(manifest: &Manifest) -> PointSeries {
+        PointSeries {
+            scenario: manifest.name.clone(),
+            bound: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// `pt`'s histogram and counter, or `None` while collection is off.
+    fn of(&self, pt: &RunPoint) -> Option<(Histogram, Counter)> {
+        if !pas_obs::enabled() {
+            return None;
+        }
+        let predictor = pt.policy.predictor().map(|p| p.name()).unwrap_or("none");
+        let mut bound = self
+            .bound
+            .lock()
+            .expect("no point panics holding its series");
+        let at = bound
+            .iter()
+            .position(|b| b.predictor == predictor && b.policy == pt.policy_label);
+        let b = match at {
+            Some(i) => &bound[i],
+            None => {
+                let labels = [
+                    ("scenario", self.scenario.as_str()),
+                    ("policy", pt.policy_label.as_str()),
+                    ("predictor", predictor),
+                ];
+                let registry = pas_obs::global();
+                bound.push(BoundSeries {
+                    policy: pt.policy_label.clone(),
+                    predictor,
+                    histogram: registry.histogram(
+                        "pas.exec.point.microseconds",
+                        &labels,
+                        pas_obs::US_BUCKETS,
+                    ),
+                    points: registry.counter("pas.exec.points.count", &labels),
+                });
+                bound.last().expect("just pushed")
+            }
+        };
+        Some((b.histogram.clone(), b.points.clone()))
+    }
+}
+
 /// Execute one point of the matrix: simulate the run behind [`RunPoint`]
 /// and measure it. Deterministic in `(manifest, pt)` — all randomness
 /// derives from `pt.seed` — so callers (the batch path, the server's
@@ -303,7 +373,20 @@ pub fn failure_plan(
 ///
 /// `field` is the stimulus ground truth built once per batch with
 /// [`Manifest::build_field`] (it is seed-independent and read-only).
+/// This one-point form binds the point's registry series for itself;
+/// executors share a [`PointSeries`] through [`execute_point_with`].
 pub fn execute_point(manifest: &Manifest, field: &dyn StimulusField, pt: &RunPoint) -> RunRecord {
+    execute_point_with(manifest, field, pt, &PointSeries::new(manifest))
+}
+
+/// [`execute_point`], feeding the registry through `series`, which the
+/// caller binds once for the points of `manifest` it runs.
+pub fn execute_point_with(
+    manifest: &Manifest,
+    field: &dyn StimulusField,
+    pt: &RunPoint,
+    series: &PointSeries,
+) -> RunRecord {
     // Observational only: the record below is built from the run alone,
     // so the instruments can be on or off without touching a result
     // byte. Under an ambient trace context (set per closure by the
@@ -314,9 +397,10 @@ pub fn execute_point(manifest: &Manifest, field: &dyn StimulusField, pt: &RunPoi
         ("policy", pt.policy_label.as_str()),
         ("predictor", predictor),
     ];
+    let (histogram, points) = series.of(pt).unzip();
     let _span = pas_obs::span("exec.point")
         .labels(&labels)
-        .histogram("pas.exec.point.microseconds", &labels);
+        .histogram_handle(histogram.as_ref());
     let scenario = manifest.scenario_for(pt.seed, &pt.assignments);
     let mut cfg = RunConfig::new(pt.policy)
         .with_channel(manifest.channel.kind())
@@ -326,7 +410,9 @@ pub fn execute_point(manifest: &Manifest, field: &dyn StimulusField, pt: &RunPoi
         cfg = cfg.with_horizon(h);
     }
     let r = run(&scenario, field, &cfg);
-    pas_obs::inc("pas.exec.points.count", &labels);
+    if let Some(points) = points {
+        points.inc();
+    }
     RunRecord {
         x: pt.x,
         policy_label: pt.policy_label.clone(),
@@ -485,9 +571,10 @@ pub fn reduce(records: &[RunRecord]) -> Vec<PointSummary> {
 pub fn execute(manifest: &Manifest, opts: ExecOptions) -> Result<BatchResult, ManifestError> {
     let points = expand(manifest)?;
     let field = manifest.build_field();
+    let series = PointSeries::new(manifest);
 
     let records: Vec<RunRecord> = parallel_map_with(&points, opts.sweep_options(manifest), |pt| {
-        execute_point(manifest, field.as_ref(), pt)
+        execute_point_with(manifest, field.as_ref(), pt, &series)
     });
     let summaries = reduce(&records);
 

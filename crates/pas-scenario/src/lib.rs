@@ -51,8 +51,9 @@ pub mod toml;
 pub use pas_obs::json;
 
 pub use exec::{
-    execute, execute_point, expand, expand_indices, failure_plan, group, matrix_size, point_at,
-    reduce, BatchResult, ExecOptions, PointCell, PointSummary, Replicate, RunPoint, RunRecord,
+    execute, execute_point, execute_point_with, expand, expand_indices, failure_plan, group,
+    matrix_size, point_at, reduce, BatchResult, ExecOptions, PointCell, PointSeries, PointSummary,
+    Replicate, RunPoint, RunRecord,
 };
 pub use manifest::{
     AxisValue, AxisValues, ChannelSpec, DeployKindSpec, DeploymentSpec, FailureSpec, Manifest,

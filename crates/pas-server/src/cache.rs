@@ -26,6 +26,11 @@
 //! before, and the predictor axis hashes through a disjoint `$`
 //! separator. `key_stability.rs` pins pre-refactor keys literally.
 //!
+//! A key is hashed in three stages, so executors that key many points
+//! pay for each stage once: the environment once per manifest
+//! ([`KeyPrefix`]), the policy, label and assignments once per matrix
+//! cell ([`CellPrefix`]), and only the seed per point ([`CellKeys`]).
+//!
 //! Stripping the non-physical sections means overlapping or resubmitted
 //! batches — same environment, different sweep grids or replicate counts —
 //! share entries point-for-point. Entries store every [`RunRecord`] field
@@ -34,17 +39,39 @@
 //! truncated entry fails verification and falls back to recomputation.
 
 use crate::hash::{hex, sha256, Sha256};
+use pas_obs::trace::Fold;
+use pas_obs::{CounterSite, HistogramSite};
 use pas_scenario::{
-    execute_point, expand, reduce, AxisValue, BatchResult, ExecOptions, Manifest, RunPoint,
-    RunRecord,
+    execute_point_with, expand, reduce, AxisValue, BatchResult, ExecOptions, Manifest, PointSeries,
+    RunPoint, RunRecord,
 };
 use pas_sweep::parallel_map_with;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Bump on any change to the key derivation or entry format.
 pub const CACHE_VERSION: &str = "pas-cache v1";
+
+/// Lookup outcomes, as labelled on `pas.cache.lookup.count`, and their
+/// positions there.
+const OUTCOMES: [&str; 3] = ["hit", "miss", "corrupt"];
+const HIT: usize = 0;
+const MISS: usize = 1;
+const CORRUPT: usize = 2;
+
+// The registry series every lookup and store feeds, bound once per
+// process.
+static LOOKUP_US: HistogramSite = HistogramSite::new("pas.cache.lookup.microseconds", &[]);
+static LOOKUPS: [CounterSite; 3] = [
+    CounterSite::new("pas.cache.lookup.count", &[("outcome", OUTCOMES[HIT])]),
+    CounterSite::new("pas.cache.lookup.count", &[("outcome", OUTCOMES[MISS])]),
+    CounterSite::new("pas.cache.lookup.count", &[("outcome", OUTCOMES[CORRUPT])]),
+];
+static READ_BYTES: CounterSite = CounterSite::new("pas.cache.read.bytes", &[]);
+static STORES: CounterSite = CounterSite::new("pas.cache.store.count", &[]);
+static WRITE_BYTES: CounterSite = CounterSite::new("pas.cache.write.bytes", &[]);
 
 /// Cache traffic counters for one batch execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -92,7 +119,7 @@ impl ResultCache {
 
     /// The content key of one run, as lowercase hex: [`KeyPrefix::key`]
     /// for a lone point. To key many points of one manifest, build its
-    /// [`KeyPrefix`] once instead.
+    /// [`KeyPrefix`] once and key them through [`KeyPrefix::cells`].
     pub fn key(manifest: &Manifest, pt: &RunPoint) -> String {
         KeyPrefix::new(manifest).key(pt)
     }
@@ -108,19 +135,19 @@ impl ResultCache {
     /// the caller still just sees `Option`, so a corrupt entry falls
     /// back to recomputation exactly as before.
     pub fn load(&self, key: &str) -> Option<RunRecord> {
-        let probe = pas_obs::span("cache.probe").histogram("pas.cache.lookup.microseconds", &[]);
+        let probe = pas_obs::span("cache.probe").histogram_handle(LOOKUP_US.get());
         let (outcome, record) = match std::fs::read_to_string(self.entry_path(key)) {
-            Err(_) => ("miss", None),
+            Err(_) => (MISS, None),
             Ok(text) => {
-                pas_obs::add("pas.cache.read.bytes", &[], text.len() as u64);
+                READ_BYTES.add(text.len() as u64);
                 match Self::verify(&text) {
-                    Some(r) => ("hit", Some(r)),
-                    None => ("corrupt", None),
+                    Some(r) => (HIT, Some(r)),
+                    None => (CORRUPT, None),
                 }
             }
         };
-        pas_obs::inc("pas.cache.lookup.count", &[("outcome", outcome)]);
-        probe.labels(&[("outcome", outcome)]).finish();
+        LOOKUPS[outcome].inc();
+        probe.labels(&[("outcome", OUTCOMES[outcome])]).finish();
         record
     }
 
@@ -146,18 +173,29 @@ impl ResultCache {
         let tmp = self.dir.join(format!("{key}.tmp.{}", std::process::id()));
         std::fs::write(&tmp, &text)?;
         std::fs::rename(&tmp, self.entry_path(key))?;
-        pas_obs::inc("pas.cache.store.count", &[]);
-        pas_obs::add("pas.cache.write.bytes", &[], text.len() as u64);
+        STORES.inc();
+        WRITE_BYTES.add(text.len() as u64);
         Ok(())
     }
 }
 
 /// A manifest's share of every cache key: the SHA-256 state after
-/// `CACHE_VERSION ‖ 0 ‖ environment TOML ‖ 0`. Built once per manifest,
-/// so each point's key costs a copy of that state and the point's own
-/// bytes.
+/// `CACHE_VERSION ‖ 0 ‖ environment TOML ‖ 0`, and the size of the
+/// manifest's matrix cells. Built once per manifest, so each key costs a
+/// copy of that state and the point's own bytes.
 #[derive(Clone)]
-pub struct KeyPrefix(Sha256);
+pub struct KeyPrefix {
+    env: Sha256,
+    /// Replicates per cell: seeds vary innermost in the matrix
+    /// ([`pas_scenario::point_at`]), so a cell is a block of this many
+    /// consecutive indices that differ only in seed.
+    seeds: usize,
+}
+
+/// One matrix cell's share of its points' keys: the [`KeyPrefix`] state
+/// after the policy, label and assignments the cell's points share.
+#[derive(Clone)]
+pub struct CellPrefix(Sha256);
 
 impl KeyPrefix {
     /// Hash `manifest`'s environment ([`environment_toml`]).
@@ -167,12 +205,15 @@ impl KeyPrefix {
         h.update(b"\x00");
         h.update(environment_toml(manifest).as_bytes());
         h.update(b"\x00");
-        KeyPrefix(h)
+        KeyPrefix {
+            env: h,
+            seeds: manifest.run.replicates.max(1) as usize,
+        }
     }
 
-    /// The content key of one run of the manifest, as lowercase hex.
-    pub fn key(&self, pt: &RunPoint) -> String {
-        let mut h = self.0.clone();
+    /// The prefix of `pt`'s cell, which keys any seed of it.
+    pub fn cell(&self, pt: &RunPoint) -> CellPrefix {
+        let mut h = self.env.clone();
         // Policy Debug covers the kind and every resolved parameter
         // (shortest-roundtrip f64 formatting is stable across platforms).
         h.update(format!("{:?}", pt.policy).as_bytes());
@@ -196,8 +237,59 @@ impl KeyPrefix {
             h.update(b";");
         }
         h.update(b"\x00");
-        h.update(&pt.seed.to_be_bytes());
+        CellPrefix(h)
+    }
+
+    /// The content key of one run of the manifest, as lowercase hex: the
+    /// one-point form of [`KeyPrefix::cells`].
+    pub fn key(&self, pt: &RunPoint) -> String {
+        self.cell(pt).key(pt.seed)
+    }
+
+    /// Key `points` (any of the manifest's matrix points, from
+    /// [`pas_scenario::expand`] or [`pas_scenario::expand_indices`]),
+    /// hashing each of their cells once.
+    pub fn cells(&self, points: &[RunPoint]) -> CellKeys<'_> {
+        let mut ids: Vec<usize> = points.iter().map(|pt| pt.index / self.seeds).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        CellKeys {
+            prefix: self,
+            cells: ids.into_iter().map(|id| (id, OnceLock::new())).collect(),
+        }
+    }
+}
+
+impl CellPrefix {
+    /// The content key of the cell's run with replicate `seed`.
+    pub fn key(&self, seed: u64) -> String {
+        let mut h = self.0.clone();
+        h.update(&seed.to_be_bytes());
         hex(&h.finish())
+    }
+}
+
+/// The keys of a set of points of one manifest ([`KeyPrefix::cells`]):
+/// a cell's [`CellPrefix`] is built when the first of its points is
+/// keyed, on whichever thread that is, so points may be keyed in any
+/// order and from a pool. A point outside the set is keyed whole.
+pub struct CellKeys<'a> {
+    prefix: &'a KeyPrefix,
+    /// The set's cells, ascending by cell index.
+    cells: Vec<(usize, OnceLock<CellPrefix>)>,
+}
+
+impl CellKeys<'_> {
+    /// The content key of `pt`, as lowercase hex.
+    pub fn key(&self, pt: &RunPoint) -> String {
+        let id = pt.index / self.prefix.seeds;
+        match self.cells.binary_search_by_key(&id, |&(c, _)| c) {
+            Ok(i) => self.cells[i]
+                .1
+                .get_or_init(|| self.prefix.cell(pt))
+                .key(pt.seed),
+            Err(_) => self.prefix.key(pt),
+        }
     }
 }
 
@@ -352,7 +444,7 @@ pub fn unescape(enc: &str) -> Option<String> {
 }
 
 /// [`pas_scenario::execute`] with the cache in the per-point path: hits
-/// are loaded, misses are simulated via [`execute_point`] and stored.
+/// are loaded, misses are simulated via [`execute_point_with`] and stored.
 /// Records come back in matrix order and [`reduce`] runs over the same
 /// record list either way, so the output is bit-identical to a direct
 /// (uncached) execution.
@@ -367,10 +459,11 @@ pub fn execute_with_cache(
 /// [`execute_with_cache`] plus a `(done, total)` progress callback, fired
 /// after every completed point from whichever worker finished it, under
 /// an optional trace context: per-point cache probes, stores, and
-/// simulations record spans parented under `(trace, parent span)`. The
-/// context is re-entered *inside* each worker closure so pooled threads
-/// inherit the right parent. Tracing is observational only — record
-/// bytes are identical either way.
+/// simulations fold into aggregate spans parented under `(trace, parent
+/// span)`, filed before this returns. The fold is re-entered *inside*
+/// each worker closure so pooled threads inherit the right parent.
+/// Tracing is observational only — record bytes are identical either
+/// way.
 pub fn execute_with_cache_traced(
     manifest: &Manifest,
     opts: ExecOptions,
@@ -384,10 +477,13 @@ pub fn execute_with_cache_traced(
     let misses = AtomicU64::new(0);
     let total = points.len();
     let done = std::sync::atomic::AtomicUsize::new(0);
-    let keys = KeyPrefix::new(manifest);
+    let prefix = KeyPrefix::new(manifest);
+    let keys = prefix.cells(&points);
+    let series = PointSeries::new(manifest);
+    let fold = trace_ctx.map(|(t, p)| Fold::new(t, p));
 
     let records: Vec<RunRecord> = parallel_map_with(&points, opts.sweep_options(manifest), |pt| {
-        let _trace = trace_ctx.map(|(t, p)| pas_obs::trace::enter(t, p));
+        let _fold = fold.as_ref().map(Fold::enter);
         let key = keys.key(pt);
         let record = match cache.load(&key) {
             Some(r) => {
@@ -395,7 +491,7 @@ pub fn execute_with_cache_traced(
                 r
             }
             None => {
-                let r = execute_point(manifest, field.as_ref(), pt);
+                let r = execute_point_with(manifest, field.as_ref(), pt, &series);
                 // A failed store only costs a future recomputation.
                 let _ = cache.store(&key, &r);
                 misses.fetch_add(1, Ordering::Relaxed);
@@ -405,6 +501,9 @@ pub fn execute_with_cache_traced(
         on_progress(done.fetch_add(1, Ordering::Relaxed) + 1, total);
         record
     });
+    if let Some(fold) = &fold {
+        fold.flush();
+    }
     let summaries = reduce(&records);
     Ok((
         BatchResult {
@@ -423,7 +522,7 @@ pub fn execute_with_cache_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pas_scenario::registry;
+    use pas_scenario::{execute_point, expand_indices, registry};
 
     fn small_manifest() -> Manifest {
         let mut m = registry::builtin("paper-default").unwrap();
@@ -512,6 +611,45 @@ mod tests {
         let keys: std::collections::BTreeSet<String> =
             pts.iter().map(|p| ResultCache::key(&m, p)).collect();
         assert_eq!(keys.len(), pts.len());
+    }
+
+    #[test]
+    fn cell_keys_match_one_point_keys_in_any_order() {
+        for name in registry::names() {
+            let m = registry::builtin(name).unwrap();
+            let prefix = KeyPrefix::new(&m);
+            let mut points = expand(&m).unwrap();
+            // A fixed shuffle: sort by a multiplicative hash of the index.
+            points.sort_by_key(|p| (p.index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let want: Vec<String> = points.iter().map(|p| ResultCache::key(&m, p)).collect();
+            let keys = prefix.cells(&points);
+            // Two threads key the halves back to front, racing on shared
+            // cells.
+            let (front, back) = points.split_at(points.len() / 2);
+            let keyed = |part: &[RunPoint]| -> Vec<String> {
+                let mut out: Vec<String> = part.iter().rev().map(|p| keys.key(p)).collect();
+                out.reverse();
+                out
+            };
+            let got = std::thread::scope(|s| {
+                let (a, b) = (s.spawn(|| keyed(front)), s.spawn(|| keyed(back)));
+                [a.join().unwrap(), b.join().unwrap()].concat()
+            });
+            assert_eq!(got, want, "{name}: cell keys");
+            // A shard's sparse, reversed subset, and a point outside it.
+            let total = points.len();
+            let indices: Vec<usize> = (0..total).rev().step_by(7).collect();
+            let shard = expand_indices(&m, &indices).unwrap();
+            let keys = prefix.cells(&shard[1..]);
+            for pt in &shard {
+                assert_eq!(
+                    keys.key(pt),
+                    ResultCache::key(&m, pt),
+                    "{name}: {}",
+                    pt.index
+                );
+            }
+        }
     }
 
     #[test]

@@ -143,9 +143,11 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 
 /// Lowercase hex of a digest.
 pub fn hex(digest: &[u8; 32]) -> String {
+    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(64);
     for b in digest {
-        let _ = std::fmt::Write::write_fmt(&mut s, format_args!("{b:02x}"));
+        s.push(NIBBLES[usize::from(b >> 4)] as char);
+        s.push(NIBBLES[usize::from(b & 0xf)] as char);
     }
     s
 }

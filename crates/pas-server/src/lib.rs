@@ -43,7 +43,8 @@ pub mod queue;
 pub mod server;
 
 pub use cache::{
-    execute_with_cache, execute_with_cache_traced, CacheStats, KeyPrefix, ResultCache,
+    execute_with_cache, execute_with_cache_traced, CacheStats, CellKeys, CellPrefix, KeyPrefix,
+    ResultCache,
 };
 pub use client::{
     retry_cause, Client, ClientError, HistoryFormat, JobStatus, ProfileFormat, ReportFormat,

@@ -357,8 +357,9 @@ impl JobQueue {
         while let Some((id, manifest)) = self.pop() {
             let queue = self.clone();
             // The `job.execute` span covers the whole local execution;
-            // per-point probe/run spans parent under it via the ambient
-            // context the traced executor re-enters on each pool thread.
+            // the traced executor folds the per-point probe, run and
+            // store spans into aggregates under it, filed before it
+            // returns.
             let mut span = pas_obs::span("job.execute");
             if let Some(tr) = self.status(id).map(|j| j.trace) {
                 span = span.parent(tr.id, tr.root);

@@ -168,7 +168,7 @@ impl Server {
 /// `/jobs/:id/events`, one response for everything else), and record the
 /// per-route request count / status / latency.
 fn handle_connection(stream: &mut TcpStream, router: Option<Router>, ctx: &Ctx) {
-    let t0 = Instant::now();
+    let request = pas_obs::span("http.request");
     match read_request(stream) {
         Ok(req) => {
             if let Some(id) = events_job_id(&req) {
@@ -176,13 +176,13 @@ fn handle_connection(stream: &mut TcpStream, router: Option<Router>, ctx: &Ctx) 
                 // An Err means the peer went away mid-stream (status 0,
                 // recorded as "aborted").
                 let status = stream_job_events(stream, &ctx.queue, id).unwrap_or_default();
-                record_http(&req, status, t0);
+                record_http(&req, status, request);
             } else {
                 let response = router
                     .as_ref()
                     .and_then(|r| r(&req))
                     .unwrap_or_else(|| route(ctx, &req));
-                record_http(&req, response.status, t0);
+                record_http(&req, response.status, request);
                 let _ = response.write_to(stream);
             }
         }
@@ -197,10 +197,11 @@ fn handle_connection(stream: &mut TcpStream, router: Option<Router>, ctx: &Ctx) 
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
-/// Record one served request in the registry. The route label is the
-/// request's *template* (`/jobs/:id`, not `/jobs/17`), so cardinality
+/// Record one served request in the registry, closing its
+/// `http.request` guard into the latency histogram. The route label is
+/// the request's *template* (`/jobs/:id`, not `/jobs/17`), so cardinality
 /// stays bounded no matter what peers ask for.
-fn record_http(req: &Request, status: u16, t0: Instant) {
+fn record_http(req: &Request, status: u16, request: pas_obs::SpanGuard) {
     let route = route_label(&req.path);
     let status = if status == 0 {
         "aborted".to_string()
@@ -215,11 +216,9 @@ fn record_http(req: &Request, status: u16, t0: Instant) {
             ("status", &status),
         ],
     );
-    pas_obs::observe_us(
-        "pas.server.http.latency.microseconds",
-        &[("route", route)],
-        t0.elapsed().as_secs_f64() * 1e6,
-    );
+    request
+        .histogram("pas.server.http.latency.microseconds", &[("route", route)])
+        .finish();
 }
 
 /// Map a request path onto its route template for metric labels.
@@ -349,21 +348,28 @@ fn trace(queue: &JobQueue, req: &Request, id: &str) -> Response {
         return Response::error(404, "no such job");
     };
     let spans = pas_obs::trace::spans_for(job.trace.id);
+    let evicted = pas_obs::trace::evicted(job.trace.id);
+    // The text forms open with a warning when the store evicted spans of
+    // this trace; the Chrome form carries the count as metadata.
+    let partial = match evicted {
+        0 => String::new(),
+        n => format!("partial: {n} spans evicted\n"),
+    };
     let accept = req.header("accept").unwrap_or("application/json");
     if accept.contains("text/x-pas-critical-path") {
         Response::new(
             200,
             "text/plain; charset=utf-8",
-            pas_obs::trace::render_critical_path(&spans, 10),
+            partial + &pas_obs::trace::render_critical_path(&spans, 10),
         )
     } else if accept.contains("text/plain") {
         Response::new(
             200,
             "text/plain; charset=utf-8",
-            pas_obs::trace::render_tree(&spans),
+            partial + &pas_obs::trace::render_tree(&spans),
         )
     } else {
-        Response::json(200, pas_obs::trace::render_chrome(&spans))
+        Response::json(200, pas_obs::trace::render_chrome(&spans, evicted))
     }
 }
 

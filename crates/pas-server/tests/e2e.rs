@@ -466,8 +466,9 @@ fn sse_unknown_job_404s_and_finished_job_gets_immediate_done() {
 
 /// `GET /jobs/:id/trace`: submit with an explicit trace id, then fetch
 /// the stitched span tree in all three negotiated formats. Local-exec
-/// jobs produce `job` → `job.queued` + `job.execute` → `exec.point`
-/// chains; the critical path accounts for the job wall clock.
+/// jobs produce `job` → `job.queued` + `job.execute` → one aggregate per
+/// point seam (`cache.probe`, `exec.point`, `cache.store`) counting every
+/// point; the critical path charges each aggregate all its points.
 #[test]
 fn trace_endpoint_negotiates_all_three_formats() {
     use pas_server::TraceFormat;
@@ -479,7 +480,8 @@ fn trace_endpoint_negotiates_all_three_formats() {
             ..ServerOptions::default()
         },
     );
-    let (_, toml) = small_manifest_toml();
+    let (manifest, toml) = small_manifest_toml();
+    let n = pas_scenario::expand(&manifest).unwrap().len();
     let trace_id = pas_obs::trace::mint_id();
     let (id, trace) = client.submit_traced(&toml, trace_id).unwrap();
     assert_eq!(trace, trace_id, "server must adopt the client's trace id");
@@ -497,17 +499,41 @@ fn trace_endpoint_negotiates_all_three_formats() {
         "\"ph\":\"X\"",
         "\"name\":\"job\"",
         "\"name\":\"job.execute\"",
+        "\"otherData\":{\"spans_evicted\":0}",
     ] {
         assert!(chrome.contains(needle), "chrome missing {needle}: {chrome}");
     }
 
     let tree = String::from_utf8(client.trace(id, TraceFormat::Tree).unwrap()).unwrap();
-    assert!(tree.contains("job"), "{tree}");
-    assert!(tree.contains("job.execute"), "{tree}");
+    assert!(
+        tree.starts_with("job "),
+        "a complete trace has no partial line: {tree}"
+    );
+    assert!(tree.contains("\n  job.execute "), "{tree}");
+    for aggregate in [
+        "\n    cache.probe ",
+        "\n    exec.point ",
+        "\n    cache.store ",
+    ] {
+        let line = tree
+            .split(aggregate)
+            .nth(1)
+            .map(|l| l.lines().next().unwrap());
+        let line = line.unwrap_or_else(|| panic!("no{aggregate} aggregate: {tree}"));
+        assert!(line.contains(&format!(" points={n} ")), "{line}");
+    }
+    assert!(
+        tree.contains("\n      exec.point "),
+        "exemplars nest: {tree}"
+    );
 
     let cp = String::from_utf8(client.trace(id, TraceFormat::CriticalPath).unwrap()).unwrap();
     assert!(cp.contains("critical path"), "{cp}");
     assert!(cp.contains('%'), "{cp}");
+    assert!(
+        cp.contains(&format!("(n={n})")),
+        "aggregates count their points: {cp}"
+    );
 
     // Unknown jobs 404 here like everywhere else.
     match client.trace(999, TraceFormat::Chrome).unwrap_err() {

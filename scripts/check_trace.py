@@ -12,7 +12,9 @@ Checks, in order:
    id resolves to a recorded span — i.e. the stitched tree is closed;
 4. every ``pid`` maps to a named process, and at least ``--min-procs``
    distinct processes contributed spans (a dist-mode trace must span
-   the server and every worker).
+   the server and every worker);
+5. with ``--max-spans N``, the trace holds at most N spans (a job's
+   span budget, docs/OBSERVABILITY.md).
 
 Exits non-zero with a message on the first violation; prints a one-line
 summary on success.
@@ -39,6 +41,12 @@ def main() -> None:
         type=int,
         default=1,
         help="minimum distinct processes that must have recorded spans",
+    )
+    ap.add_argument(
+        "--max-spans",
+        type=int,
+        default=None,
+        help="maximum spans the trace may hold",
     )
     args = ap.parse_args()
 
@@ -115,6 +123,9 @@ def main() -> None:
             f"spans from {len(span_pids)} process(es) "
             f"({sorted(proc_names[p] for p in span_pids)}), need >= {args.min_procs}"
         )
+
+    if args.max_spans is not None and len(spans) > args.max_spans:
+        fail(f"{len(spans)} spans, over the budget of {args.max_spans}")
 
     names = sorted({ev["name"] for ev in spans.values()})
     procs = sorted(proc_names[p] for p in span_pids)

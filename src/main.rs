@@ -1648,7 +1648,7 @@ pas_q_gauge 2
                     dur_us,
                 });
             }
-            latency_breakdown(&pas_obs::trace::render_chrome(&records))
+            latency_breakdown(&pas_obs::trace::render_chrome(&records, 0))
         };
         let local = [
             ("job", "server", 1_000, 5_000),

@@ -106,7 +106,7 @@ fn span_catalog_matches_code() {
     assert_same(
         "spans",
         first_column(section(&doc(), "## Span catalog")),
-        11,
+        12,
         recorded,
     );
 }
@@ -117,7 +117,7 @@ fn region_catalog_matches_code() {
     let catalog = section(&doc, "### Region catalog");
     let mut coarse = literals_after(&lines, "span(");
     coarse.extend(literals_after(&lines, "scope("));
-    assert_same("coarse regions", first_column(catalog), 13, coarse);
+    assert_same("coarse regions", first_column(catalog), 14, coarse);
     let detail = &catalog[catalog.find("Detail regions").expect("detail paragraph")..];
     let detail = backticked(detail.split("\n\n").next().unwrap()).filter(|n| n.starts_with(EVENT));
     let quoted = format!("\"{EVENT}");
